@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -399,79 +400,115 @@ def _ordered_configs(configs) -> list[Configuration]:
     return sorted(configs, key=lambda c: c.sites)
 
 
+def _slot_table(slots: frozenset) -> np.ndarray:
+    """(symbol, content bit) -> 1.0 where that site state lies in ``slots``;
+    symbols without content read the same slot for either bit."""
+    table = np.zeros((len(hm.SYMBOL_SLOTS), 2))
+    for sym, own in hm.SYMBOL_SLOTS.items():
+        for b in (0, 1):
+            table[sym, b] = own[min(b, len(own) - 1)] in slots
+    return table
+
+
 def restrict(terms, configs, max_dim: int = 200_000):
     """P H P on the span of the given configurations' content spaces.
 
     Returns (csr_matrix, basis) where basis is the list of
     (configuration, offset, content_dim) records in the given order
     (sets are sorted lexicographically).  Basis ordering within a
-    configuration is by content index.
+    configuration is by content index.  A configuration listed twice is
+    an error.
+
+    The configurations are packed into an (N, L) symbol array; each term
+    matches its window by a column mask and emits all its entries at
+    once.  Destination configurations are found by binary search on the
+    rows read as L-byte keys.
     """
     terms = _term_list(terms)
     configs = _ordered_configs(configs)
-    offsets = {}
-    basis = []
-    dim = 0
-    for c in configs:
-        q = c.holder_count()
-        offsets[c] = dim
-        basis.append((c, dim, 1 << q))
-        dim += 1 << q
+    if not configs:
+        return sp.csr_matrix((0, 0), dtype=complex), []
+    N, L = len(configs), configs[0].length
+    S = np.frombuffer(b"".join(c.sites for c in configs),
+                      dtype=np.uint8).reshape(N, L)
+    hold = np.isin(S, tuple(chain.QUBIT_HOLDING))
+    cdim = 1 << hold.sum(axis=1, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(cdim)))
+    dim = int(offsets[-1])
     if dim > max_dim:
         raise ValueError(f"restricted dimension {dim} exceeds {max_dim}")
+    basis = [(c, int(off), int(cd))
+             for c, off, cd in zip(configs, offsets[:-1], cdim)]
+    keys = S.view(np.dtype((np.void, L))).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    repeats = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    if len(repeats):
+        raise ValueError("configuration listed twice: "
+                         f"{configs[order[repeats[0]]]}")
+    ranks = np.maximum(np.cumsum(hold, axis=1) - 1, 0)
+
+    def expand(sel):
+        """Config, global row and content index of every basis vector of
+        the configurations ``sel``."""
+        counts = cdim[sel]
+        cfg = np.repeat(sel, counts)
+        content = np.arange(len(cfg)) \
+            - np.repeat(np.cumsum(counts) - counts, counts)
+        return cfg, offsets[cfg] + content, content
+
+    diag = np.zeros(dim)
     rows, cols, vals = [], [], []
     for t in terms:
+        i = t.sites[0]
         if t.kind == "diag":
-            for c, off, cd in basis:
-                d = _diag_content_vector(t, c)
-                if isinstance(d, float):
-                    if not d:
-                        continue
-                    d = np.full(cd, d)
-                nz = np.nonzero(d)[0]
-                rows.extend(off + nz)
-                cols.extend(off + nz)
-                vals.extend(t.weight * d[nz])
+            tables = [_slot_table(s) for s in t.diag_slots]
+            hit = np.ones(N, dtype=bool)
+            for k, tab in enumerate(tables):
+                hit &= tab.any(axis=1)[S[:, i - 1 + k]]
+            cfg, idx, content = expand(np.flatnonzero(hit))
+            f = np.full(len(idx), t.weight)
+            for k, tab in enumerate(tables):
+                site = i - 1 + k
+                f *= tab[S[cfg, site], (content >> ranks[cfg, site]) & 1]
+            diag[idx] += f
+            continue
+        src = np.flatnonzero((S[:, i - 1] == t.src[0]) & (S[:, i] == t.src[1]))
+        moved = S[src]
+        moved[:, i - 1:i + 1] = t.dst
+        dkeys = moved.view(np.dtype((np.void, L))).ravel()
+        pos = np.minimum(np.searchsorted(sorted_keys, dkeys), N - 1)
+        found = sorted_keys[pos] == dkeys
+        cfg, idx, content = expand(src[found])
+        dst_off = np.repeat(offsets[order[pos[found]]], cdim[src[found]])
+        w = t.weight * t.sign
+        u = t.gate_matrix()
+        if u is None:
+            out_idx, col_idx = dst_off + content, idx
+            val = np.full(len(idx), w, dtype=complex)
         else:
-            i = t.sites[0]
-            u = t.gate_matrix()
-            for c, off, cd in basis:
-                if (c.symbol(i), c.symbol(i + 1)) != t.src:
-                    continue
-                dcfg = c.replace_pair(i, t.dst)
-                if dcfg not in offsets:
-                    continue
-                doff = offsets[dcfg]
-                w = t.weight * t.sign
-                if u is None:
-                    idx = np.arange(cd)
-                    rows.extend(doff + idx)
-                    cols.extend(off + idx)
-                    vals.extend(np.full(cd, w, dtype=complex))
-                    rows.extend(off + idx)
-                    cols.extend(doff + idx)
-                    vals.extend(np.full(cd, w, dtype=complex))
-                else:
-                    a = _holder_ranks(c)[i]
-                    for cidx in range(cd):
-                        s = (cidx >> a) & 1
-                        tt = (cidx >> (a + 1)) & 1
-                        for s2 in (0, 1):
-                            for t2 in (0, 1):
-                                val = u[2 * s2 + t2, 2 * s + tt]
-                                if val == 0:
-                                    continue
-                                cout = (cidx & ~(1 << a) & ~(1 << (a + 1))) \
-                                    | (s2 << a) | (t2 << (a + 1))
-                                rows.append(doff + cout)
-                                cols.append(off + cidx)
-                                vals.append(w * val)
-                                rows.append(off + cidx)
-                                cols.append(doff + cout)
-                                vals.append(w * np.conj(val))
+            # rule-1 gate on content bits (a, a+1): the holders at i, i+1
+            a = ranks[cfg, i - 1]
+            bits_in = 2 * ((content >> a) & 1) + ((content >> (a + 1)) & 1)
+            cleared = content & ~(3 << a)
+            out_idx, col_idx, val = [], [], []
+            for j in range(4):
+                g = u[j, bits_in]
+                nz = g != 0
+                out = dst_off + (cleared | ((j >> 1) << a)
+                                 | ((j & 1) << (a + 1)))
+                out_idx.append(out[nz])
+                col_idx.append(idx[nz])
+                val.append(w * g[nz])
+            out_idx, col_idx, val = map(np.concatenate,
+                                        (out_idx, col_idx, val))
+        rows += [out_idx, col_idx]
+        cols += [col_idx, out_idx]
+        vals += [val, val.conj()]
+    nz = np.flatnonzero(diag)
     mat = sp.csr_matrix(
-        (np.array(vals, dtype=complex),
-         (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+        (np.concatenate([diag[nz].astype(complex)] + vals),
+         (np.concatenate([nz] + rows), np.concatenate([nz] + cols))),
         shape=(dim, dim))
     return mat, basis
 
@@ -507,18 +544,19 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
              sigma: float | None = None, ncv: int | None = None) -> EigResult:
     """k smallest eigenvalues of a Hermitian operator.
 
-    Dense arrays (and small sparse matrices) are solved exactly; larger
-    sparse matrices use shift-invert about ``sigma`` (default just below
-    zero; pass a value near the expected bottom of the spectrum when it
-    is far from zero); LinearOperators use Lanczos with a seeded (or
-    given) start vector.  Non-convergence is reported, not raised: the
-    result carries the achieved residuals.
+    Dense arrays (and small sparse matrices) are solved exactly, for the
+    k lowest eigenpairs only; larger sparse matrices use shift-invert
+    about ``sigma`` (default just below zero; pass a value near the
+    expected bottom of the spectrum when it is far from zero);
+    LinearOperators use Lanczos with a seeded (or given) start vector.
+    Non-convergence is reported, not raised: the result carries the
+    achieved residuals.
     """
     if isinstance(op, np.ndarray):
-        vals, vecs = np.linalg.eigh(op)
+        vals, vecs = sla.eigh(op, subset_by_index=[0, min(k, len(op)) - 1])
         res = np.array([np.linalg.norm(op @ vecs[:, j] - vals[j] * vecs[:, j])
-                        for j in range(min(k, len(vals)))])
-        return EigResult(vals[:k], res, True)
+                        for j in range(len(vals))])
+        return EigResult(vals, res, True)
     if sp.issparse(op):
         dim = op.shape[0]
         if k >= dim - 1 or dim <= 2000:

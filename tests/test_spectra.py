@@ -1,9 +1,12 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hamline import chain, hamiltonian as hm, spectra
+from hamline import chain, hamiltonian as hm, spectra, verify
 from hamline.chain import Configuration
-from hamline.circuit import (LayeredCircuit, circuit_unitary,
+from hamline.circuit import (Gate2Q, LayeredCircuit, circuit_unitary,
                              identity_round, input_state,
                              output_zero_probability)
 from hamline.verify import accepting_circuit, cnot_circuit
@@ -194,6 +197,61 @@ def test_restrict_dimension_guard():
     with pytest.raises(ValueError):
         spectra.restrict(hm.build_h_pen(2, 2),
                          spectra.legal_basis(2, 2), max_dim=3)
+
+
+def test_restrict_rejects_repeated_configuration():
+    legal = spectra.legal_basis(2, 2)
+    with pytest.raises(ValueError, match="listed twice"):
+        spectra.restrict(hm.build_h_pen(2, 2), legal + [legal[3]])
+
+
+def haar_gate(seed):
+    z = np.random.default_rng(seed).standard_normal((4, 8)).view(complex)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def embedding(basis):
+    """Full-space index of every restricted basis vector, in basis order."""
+    return np.concatenate([spectra.config_indices(c) for c, _, _ in basis])
+
+
+def test_restrict_equals_full_operator_on_all_configurations():
+    """Over all 6^4 configurations of n=2, R=1 the restriction is the whole
+    operator, permuted.  Round 1 must be identity, so the Haar gate is put
+    on the rule-1 hop term directly."""
+    spec = hm.build_hamiltonian(identity_circuit(2, 1, 1))
+    gate = tuple(haar_gate(11).ravel())
+    terms = [replace(t, gate=gate) if t.gate is not None else t
+             for t in spec.terms]
+    assert sum(t.gate == gate for t in terms) == 1
+    configs = [Configuration(2, 1, bytes(s))
+               for s in itertools.product(range(6), repeat=4)]
+    mat, basis = spectra.restrict(terms, configs)
+    idx = embedding(basis)
+    assert np.array_equal(np.sort(idx), np.arange(8 ** 4))
+    full = spectra.FullOperator(terms, (2, 1)).dense()
+    diff = np.abs(full[np.ix_(idx, idx)] - mat.toarray())
+    assert np.max(diff) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_restrict_matches_full_operator_with_d_windows():
+    """Hops at D windows (rules 4, 5 and 6) exist only for R >= 2: compare
+    on the legal+fringe configurations of a random-gate n=2, R=2 circuit."""
+    circ = LayeredCircuit(2, 1, (identity_round(2),
+                                 (Gate2Q(haar_gate(12), 1),)))
+    spec = hm.build_hamiltonian(circ)
+    mat, basis = spectra.restrict(spec, verify.legal_fringe(2, 2))
+    idx = embedding(basis)
+    op = spectra.FullOperator.from_spec(spec)
+    rng = np.random.default_rng(13)
+    for _ in range(2):
+        x = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+        full = np.zeros(op.dim, dtype=complex)
+        full[idx] = x
+        want = op.matvec(full)[idx]
+        assert np.max(np.abs(mat @ x - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
