@@ -148,14 +148,18 @@ class LocalTerm:
                                 out.append((d64, src64, complex(val)))
         return out
 
+    def diagonal(self) -> np.ndarray:
+        """Unweighted diagonal of a diag term's block (length 8 or 64)."""
+        d = self.site_diag(0)
+        if len(self.sites) == 2:
+            d = np.kron(d, self.site_diag(1))
+        return d
+
     def matrix(self) -> np.ndarray:
         """Dense unweighted block, 8x8 for 1 site or 64x64 for 2 sites."""
         dim = 8 ** len(self.sites)
         if self.kind == "diag":
-            d = self.site_diag(0)
-            if len(self.sites) == 2:
-                d = np.kron(d, self.site_diag(1))
-            return np.diag(d).astype(complex)
+            return np.diag(self.diagonal()).astype(complex)
         m = np.zeros((dim, dim), dtype=complex)
         for d64, s64, val in self.hop_entries():
             m[d64, s64] += val
@@ -475,9 +479,20 @@ def census(spec: HamiltonianSpec) -> dict[str, int]:
 # Export
 # ---------------------------------------------------------------------------
 
+#: Stand-in for the matrix in a term's JSON line; no other field can
+#: encode to it.
+_MATRIX_SPLICE = "\0matrix"
+
+
 def export_terms(spec: HamiltonianSpec) -> str:
     """Structured text export: one JSON header line, one JSON line per
-    term with the dense block in basis order, row-major, re/im pairs."""
+    term with the dense block in basis order, row-major, re/im pairs.
+
+    A block holds few distinct values, so each distinct entry (by bit
+    pattern, which keeps -0.0 apart from 0.0) is JSON-encoded once, with
+    a cache shared across terms, and the pieces are spliced into the
+    term's line in entry order.
+    """
     import json
 
     lines = [json.dumps({
@@ -489,11 +504,25 @@ def export_terms(spec: HamiltonianSpec) -> str:
         "basis": list(BASIS_LABELS),
         "terms": len(spec.terms),
     }, sort_keys=True)]
+    encoded: dict[bytes, str] = {}
+    splice = json.dumps(_MATRIX_SPLICE)
     for t in spec.terms:
-        m = t.matrix()
+        entries = t.matrix().ravel()
+        keys, inverse = np.unique(entries.view(np.dtype((np.void, 16))),
+                                  return_inverse=True)
+        pieces = []
+        for key in keys.tolist():
+            text = encoded.get(key)
+            if text is None:
+                v = np.frombuffer(key, dtype=complex)[0]
+                text = encoded[key] = json.dumps([v.real, v.imag])
+            pieces.append(text)
+        matrix = "[" + ", ".join(
+            np.array(pieces, dtype=object)[inverse.ravel()].tolist()) + "]"
         lines.append(json.dumps({
             "family": t.family, "rule": t.rule, "piece": t.piece,
             "sites": list(t.sites), "weight": t.weight,
-            "matrix": [[v.real, v.imag] for v in m.ravel()],
-        }, sort_keys=True))
+            "matrix": _MATRIX_SPLICE,
+        }, sort_keys=True).replace(splice, matrix, 1))
     return "\n".join(lines) + "\n"
+

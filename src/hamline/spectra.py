@@ -281,9 +281,14 @@ def _infer_nR(terms):
 class FullOperator:
     """Matrix-free application of a term list on the full chain space.
 
-    The diagonal (all projector terms) is precomputed as one vector; hop
-    terms are applied as strided 64-block updates.  Matches the dense
-    matrix on small instances to 1e-12 (tested).
+    Diag terms are summed into one weighted block per (site, width)
+    window, and each window is broadcast into the diagonal vector once.
+    The hop terms of a window are merged into one Hermitian 64x64 table,
+    weight * sign * (T + T^dagger) summed over the window's terms;
+    ``hops`` keeps each table's nonzeros as (site, [(d64, s64, value),
+    ...]), and ``matvec`` applies each nonzero as one strided 64-block
+    update.  Matches the dense matrix on small instances to 1e-12
+    (tested).
     """
 
     def __init__(self, terms, nR: tuple[int, int]):
@@ -295,44 +300,44 @@ class FullOperator:
                 f"({FULL_SPACE_SITE_LIMIT} sites)")
         self.n, self.R, self.L = n, R, L
         self.dim = 8 ** L
-        terms = _term_list(terms)
-        self.diag = np.zeros(self.dim)
-        self.hops = []
-        for t in terms:
+        blocks: dict[tuple[int, int], np.ndarray] = {}
+        tables: dict[int, np.ndarray] = {}
+        for t in _term_list(terms):
+            i = t.sites[0]
             if t.kind == "diag":
-                self._add_diag(t)
+                key = (i, len(t.sites))
+                blocks[key] = blocks.get(key, 0.0) + t.weight * t.diagonal()
             else:
-                entries = [(d, s, t.weight * t.sign * v)
-                           for d, s, v in t.hop_entries()]
-                self.hops.append((t.sites[0], entries))
+                tables[i] = tables.get(i, 0.0) + t.weight * t.matrix()
+        self.diag = np.zeros(self.dim)
+        for (i, _), block in blocks.items():
+            left = 8 ** (i - 1)
+            right = self.dim // (left * len(block))
+            self.diag.reshape(left, len(block), right)[:] += \
+                block[None, :, None]
+        self.hops = []
+        for i in sorted(tables):
+            d64, s64 = np.nonzero(tables[i])
+            self.hops.append((i, list(zip(d64.tolist(), s64.tolist(),
+                                          tables[i][d64, s64].tolist()))))
 
     @classmethod
     def from_spec(cls, spec: HamiltonianSpec) -> "FullOperator":
         return cls(spec.terms, (spec.n, spec.R))
 
-    def _add_diag(self, t: LocalTerm):
-        i = t.sites[0]
-        left = 8 ** (i - 1)
-        if len(t.sites) == 1:
-            block = t.weight * t.site_diag(0)
-            width = 8
-        else:
-            block = t.weight * np.kron(t.site_diag(0), t.site_diag(1))
-            width = 64
-        right = self.dim // (left * width)
-        self.diag.reshape(left, width, right)[:] += block[None, :, None]
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=complex).reshape(self.dim)
         out = self.diag * v
+        scratch = np.empty(self.dim // 64, dtype=complex)
         for i, entries in self.hops:
             left = 8 ** (i - 1)
             right = self.dim // (left * 64)
             vv = v.reshape(left, 64, right)
             oo = out.reshape(left, 64, right)
+            buf = scratch.reshape(left, right)
             for d64, s64, val in entries:
-                oo[:, d64, :] += val * vv[:, s64, :]
-                oo[:, s64, :] += np.conj(val) * vv[:, d64, :]
+                np.multiply(vv[:, s64, :], val, out=buf)
+                oo[:, d64, :] += buf
         return out
 
     def linear_operator(self) -> spla.LinearOperator:
@@ -356,19 +361,23 @@ def apply_full(spec: HamiltonianSpec, v: np.ndarray) -> np.ndarray:
 
 
 def full_sparse_matrix(terms, n: int, R: int) -> sp.csr_matrix:
-    """The assembled operator as a sparse matrix, built term-by-term with
-    Kronecker products (an independent route from FullOperator, used by
-    oracle tests and the coordinate export)."""
+    """The assembled operator as a sparse matrix: the weighted blocks of
+    each (site, width) window are summed, then expanded with one
+    Kronecker product per window (an independent route from
+    FullOperator, used by oracle tests and the coordinate export)."""
     L = 2 * n * R
     dim = 8 ** L
-    total = sp.csr_matrix((dim, dim), dtype=complex)
+    blocks: dict[tuple[int, int], np.ndarray] = {}
     for t in _term_list(terms):
-        blk = sp.csr_matrix(t.weight * t.matrix())
-        i = t.sites[0]
+        key = (t.sites[0], len(t.sites))
+        blocks[key] = blocks.get(key, 0.0) + t.weight * t.matrix()
+    total = sp.csr_matrix((dim, dim), dtype=complex)
+    for (i, width), blk in blocks.items():
         left = sp.identity(8 ** (i - 1), format="csr", dtype=complex)
-        right = sp.identity(8 ** (L - i - len(t.sites) + 1), format="csr",
+        right = sp.identity(8 ** (L - i - width + 1), format="csr",
                             dtype=complex)
-        total = total + sp.kron(sp.kron(left, blk), right, format="csr")
+        total = total + sp.kron(sp.kron(left, sp.csr_matrix(blk)), right,
+                                format="csr")
     return total
 
 
@@ -547,7 +556,8 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
     Dense arrays (and small sparse matrices) are solved exactly, for the
     k lowest eigenpairs only; larger sparse matrices use shift-invert
     about ``sigma`` (default just below zero; pass a value near the
-    expected bottom of the spectrum when it is far from zero);
+    expected bottom of the spectrum when it is far from zero) from a
+    seeded real start vector;
     LinearOperators use Lanczos with a seeded (or given) start vector.
     Non-convergence is reported, not raised: the result carries the
     achieved residuals.
@@ -566,7 +576,11 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
         # ask for a few extra eigenvalues so the bottom of a cluster near
         # sigma is not missed
         kk = min(dim - 2, max(k, 6))
-        vals, vecs = spla.eigsh(op.tocsc(), k=kk, sigma=sigma, which="LM")
+        # a seeded start vector: ARPACK's own is not reproducible
+        # across processes
+        start = np.random.default_rng(seed).standard_normal(dim)
+        vals, vecs = spla.eigsh(op.tocsc(), k=kk, sigma=sigma, which="LM",
+                                v0=start)
         order = np.argsort(vals)
         vals, vecs = vals[order][:k], vecs[:, order][:, :k]
         res = np.array([np.linalg.norm(op @ vecs[:, j] - vals[j] * vecs[:, j])

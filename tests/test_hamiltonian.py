@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from hamline import chain, hamiltonian as hm, spectra
 from hamline.chain import BLANK, DEAD, Configuration
-from hamline.circuit import LayeredCircuit, identity_round
+from hamline.circuit import Gate2Q, LayeredCircuit, identity_round
 from hamline.verify import accepting_circuit, cnot_circuit
 
 
@@ -306,6 +307,29 @@ def test_export_terms_deterministic_and_parseable():
     assert set(rec) == {"family", "rule", "piece", "sites", "weight", "matrix"}
     dim = 8 ** len(rec["sites"])
     assert len(rec["matrix"]) == dim * dim
+
+
+def haar_circuit(seed):
+    """n=2, R=2 with a seeded Haar gate in round 2 (round 1 must be
+    identity); its hop blocks hold signed zeros."""
+    z = np.random.default_rng(seed).standard_normal((4, 8)).view(complex)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return LayeredCircuit(2, 1, (identity_round(2),
+                                 (Gate2Q(q * (d / np.abs(d)), 1),)))
+
+
+@pytest.mark.parametrize("circ, digest", [
+    (accepting_circuit(),
+     "3e8130d54da3458809044b8c8d01f12782aad2ea67c9b3a50503dd7a876b1782"),
+    (haar_circuit(12),
+     "7127d64b011e8113164f1762d5fd6efa207bcb08a611996b40f8dcf0fa8119be"),
+], ids=["accepting", "haar12"])
+def test_export_terms_bytes_pinned(circ, digest):
+    # the export bytes are frozen; these digests come from encoding
+    # every entry separately, with no cache
+    text = hm.export_terms(hm.build_hamiltonian(circ))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_random_rayleigh_quotients_on_dense_instance():

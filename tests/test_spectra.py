@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -397,6 +398,34 @@ def test_export_coo_round_trip(dense_21):
     # sorted by (row, col)
     rc = [(int(r.split()[0]), int(r.split()[1])) for r in rows]
     assert rc == sorted(rc)
+
+
+def test_export_coo_bytes_pinned(dense_21):
+    # the export bytes are frozen; this digest comes from one Kronecker
+    # product per term
+    text = spectra.export_coo(dense_21[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "50a5c07368a6a18f58992742580f8db2f96f40dc7ec1f3e1539b77b6b633b3cf"
+
+
+def test_full_diagonal_eight_sites():
+    """op.diag at 4,096 random basis states of the 8-site rejecting
+    operator equals sum(weight * prod site_diag) over the diag terms,
+    read off the base-8 digits (site 1 most significant)."""
+    cp = hm.choose_couplings(2, 2, accepting_circuit())
+    spec = hm.build_hamiltonian(verify.rejecting_circuit(), couplings=cp)
+    op = spectra.FullOperator.from_spec(spec)
+    idx = np.random.default_rng(17).integers(0, op.dim, 4096)
+    digits = idx[:, None] // 8 ** np.arange(op.L - 1, -1, -1) % 8
+    want = np.zeros(len(idx))
+    for t in spec.terms:
+        if t.kind == "diag":
+            f = np.full(len(idx), t.weight)
+            for k in range(len(t.sites)):
+                f *= t.site_diag(k)[digits[:, t.sites[0] - 1 + k]]
+            want += f
+    assert np.array_equal(op.diag[idx], want)
+    assert len(op.hops) == op.L - 1
 
 
 def test_export_coo_dimension_guard():

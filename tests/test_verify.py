@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -71,6 +75,22 @@ def test_report_serialization():
     doc = json.loads(rep.to_json())
     assert doc["passed"] is True
     assert len(doc["checks"]) == len(rep.checks)
+
+
+def test_soundness_report_reproducible_across_processes():
+    """The restricted soundness report is byte-identical between two
+    fresh interpreters; the shift-invert solves must not start from
+    ARPACK's own random vector."""
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("from hamline import verify; "
+            "print(verify.soundness_probe(full_space=False).to_json())")
+    a, b = (subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=600).stdout
+            for _ in range(2))
+    assert a == b
 
 
 def test_reports_reproducible():
