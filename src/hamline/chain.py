@@ -30,8 +30,8 @@ from functools import lru_cache
 __all__ = [
     "INSI", "PUSHER", "BLANK", "DEAD", "QUBIT", "GATE",
     "SYMBOL_CHARS", "QUBIT_HOLDING",
-    "Configuration", "RuleInstance", "Rule", "RULES", "TransitionTerm",
-    "TRANSITION_TERMS", "ConfigClass", "InvariantSet",
+    "Configuration", "RuleInstance", "Rule", "RULES", "RULES_BY_PARENT",
+    "TransitionTerm", "TRANSITION_TERMS", "ConfigClass", "InvariantSet",
     "location_type", "pair_allowed", "forbidden_families",
     "initial_configuration", "forward_rules", "backward_rules",
     "apply_rule", "legal_sequence", "annotated_sequence",
@@ -273,9 +273,6 @@ RULES: tuple[Rule, ...] = (
     _rule("6a", "D", (PUSHER, QUBIT), (DEAD, GATE), prev=DEAD),
     _rule("6b", "B", (PUSHER, QUBIT), (DEAD, QUBIT), prev=DEAD),
 )
-
-_RULES_BY_ID = {r.rid: r for r in RULES}
-
 
 @dataclass(frozen=True)
 class RuleInstance:
@@ -573,29 +570,20 @@ class TransitionTerm:
     dst: tuple[int, int]
 
 
-def _tt(rule, types, src, dst):
-    return TransitionTerm(rule, frozenset(types), tuple(src), tuple(dst))
+#: RULES stably sorted by (parent rule, most location types first).  The
+#: transition terms and the projector layout of the propagation family
+#: are derived in this order; assembly keeps ties between pieces on the
+#: same sites in it, so it fixes the byte order of term exports.
+RULES_BY_PARENT: tuple[Rule, ...] = tuple(
+    sorted(RULES, key=lambda r: (r.rid[0], -len(r.types))))
 
-
-#: Transition pieces, keyed by parent rule.  The qubit-move family fires
-#: at all odd-type pairs, with two of its four exchanges restricted to
-#: AE / AC as the construction prescribes.
-TRANSITION_TERMS: tuple[TransitionTerm, ...] = (
-    _tt("1", "B", (GATE, QUBIT), (QUBIT, GATE)),
-    _tt("2", "A", (GATE, INSI), (INSI, GATE)),
-    _tt("2", "C", (GATE, INSI), (DEAD, GATE)),
-    _tt("2", "E", (GATE, BLANK), (INSI, GATE)),
-    _tt("3", "ACE", (QUBIT, INSI), (INSI, QUBIT)),
-    _tt("3", "ACE", (QUBIT, BLANK), (DEAD, QUBIT)),
-    _tt("3", "AE", (QUBIT, INSI), (DEAD, QUBIT)),
-    _tt("3", "AC", (QUBIT, BLANK), (INSI, QUBIT)),
-    _tt("4", "D", (GATE, BLANK), (QUBIT, PUSHER)),
-    _tt("4", "B", (QUBIT, BLANK), (QUBIT, PUSHER)),
-    _tt("5", "ACE", (INSI, PUSHER), (PUSHER, INSI)),
-    _tt("5", "BD", (QUBIT, PUSHER), (PUSHER, QUBIT)),
-    _tt("6", "D", (PUSHER, QUBIT), (DEAD, GATE)),
-    _tt("6", "B", (PUSHER, QUBIT), (DEAD, QUBIT)),
-)
+#: Transition pieces, one per rewrite rule: its window exchange
+#: before -> after without the context sites, keyed by parent rule.
+#: The qubit-move family (rule 3) fires at all odd-type pairs, with two
+#: of its four exchanges restricted to AE / AC.
+TRANSITION_TERMS: tuple[TransitionTerm, ...] = tuple(
+    TransitionTerm(r.rid[0], r.types, r.before, r.after)
+    for r in RULES_BY_PARENT)
 
 
 def exchange_neighbours(c: Configuration,

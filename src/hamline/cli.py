@@ -203,7 +203,6 @@ def cmd_verify(args) -> int:
     from . import chain, verify
 
     rules = chain.RULES
-    transitions = chain.TRANSITION_TERMS
     drop_pen = None
     if args.inject_fault == "mutate-rule":
         rules = chain.mutated_rules("2a", (chain.DEAD, chain.GATE))
@@ -214,11 +213,9 @@ def cmd_verify(args) -> int:
         try:
             if name == "census":
                 return verify.census_suite(args.n, 1, args.R,
-                                           drop_pen_family=drop_pen,
-                                           transitions=transitions)
+                                           drop_pen_family=drop_pen)
             if name == "facts":
-                return verify.check_facts(args.n, args.R, rules=rules,
-                                          transitions=transitions)
+                return verify.check_facts(args.n, args.R, rules=rules)
             if name == "history":
                 return verify.check_history(verify.accepting_circuit(),
                                             np.array([1.0, 0.0]))

@@ -30,7 +30,7 @@ subspaces (see :mod:`hamline.spectra` and :mod:`hamline.verify`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil, log2
 
 import numpy as np
@@ -47,8 +47,6 @@ __all__ = [
     "build_hamiltonian", "expected_census", "census", "export_terms",
     "projector_layout",
 ]
-
-HERMITICITY_TOL = 1e-14
 
 #: Frozen single-site basis ordering.
 BASIS_LABELS = ("insi", "pusher", "blank", "dead",
@@ -227,36 +225,24 @@ def build_h_pen(n: int, R: int,
     return terms
 
 
-# Projector layout of the propagation family: for each rule and window
-# type, where the forward (xy) and backward (zw) identifying projectors
-# sit relative to the hop window, and which symbol pair they project on.
-# Offset -1 means the pair (i-1, i), 0 the window itself, +1 (i+1, i+2).
-_PROJ_SPECS: tuple[tuple[str, str, str, int, tuple[int, int]], ...] = (
-    ("1", "B", "xy", 0, (GATE, QUBIT)),
-    ("1", "B", "zw", 0, (QUBIT, GATE)),
-    ("2", "A", "xy", 0, (GATE, INSI)),
-    ("2", "A", "zw", 0, (INSI, GATE)),
-    ("2", "C", "xy", 0, (GATE, INSI)),
-    ("2", "C", "zw", 0, (DEAD, GATE)),
-    ("2", "E", "xy", 0, (GATE, BLANK)),
-    ("2", "E", "zw", 0, (INSI, GATE)),
-    ("3", "ACE", "xy", -1, (QUBIT, QUBIT)),
-    ("3", "ACE", "zw", +1, (QUBIT, QUBIT)),
-    ("3", "ACE", "xy", -1, (DEAD, QUBIT)),
-    ("3", "ACE", "zw", +1, (QUBIT, BLANK)),
-    ("4", "B", "xy", 0, (QUBIT, BLANK)),
-    ("4", "B", "zw", +1, (PUSHER, BLANK)),
-    ("4", "D", "xy", 0, (GATE, BLANK)),
-    ("4", "D", "zw", +1, (PUSHER, BLANK)),
-    ("5", "ACE", "xy", 0, (INSI, PUSHER)),
-    ("5", "ACE", "zw", 0, (PUSHER, INSI)),
-    ("5", "BD", "xy", 0, (QUBIT, PUSHER)),
-    ("5", "BD", "zw", 0, (PUSHER, QUBIT)),
-    ("6", "B", "xy", -1, (DEAD, PUSHER)),
-    ("6", "B", "zw", 0, (DEAD, QUBIT)),
-    ("6", "D", "xy", -1, (DEAD, PUSHER)),
-    ("6", "D", "zw", 0, (DEAD, GATE)),
-)
+def _projector_rows() -> tuple:
+    """(parent rule, window types, piece, offset, symbol pair) of every
+    identifying projector, derived from the rules in the order of
+    :data:`chain.RULES_BY_PARENT`: the forward (xy) projector is (prev,
+    before[0]) at offset -1 when the rule has a ``prev`` context, else
+    ``before`` at 0; the backward (zw) one is (after[1], next2) at +1
+    when it has a ``next2`` context, else ``after`` at 0.  Equal rows of
+    one parent rule are merged, their window types joined."""
+    rows: dict[tuple, frozenset] = {}
+    for r in chain.RULES_BY_PARENT:
+        ctx = dict(r.context)
+        xy = (-1, (ctx[-1], r.before[0])) if -1 in ctx else (0, r.before)
+        zw = (+1, (r.after[1], ctx[2])) if 2 in ctx else (0, r.after)
+        for piece, (off, pair) in (("xy", xy), ("zw", zw)):
+            key = (r.rid[0], piece, off, pair)
+            rows[key] = rows.get(key, frozenset()) | r.types
+    return tuple((rule, types, piece, off, pair)
+                 for (rule, piece, off, pair), types in rows.items())
 
 
 def projector_layout(n: int, R: int):
@@ -264,15 +250,18 @@ def projector_layout(n: int, R: int):
     (rule, piece, sites, symbols, window) with chain-end truncation
     applied.
 
-    Truncation drops projector factors whose site falls outside the
-    chain, leaving a single-site projector; hop pieces are never
-    truncated (their window always lies inside the chain).
+    At each window i, every row of :func:`_projector_rows` admitting i's
+    location type puts its pair on (i+offset, i+offset+1).  Truncation
+    drops projector factors whose site falls outside the chain, leaving
+    a single-site projector; hop pieces are never truncated (their window
+    always lies inside the chain).
     """
     L = 2 * n * R
+    rows = _projector_rows()
     out = []
     for i in range(1, L):
         t = location_type(i, n, R)
-        for rule, types, piece, off, (a, b) in _PROJ_SPECS:
+        for rule, types, piece, off, (a, b) in rows:
             if t not in types:
                 continue
             j = i + off
@@ -312,13 +301,13 @@ def build_h_prop(circ: LayeredCircuit,
 
 
 def build_pieces(circ: LayeredCircuit,
-                 transitions: tuple[TransitionTerm, ...] = TRANSITION_TERMS,
                  drop_pen_family=None) -> dict[str, list[LocalTerm]]:
-    """All four families for one circuit."""
+    """All four families for one circuit; ``drop_pen_family`` is passed
+    to :func:`build_h_pen` (fault injection only)."""
     n, R = circ.n, circ.R
     return {
         "in": build_h_in(n, circ.m, R),
-        "prop": build_h_prop(circ, transitions),
+        "prop": build_h_prop(circ),
         "pen": build_h_pen(n, R, drop_family=drop_pen_family),
         "out": build_h_out(n, R),
     }
@@ -342,9 +331,6 @@ class Couplings:
     j_prop: float
     j_pen: float
     bounds: tuple = field(default=(), compare=False)
-
-    def bound(self, name: str) -> float:
-        return dict(self.bounds)[name]
 
     def self_check(self, K: int) -> bool:
         """The three subspace-gap inequalities, each with a factor-2 margin."""
@@ -392,9 +378,6 @@ class HamiltonianSpec:
     couplings: Couplings
     terms: tuple[LocalTerm, ...]
 
-    def family_terms(self, family: str) -> list[LocalTerm]:
-        return [t for t in self.terms if t.family == family]
-
 
 _FAMILY_ORDER = ("in", "prop", "pen", "out")
 
@@ -409,22 +392,15 @@ def assemble(pieces: dict[str, list[LocalTerm]], couplings: Couplings,
         fam_terms = sorted(
             pieces.get(fam, ()),
             key=lambda t: (t.rule or "", t.sites, t.piece or "", t.kind))
-        for t in fam_terms:
-            terms.append(LocalTerm(
-                family=t.family, sites=t.sites, kind=t.kind,
-                diag_slots=t.diag_slots, src=t.src, dst=t.dst, gate=t.gate,
-                sign=t.sign, rule=t.rule, piece=t.piece, window=t.window,
-                weight=weight[fam]))
+        terms += [replace(t, weight=weight[fam]) for t in fam_terms]
     return HamiltonianSpec(n=n, m=m, R=R, K=chain.step_count(n, R),
                            couplings=couplings, terms=tuple(terms))
 
 
 def build_hamiltonian(circ: LayeredCircuit,
-                      couplings: Couplings | None = None,
-                      transitions=TRANSITION_TERMS,
-                      drop_pen_family=None) -> HamiltonianSpec:
+                      couplings: Couplings | None = None) -> HamiltonianSpec:
     """Convenience: pieces + couplings + assembly in one call."""
-    pieces = build_pieces(circ, transitions, drop_pen_family)
+    pieces = build_pieces(circ)
     if couplings is None:
         couplings = choose_couplings(circ.n, circ.R, circ)
     return assemble(pieces, couplings, circ.n, circ.m, circ.R)

@@ -31,14 +31,15 @@ import scipy.sparse.linalg as spla
 
 from . import chain, hamiltonian as hm
 from .chain import Configuration
-from .circuit import LayeredCircuit, apply_gate_to_state, gate_at_location
+from .circuit import (LayeredCircuit, apply_gate_to_state, gate_at_location,
+                      input_state)
 from .hamiltonian import HamiltonianSpec, LocalTerm
 
 __all__ = [
     "RestrictedState", "FullOperator", "WalkMatrix", "EigResult",
     "full_dimension", "config_indices", "history_state", "expectation",
-    "apply_restricted", "apply_full", "term_action", "restrict",
-    "restrict_dense", "min_eigs", "walk_matrix", "walk_eigs_analytic",
+    "energy_parts", "apply_restricted", "restrict", "min_eigs",
+    "walk_matrix", "walk_eigs_analytic",
     "rotate_out_gates", "legal_basis", "basis_convention_hash",
     "export_vector", "full_sparse_matrix", "export_coo",
 ]
@@ -92,13 +93,6 @@ class RestrictedState:
         return float(np.sqrt(sum(np.vdot(v, v).real
                                  for v in self.amplitudes.values())))
 
-    def normalized(self) -> "RestrictedState":
-        s = self.norm()
-        if s == 0:
-            raise ValueError("cannot normalize the zero state")
-        return RestrictedState(self.n, self.R, {
-            c: v / s for c, v in self.amplitudes.items()})
-
     def to_full(self) -> np.ndarray:
         if 2 * self.n * self.R > FULL_SPACE_SITE_LIMIT:
             raise ValueError("full vector would exceed the supported size")
@@ -110,24 +104,20 @@ class RestrictedState:
 
 def history_state(circ: LayeredCircuit, witness: np.ndarray) -> RestrictedState:
     """Uniform superposition over the legal sequence, contents evolved by
-    the rule-1 gates in firing order, starting from ancillas |0> and the
-    witness on the last m content bits."""
-    witness = np.asarray(witness, dtype=complex).reshape(-1)
-    if witness.shape != (1 << circ.m,):
-        raise ValueError(f"witness must have dimension {1 << circ.m}")
-    if abs(np.vdot(witness, witness).real - 1.0) > 1e-10:
+    the rule-1 gates in firing order, starting from
+    :func:`~hamline.circuit.input_state` (ancillas |0>, the witness on
+    the last m content bits)."""
+    content = input_state(circ, witness)
+    if abs(np.vdot(content, content).real - 1.0) > 1e-10:
         raise ValueError("witness must be normalized")
     n, R = circ.n, circ.R
     seq, applied = chain.annotated_sequence(n, R)
-    content = np.zeros(1 << n, dtype=complex)
-    content[np.arange(1 << circ.m) << (n - circ.m)] = witness
     amp = 1.0 / np.sqrt(len(seq))
     states = {seq[0]: amp * content}
     for c, inst in zip(seq[:-1], applied[:-1]):
         if inst.rule == "1":
-            g = (inst.position % (2 * n)) // 2  # gate slot, 1-based
-            u = gate_at_location(circ, inst.position).matrix
-            content = apply_gate_to_state(content, u, g, n)
+            gate = gate_at_location(circ, inst.position)
+            content = apply_gate_to_state(content, gate.matrix, gate.target, n)
         states[chain.apply_rule(c, inst)] = amp * content
     return RestrictedState(n, R, states)
 
@@ -136,91 +126,19 @@ def history_state(circ: LayeredCircuit, witness: np.ndarray) -> RestrictedState:
 # Term action on restricted states
 # ---------------------------------------------------------------------------
 
-def _holder_ranks(c: Configuration) -> dict[int, int]:
-    return {site: k for k, site in enumerate(c.holders())}
-
-
-def _diag_content_vector(term: LocalTerm, c: Configuration) -> np.ndarray | float:
-    """Diagonal of a diag term on config c's content space.
-
-    Returns a scalar when the factor is content-independent, else a
-    vector over the 2^q content indices.
-    """
-    ranks = _holder_ranks(c)
-    q = len(ranks)
-    scalar = 1.0
-    vec = None
-    for k, site in enumerate(term.sites):
-        sym = c.symbol(site)
-        slots = hm.SYMBOL_SLOTS[sym]
-        sel = term.diag_slots[k]
-        if len(slots) == 1:
-            scalar *= 1.0 if slots[0] in sel else 0.0
-            continue
-        w0 = 1.0 if slots[0] in sel else 0.0
-        w1 = 1.0 if slots[1] in sel else 0.0
-        if w0 == w1:
-            scalar *= w0
-            continue
-        bit = (np.arange(1 << q) >> ranks[site]) & 1
-        f = np.where(bit == 1, w1, w0)
-        vec = f if vec is None else vec * f
-    if vec is None:
-        return scalar
-    return scalar * vec
-
-
-def term_action(term: LocalTerm, c: Configuration, v: np.ndarray,
-                ) -> list[tuple[Configuration, np.ndarray]]:
-    """Apply one unweighted term to (c, v); returns output components.
-
-    Diag terms map c to itself; hop terms produce the forward and/or
-    backward exchange image (with the term's sign), whichever match.
-    """
-    out = []
-    if term.kind == "diag":
-        d = _diag_content_vector(term, c)
-        w = d * v
-        if np.any(w):
-            out.append((c, w))
-        return out
-    i = term.sites[0]
-    window = (c.symbol(i), c.symbol(i + 1))
-    u = term.gate_matrix()
-    if window == term.src:
-        d = c.replace_pair(i, term.dst)
-        w = v if u is None else _apply_content_gate(v, u, c, i)
-        out.append((d, term.sign * w))
-    if window == term.dst:
-        d = c.replace_pair(i, term.src)
-        w = v if u is None else _apply_content_gate(v, u.conj().T, c, i)
-        out.append((d, term.sign * w))
-    return out
-
-
-def _apply_content_gate(v: np.ndarray, u: np.ndarray, c: Configuration,
-                        i: int) -> np.ndarray:
-    """Apply a 4x4 window unitary to the content bits of the holders at
-    sites (i, i+1); both sites hold content for rule-1 windows."""
-    ranks = _holder_ranks(c)
-    a = ranks[i]  # left holder rank; right holder is rank a+1
-    q = len(ranks)
-    return apply_gate_to_state(v, u, a + 1, q)
-
-
 def apply_restricted(terms, state: RestrictedState) -> RestrictedState:
-    """Weighted sum of term actions; images outside nothing (all configs
-    kept)."""
+    """Weighted sum of term actions: :func:`restrict` over the state's
+    support plus the terms' hop images, applied to the state vector.
+    Every image configuration is kept, zero or not."""
     terms = _term_list(terms)
-    acc: dict[Configuration, np.ndarray] = {}
-    for c, v in state.amplitudes.items():
-        for t in terms:
-            for d, w in term_action(t, c, v):
-                if d in acc:
-                    acc[d] = acc[d] + t.weight * w
-                else:
-                    acc[d] = t.weight * w
-    return RestrictedState(state.n, state.R, acc)
+    support = list(state.amplitudes)
+    mat, basis = restrict(terms, support + _hop_images(terms, support))
+    x = np.zeros(mat.shape[0], dtype=complex)
+    for (c, off, cd), v in zip(basis, state.amplitudes.values()):
+        x[off:off + cd] = v
+    y = mat @ x
+    return RestrictedState(state.n, state.R, {
+        c: y[off:off + cd] for c, off, cd in basis})
 
 
 def _term_list(terms) -> list[LocalTerm]:
@@ -229,49 +147,35 @@ def _term_list(terms) -> list[LocalTerm]:
     return list(terms)
 
 
+def energy_parts(terms, state: RestrictedState) -> np.ndarray:
+    """Re(conj(x_r) v x_c) for every weighted kernel entry v at (r, c) on
+    the state's support, doubled for hop entries (T stands for T and
+    T^dagger).  Hop images outside the support contribute nothing."""
+    x = np.concatenate([np.asarray(v, dtype=complex)
+                        for v in state.amplitudes.values()])
+    parts = [np.zeros(0)]
+    for t, rows, cols, vals in _term_entries(
+            _term_list(terms), _Packed(list(state.amplitudes))):
+        p = (x[rows].conj() * (vals * x[cols])).real
+        parts.append(p if t.kind == "diag" else 2.0 * p)
+    return np.concatenate(parts)
+
+
 def expectation(terms, state) -> float:
     """<state|H|state> for a restricted state or a full vector.
 
-    For restricted states, hop images that leave the support contribute
-    nothing (they are orthogonal to every kept configuration).
-    Contributions are combined with exactly rounded summation, so the
-    projector/hop cancellations on history states come out as true
-    zeros instead of accumulation noise.
+    For restricted states the products of :func:`energy_parts` are
+    summed exactly rounded, so the projector/hop cancellations on
+    history states come out as true zeros, and a family sum weighted by
+    powers of two is a sum of the same products as the assembled
+    expectation.
     """
-    if isinstance(state, np.ndarray):
-        op = FullOperator(_term_list(terms), _infer_nR(terms))
-        return float(np.vdot(state, op.matvec(state)).real)
-    parts: list[float] = []
-    amps = state.amplitudes
-    for t in _term_list(terms):
-        if t.kind == "diag":
-            for c, v in amps.items():
-                d = _diag_content_vector(t, c)
-                if isinstance(d, float):
-                    if d:
-                        parts.append(t.weight * d * float(np.vdot(v, v).real))
-                else:
-                    parts.append(t.weight * float(np.vdot(v, d * v).real))
-        else:
-            i = t.sites[0]
-            u = t.gate_matrix()
-            for c, v in amps.items():
-                if (c.symbol(i), c.symbol(i + 1)) != t.src:
-                    continue
-                d = c.replace_pair(i, t.dst)
-                w = amps.get(d)
-                if w is None:
-                    continue
-                img = v if u is None else _apply_content_gate(v, u, c, i)
-                parts.append(t.weight * t.sign * 2.0
-                             * float(np.vdot(w, img).real))
-    return math.fsum(parts)
-
-
-def _infer_nR(terms):
-    if isinstance(terms, HamiltonianSpec):
-        return terms.n, terms.R
-    raise ValueError("full-space application needs a HamiltonianSpec")
+    if not isinstance(state, np.ndarray):
+        return math.fsum(energy_parts(terms, state))
+    if not isinstance(terms, HamiltonianSpec):
+        raise ValueError("full-space application needs a HamiltonianSpec")
+    return float(np.vdot(state, FullOperator.from_spec(terms)
+                         .matvec(state)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +258,6 @@ class FullOperator:
         return out
 
 
-def apply_full(spec: HamiltonianSpec, v: np.ndarray) -> np.ndarray:
-    """H @ v on the full chain space (convenience over FullOperator;
-    rebuild the operator once when applying repeatedly)."""
-    return FullOperator.from_spec(spec).matvec(v)
-
-
 def full_sparse_matrix(terms, n: int, R: int) -> sp.csr_matrix:
     """The assembled operator as a sparse matrix: the weighted blocks of
     each (site, width) window are summed, then expanded with one
@@ -419,6 +317,108 @@ def _slot_table(slots: frozenset) -> np.ndarray:
     return table
 
 
+class _Packed:
+    """Configurations as an (N, L) ``uint8`` symbol array, their content
+    spaces laid out one after another in the given order.  Rows are
+    found by binary search on the rows read as L-byte keys."""
+
+    def __init__(self, configs: list[Configuration]):
+        self.S = np.frombuffer(b"".join(c.sites for c in configs),
+                               dtype=np.uint8).reshape(len(configs), -1)
+        hold = np.isin(self.S, tuple(chain.QUBIT_HOLDING))
+        self.cdim = 1 << hold.sum(axis=1, dtype=np.int64)
+        self.offsets = np.concatenate(([0], np.cumsum(self.cdim)))
+        self.ranks = np.maximum(np.cumsum(hold, axis=1) - 1, 0)
+        keys = self.S.view(np.dtype((np.void, self.S.shape[1]))).ravel()
+        self.order = np.argsort(keys)
+        self.sorted_keys = keys[self.order]
+
+    def hop(self, i: int, a: tuple[int, int], b: tuple[int, int]):
+        """The rows carrying pair ``a`` at sites (i, i+1); for each, the
+        packed index of its image with ``b`` there, whether that image
+        is packed, and the image itself."""
+        src = np.flatnonzero((self.S[:, i - 1] == a[0])
+                             & (self.S[:, i] == a[1]))
+        moved = self.S[src]
+        moved[:, i - 1:i + 1] = b
+        keys = moved.view(self.sorted_keys.dtype).ravel()
+        pos = np.minimum(np.searchsorted(self.sorted_keys, keys),
+                         len(self.S) - 1)
+        return src, self.order[pos], self.sorted_keys[pos] == keys, moved
+
+    def expand(self, sel: np.ndarray):
+        """Config, global row and content index of every basis vector of
+        the configurations ``sel``."""
+        counts = self.cdim[sel]
+        cfg = np.repeat(sel, counts)
+        content = np.arange(len(cfg)) \
+            - np.repeat(np.cumsum(counts) - counts, counts)
+        return cfg, self.offsets[cfg] + content, content
+
+
+def _term_entries(terms, pk: _Packed):
+    """The term kernel: each term's weighted entries on the packed
+    configurations' content spaces, as (term, rows, cols, values) in
+    global basis indices, one term at a time.
+
+    A diag term gives its diagonal (rows == cols), each site's factor
+    read from a symbol x content-bit table.  A hop term gives its
+    transfer part T only, weight * sign times the rule-1 gate entry (or
+    1), from each source configuration to its destination where that is
+    packed too; the term's other half is T^dagger.  Each term matches its
+    window by a column mask and emits all its entries at once.
+    """
+    S, ranks = pk.S, pk.ranks
+    for t in terms:
+        i = t.sites[0]
+        if t.kind == "diag":
+            tables = [_slot_table(s) for s in t.diag_slots]
+            hit = np.ones(len(S), dtype=bool)
+            for k, tab in enumerate(tables):
+                hit &= tab.any(axis=1)[S[:, i - 1 + k]]
+            cfg, idx, content = pk.expand(np.flatnonzero(hit))
+            f = np.full(len(idx), t.weight)
+            for k, tab in enumerate(tables):
+                site = i - 1 + k
+                f *= tab[S[cfg, site], (content >> ranks[cfg, site]) & 1]
+            yield t, idx, idx, f
+            continue
+        src, dst, found, _ = pk.hop(i, t.src, t.dst)
+        cfg, idx, content = pk.expand(src[found])
+        dst_off = np.repeat(pk.offsets[dst[found]], pk.cdim[src[found]])
+        w = t.weight * t.sign
+        u = t.gate_matrix()
+        if u is None:
+            yield t, dst_off + content, idx, np.full(len(idx), w, dtype=complex)
+            continue
+        # rule-1 gate on content bits (a, a+1): the holders at i, i+1
+        a = ranks[cfg, i - 1]
+        bits_in = 2 * ((content >> a) & 1) + ((content >> (a + 1)) & 1)
+        cleared = content & ~(3 << a)
+        out_idx, col_idx, val = [], [], []
+        for j in range(4):
+            g = u[j, bits_in]
+            nz = g != 0
+            out = dst_off + (cleared | ((j >> 1) << a) | ((j & 1) << (a + 1)))
+            out_idx.append(out[nz])
+            col_idx.append(idx[nz])
+            val.append(w * g[nz])
+        yield t, *map(np.concatenate, (out_idx, col_idx, val))
+
+
+def _hop_images(terms, configs: list[Configuration]) -> list[Configuration]:
+    """Configurations outside ``configs`` that one hop term maps one of
+    them to, in either direction."""
+    pk = _Packed(configs)
+    images: dict[bytes, None] = {}
+    for t in (t for t in terms if t.kind == "hop"):
+        for a, b in ((t.src, t.dst), (t.dst, t.src)):
+            _, _, found, moved = pk.hop(t.sites[0], a, b)
+            images.update(dict.fromkeys(r.tobytes() for r in moved[~found]))
+    c = configs[0]
+    return [Configuration(c.n, c.R, key) for key in images]
+
+
 def restrict(terms, configs, max_dim: int = 200_000):
     """P H P on the span of the given configurations' content spaces.
 
@@ -426,105 +426,38 @@ def restrict(terms, configs, max_dim: int = 200_000):
     (configuration, offset, content_dim) records in the given order
     (sets are sorted lexicographically).  Basis ordering within a
     configuration is by content index.  A configuration listed twice is
-    an error.
-
-    The configurations are packed into an (N, L) symbol array; each term
-    matches its window by a column mask and emits all its entries at
-    once.  Destination configurations are found by binary search on the
-    rows read as L-byte keys.
+    an error.  The entries come from the term kernel
+    (:func:`_term_entries`); each hop entry is added with its adjoint.
     """
     terms = _term_list(terms)
     configs = _ordered_configs(configs)
     if not configs:
         return sp.csr_matrix((0, 0), dtype=complex), []
-    N, L = len(configs), configs[0].length
-    S = np.frombuffer(b"".join(c.sites for c in configs),
-                      dtype=np.uint8).reshape(N, L)
-    hold = np.isin(S, tuple(chain.QUBIT_HOLDING))
-    cdim = 1 << hold.sum(axis=1, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(cdim)))
-    dim = int(offsets[-1])
+    pk = _Packed(configs)
+    dim = int(pk.offsets[-1])
     if dim > max_dim:
         raise ValueError(f"restricted dimension {dim} exceeds {max_dim}")
-    basis = [(c, int(off), int(cd))
-             for c, off, cd in zip(configs, offsets[:-1], cdim)]
-    keys = S.view(np.dtype((np.void, L))).ravel()
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    repeats = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    repeats = np.flatnonzero(pk.sorted_keys[1:] == pk.sorted_keys[:-1])
     if len(repeats):
         raise ValueError("configuration listed twice: "
-                         f"{configs[order[repeats[0]]]}")
-    ranks = np.maximum(np.cumsum(hold, axis=1) - 1, 0)
-
-    def expand(sel):
-        """Config, global row and content index of every basis vector of
-        the configurations ``sel``."""
-        counts = cdim[sel]
-        cfg = np.repeat(sel, counts)
-        content = np.arange(len(cfg)) \
-            - np.repeat(np.cumsum(counts) - counts, counts)
-        return cfg, offsets[cfg] + content, content
-
+                         f"{configs[pk.order[repeats[0]]]}")
+    basis = [(c, int(off), int(cd))
+             for c, off, cd in zip(configs, pk.offsets[:-1], pk.cdim)]
     diag = np.zeros(dim)
     rows, cols, vals = [], [], []
-    for t in terms:
-        i = t.sites[0]
+    for t, r, c, v in _term_entries(terms, pk):
         if t.kind == "diag":
-            tables = [_slot_table(s) for s in t.diag_slots]
-            hit = np.ones(N, dtype=bool)
-            for k, tab in enumerate(tables):
-                hit &= tab.any(axis=1)[S[:, i - 1 + k]]
-            cfg, idx, content = expand(np.flatnonzero(hit))
-            f = np.full(len(idx), t.weight)
-            for k, tab in enumerate(tables):
-                site = i - 1 + k
-                f *= tab[S[cfg, site], (content >> ranks[cfg, site]) & 1]
-            diag[idx] += f
-            continue
-        src = np.flatnonzero((S[:, i - 1] == t.src[0]) & (S[:, i] == t.src[1]))
-        moved = S[src]
-        moved[:, i - 1:i + 1] = t.dst
-        dkeys = moved.view(np.dtype((np.void, L))).ravel()
-        pos = np.minimum(np.searchsorted(sorted_keys, dkeys), N - 1)
-        found = sorted_keys[pos] == dkeys
-        cfg, idx, content = expand(src[found])
-        dst_off = np.repeat(offsets[order[pos[found]]], cdim[src[found]])
-        w = t.weight * t.sign
-        u = t.gate_matrix()
-        if u is None:
-            out_idx, col_idx = dst_off + content, idx
-            val = np.full(len(idx), w, dtype=complex)
+            diag[r] += v
         else:
-            # rule-1 gate on content bits (a, a+1): the holders at i, i+1
-            a = ranks[cfg, i - 1]
-            bits_in = 2 * ((content >> a) & 1) + ((content >> (a + 1)) & 1)
-            cleared = content & ~(3 << a)
-            out_idx, col_idx, val = [], [], []
-            for j in range(4):
-                g = u[j, bits_in]
-                nz = g != 0
-                out = dst_off + (cleared | ((j >> 1) << a)
-                                 | ((j & 1) << (a + 1)))
-                out_idx.append(out[nz])
-                col_idx.append(idx[nz])
-                val.append(w * g[nz])
-            out_idx, col_idx, val = map(np.concatenate,
-                                        (out_idx, col_idx, val))
-        rows += [out_idx, col_idx]
-        cols += [col_idx, out_idx]
-        vals += [val, val.conj()]
+            rows += [r, c]
+            cols += [c, r]
+            vals += [v, v.conj()]
     nz = np.flatnonzero(diag)
     mat = sp.csr_matrix(
         (np.concatenate([diag[nz].astype(complex)] + vals),
          (np.concatenate([nz] + rows), np.concatenate([nz] + cols))),
         shape=(dim, dim))
     return mat, basis
-
-
-def restrict_dense(terms, configs, max_dim: int = 6000) -> np.ndarray:
-    mat, _ = restrict(terms, configs, max_dim=max_dim)
-    return mat.toarray()
 
 
 def legal_basis(n: int, R: int):
@@ -699,11 +632,11 @@ def step_unitaries(circ: LayeredCircuit) -> list[np.ndarray]:
     out = [v]
     for inst in applied[:-1]:
         if inst.rule == "1":
-            g = (inst.position - 1) % (2 * n) // 2 + 1
-            u = gate_at_location(circ, inst.position).matrix
+            gate = gate_at_location(circ, inst.position)
             cols = np.empty_like(v)
             for c in range(dim):
-                cols[:, c] = apply_gate_to_state(v[:, c], u, g, n)
+                cols[:, c] = apply_gate_to_state(v[:, c], gate.matrix,
+                                                 gate.target, n)
             v = cols
         out.append(v)
     return out

@@ -184,8 +184,8 @@ def test_criterion_04_worked_examples():
 @pytest.fixture(scope="module")
 def rotated_cnot():
     circ = cnot_circuit()
-    h = spectra.restrict_dense(hm.build_h_prop(circ),
-                               spectra.legal_basis(2, 2))
+    h = spectra.restrict(hm.build_h_prop(circ),
+                         spectra.legal_basis(2, 2))[0].toarray()
     return spectra.rotate_out_gates(h, circ)
 
 

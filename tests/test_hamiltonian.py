@@ -309,14 +309,17 @@ def test_export_terms_deterministic_and_parseable():
     assert len(rec["matrix"]) == dim * dim
 
 
-def haar_circuit(seed):
-    """n=2, R=2 with a seeded Haar gate in round 2 (round 1 must be
-    identity); its hop blocks hold signed zeros."""
-    z = np.random.default_rng(seed).standard_normal((4, 8)).view(complex)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return LayeredCircuit(2, 1, (identity_round(2),
-                                 (Gate2Q(q * (d / np.abs(d)), 1),)))
+def haar_circuit(seed, n=2):
+    """R=2 with seeded Haar gates in round 2 (round 1 must be identity);
+    its hop blocks hold signed zeros."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for g in range(1, n):
+        z = rng.standard_normal((4, 8)).view(complex)
+        q, r = np.linalg.qr(z)
+        d = np.diag(r)
+        gates.append(Gate2Q(q * (d / np.abs(d)), g))
+    return LayeredCircuit(n, 1, (identity_round(n), tuple(gates)))
 
 
 @pytest.mark.parametrize("circ, digest", [
@@ -324,7 +327,11 @@ def haar_circuit(seed):
      "3e8130d54da3458809044b8c8d01f12782aad2ea67c9b3a50503dd7a876b1782"),
     (haar_circuit(12),
      "7127d64b011e8113164f1762d5fd6efa207bcb08a611996b40f8dcf0fa8119be"),
-], ids=["accepting", "haar12"])
+    # n=3 has type-A windows, where four rule-3 hops tie in the
+    # assembly sort and keep the transition-term order
+    (haar_circuit(13, n=3),
+     "5adbcea93daa9a5b3d299e5e865c32ef14d8f104ebfbb054139fbb54542717f4"),
+], ids=["accepting", "haar12", "haar13-n3"])
 def test_export_terms_bytes_pinned(circ, digest):
     # the export bytes are frozen; these digests come from encoding
     # every entry separately, with no cache

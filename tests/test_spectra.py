@@ -326,8 +326,8 @@ def test_symmetric_boundary_swap_same_spectrum():
 
 def test_rotation_identity_circuit_is_noop():
     circ = identity_circuit(2, 1, 2)
-    h = spectra.restrict_dense(hm.build_h_prop(circ),
-                               spectra.legal_basis(2, 2))
+    h = spectra.restrict(hm.build_h_prop(circ),
+                         spectra.legal_basis(2, 2))[0].toarray()
     rot = spectra.rotate_out_gates(h, circ)
     assert np.max(np.abs(rot - h)) == 0.0
 
@@ -335,8 +335,8 @@ def test_rotation_identity_circuit_is_noop():
 def test_rotation_cnot_circuit_gives_twice_walk():
     circ = cnot_circuit()
     K = chain.step_count(2, 2)
-    h = spectra.restrict_dense(hm.build_h_prop(circ),
-                               spectra.legal_basis(2, 2))
+    h = spectra.restrict(hm.build_h_prop(circ),
+                         spectra.legal_basis(2, 2))[0].toarray()
     rot = spectra.rotate_out_gates(h, circ)
     target = np.kron(2.0 * spectra.walk_matrix(0.5, 0.5, K).dense(),
                      np.eye(4))
@@ -354,7 +354,7 @@ def test_rotation_quadratic_form_consistency():
     # form of the rotated matrix for states supported on the legal span
     circ = cnot_circuit()
     prop = hm.build_h_prop(circ)
-    h = spectra.restrict_dense(prop, spectra.legal_basis(2, 2))
+    h = spectra.restrict(prop, spectra.legal_basis(2, 2))[0].toarray()
     rot = spectra.rotate_out_gates(h, circ)
     vs = spectra.step_unitaries(circ)
     rng = np.random.default_rng(7)
@@ -370,13 +370,6 @@ def test_rotation_quadratic_form_consistency():
     x = np.kron(coeffs, w)
     via_rot = float((x.conj() @ (rot @ x)).real)
     assert abs(via_terms - via_rot) < 1e-10
-
-
-def test_apply_full_wrapper(dense_21):
-    spec, op, _ = dense_21
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    assert np.array_equal(spectra.apply_full(spec, v), op.matvec(v))
 
 
 def test_full_sparse_matrix_matches_operator(dense_21):

@@ -8,6 +8,7 @@ import numpy as np
 
 from hamline import chain, verify
 from hamline.chain import DEAD, GATE, INSI
+from hamline.circuit import Gate2Q, LayeredCircuit, identity_round
 
 
 def test_check_facts_grid():
@@ -36,6 +37,32 @@ def test_check_history_cnot_plus_witness():
     w = np.array([1.0, 1.0]) / np.sqrt(2)
     rep = verify.check_history(verify.cnot_circuit(), w)
     assert rep.passed, rep.to_text()
+
+
+def haar_round(rng, n):
+    gates = []
+    for g in range(1, n):
+        z = rng.standard_normal((4, 8)).view(complex)
+        q, r = np.linalg.qr(z)
+        d = np.diag(r)
+        gates.append(Gate2Q(q * (d / np.abs(d)), g))
+    return tuple(gates)
+
+
+def test_check_history_haar_within_precision_floor():
+    # n=3, R=3 with Haar gates in rounds 2 and 3: j_prop = 2^26, and the
+    # total energy rounds to a few 1e-10 above p0/(K+1), far beyond a
+    # fixed 1e-12 slack but well inside eps * sum|products| (about 6e-8)
+    rng = np.random.default_rng([3, 3, 0])
+    circ = LayeredCircuit(3, 1, (identity_round(3), haar_round(rng, 3),
+                                 haar_round(rng, 3)))
+    w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    rep = verify.check_history(circ, w / np.linalg.norm(w))
+    assert rep.passed, rep.to_text()
+    total = rep.checks[-1]
+    assert total.notes.startswith("precision floor")
+    floor = float(total.notes.split("= ")[1])
+    assert 0.0 < floor < 1e-6
 
 
 def test_census_suite_and_negative_control():
