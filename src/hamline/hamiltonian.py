@@ -22,10 +22,12 @@ Four term families are built here:
   hops carry the two-qubit gate installed at that location.
 
 The propagation pieces are deliberately 2-local; their hops can fire at
-mistimed positions and map configurations to locally detectable ones.
-As a consequence neither ``prop`` as a family nor the assembled total is
-positive semidefinite; the spectra of interest live on restricted
-subspaces (see :mod:`hamline.spectra` and :mod:`hamline.verify`).
+mistimed positions and map configurations to locally detectable ones, so
+``prop`` as a family is not positive semidefinite.  At the derived
+couplings the assembled total is not either, through second-order
+leakage that a larger j_pen suppresses (see :mod:`hamline.verify`); the
+spectra of interest live on restricted subspaces (see
+:mod:`hamline.spectra` and :mod:`hamline.verify`).
 """
 
 from __future__ import annotations

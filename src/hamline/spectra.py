@@ -147,6 +147,14 @@ def _term_list(terms) -> list[LocalTerm]:
     return list(terms)
 
 
+def _exact_real(a: np.ndarray) -> np.ndarray:
+    """``a`` as float64 when no entry has a nonzero imaginary part (an
+    exact test, no tolerance); otherwise ``a`` unchanged."""
+    if np.iscomplexobj(a) and not np.any(a.imag):
+        return np.ascontiguousarray(a.real)
+    return a
+
+
 def energy_parts(terms, state: RestrictedState) -> np.ndarray:
     """Re(conj(x_r) v x_c) for every weighted kernel entry v at (r, c) on
     the state's support, doubled for hop entries (T stands for T and
@@ -188,10 +196,13 @@ class FullOperator:
     Diag terms are summed into one weighted block per (site, width)
     window, and each window is broadcast into the diagonal vector once.
     The hop terms of a window are merged into one Hermitian 64x64 table,
-    weight * sign * (T + T^dagger) summed over the window's terms;
-    ``hops`` keeps each table's nonzeros as (site, [(d64, s64, value),
-    ...]), and ``matvec`` applies each nonzero as one strided 64-block
-    update.  Matches the dense matrix on small instances to 1e-12
+    weight * sign * (T + T^dagger) summed over the window's terms, kept
+    as float64 when it is exactly real; ``hops`` keeps each table's
+    nonzeros as (site, [(d64, s64, value), ...]), and ``matvec`` applies
+    each nonzero as one strided 64-block update.  ``dtype`` is float64
+    when every table is real (the circuit's gates are) and complex128
+    otherwise; ``matvec`` computes in the common type of the input and
+    the operator.  Matches the dense matrix on small instances to 1e-12
     (tested).
     """
 
@@ -220,19 +231,24 @@ class FullOperator:
             self.diag.reshape(left, len(block), right)[:] += \
                 block[None, :, None]
         self.hops = []
+        self.dtype = self.diag.dtype
         for i in sorted(tables):
-            d64, s64 = np.nonzero(tables[i])
+            table = _exact_real(tables[i])
+            self.dtype = np.result_type(self.dtype, table)
+            d64, s64 = np.nonzero(table)
             self.hops.append((i, list(zip(d64.tolist(), s64.tolist(),
-                                          tables[i][d64, s64].tolist()))))
+                                          table[d64, s64].tolist()))))
 
     @classmethod
     def from_spec(cls, spec: HamiltonianSpec) -> "FullOperator":
         return cls(spec.terms, (spec.n, spec.R))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=complex).reshape(self.dim)
+        v = np.asarray(v).reshape(self.dim)
+        dtype = np.result_type(v.dtype, self.dtype)
+        v = v.astype(dtype, copy=False)
         out = self.diag * v
-        scratch = np.empty(self.dim // 64, dtype=complex)
+        scratch = np.empty(self.dim // 64, dtype=dtype)
         for i, entries in self.hops:
             left = 8 ** (i - 1)
             right = self.dim // (left * 64)
@@ -246,7 +262,7 @@ class FullOperator:
 
     def linear_operator(self) -> spla.LinearOperator:
         return spla.LinearOperator((self.dim, self.dim),
-                                   matvec=self.matvec, dtype=complex)
+                                   matvec=self.matvec, dtype=self.dtype)
 
     def dense(self) -> np.ndarray:
         if self.dim > 8 ** 4:
@@ -428,11 +444,13 @@ def restrict(terms, configs, max_dim: int = 200_000):
     configuration is by content index.  A configuration listed twice is
     an error.  The entries come from the term kernel
     (:func:`_term_entries`); each hop entry is added with its adjoint.
+    The matrix is float64 when no assembled entry has an imaginary part
+    (the circuit's gates are real) and complex128 otherwise.
     """
     terms = _term_list(terms)
     configs = _ordered_configs(configs)
     if not configs:
-        return sp.csr_matrix((0, 0), dtype=complex), []
+        return sp.csr_matrix((0, 0)), []
     pk = _Packed(configs)
     dim = int(pk.offsets[-1])
     if dim > max_dim:
@@ -454,7 +472,7 @@ def restrict(terms, configs, max_dim: int = 200_000):
             vals += [v, v.conj()]
     nz = np.flatnonzero(diag)
     mat = sp.csr_matrix(
-        (np.concatenate([diag[nz].astype(complex)] + vals),
+        (_exact_real(np.concatenate([diag[nz]] + vals)),
          (np.concatenate([nz] + rows), np.concatenate([nz] + cols))),
         shape=(dim, dim))
     return mat, basis
@@ -491,9 +509,10 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
     about ``sigma`` (default just below zero; pass a value near the
     expected bottom of the spectrum when it is far from zero) from a
     seeded real start vector;
-    LinearOperators use Lanczos with a seeded (or given) start vector.
-    Non-convergence is reported, not raised: the result carries the
-    achieved residuals.
+    LinearOperators use Lanczos with a seeded (or given) start vector in
+    the operator's dtype; a real operator stays real unless ``v0`` has
+    an imaginary part.  Non-convergence is reported, not raised: the
+    result carries the achieved residuals.
     """
     if isinstance(op, np.ndarray):
         vals, vecs = sla.eigh(op, subset_by_index=[0, min(k, len(op)) - 1])
@@ -525,8 +544,14 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
     dim = op.shape[0]
     if v0 is None:
         rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v0 = np.asarray(v0, dtype=complex)
+        v0 = rng.standard_normal(dim)
+        if op.dtype.kind == "c":
+            v0 = v0 + 1j * rng.standard_normal(dim)
+    v0 = _exact_real(np.asarray(v0))
+    dtype = np.result_type(op.dtype, v0.dtype)
+    if dtype != op.dtype:
+        op = spla.LinearOperator(op.shape, matvec=op.matvec, dtype=dtype)
+    v0 = v0.astype(dtype, copy=False)
     v0 = v0 / np.linalg.norm(v0)
     if ncv is None:
         # keep the Krylov basis small: full-space vectors are 268 MB each

@@ -17,11 +17,14 @@ structural claims the construction rests on:
 * ``horizon_suite``    -- every locally undetectable configuration on
   short chains reaches a detectable one in finitely many forward steps.
 
-A note on signs: the propagation family is not positive semidefinite
-(its hops fire at mistimed positions), and consequently the assembled
-Hamiltonian has a strictly negative ground energy even for accepting
-circuits.  The meaningful spectra live on restricted subspaces; the
-full-space checks below record this honestly.
+A note on signs: at the couplings from ``choose_couplings`` the
+assembled Hamiltonian has a strictly negative ground energy, even for
+accepting circuits.  The legal span alone is positive; the negativity
+is second-order leakage from it into penalised configurations.  On the
+type-1 block of the n=2, R=2 rejecting circuit the minimum follows
+E ~ E_legal - 2 j_prop^2 / j_pen and vanishes as j_pen grows.  The
+meaningful spectra live on restricted subspaces; the full-space checks
+below record the negativity as measured.
 """
 
 from __future__ import annotations
@@ -359,7 +362,9 @@ def soundness_probe(accepting: LayeredCircuit | None = None,
     rep.add("legal-plus-fringe restriction exhibits the negative ground "
             "energy (variational upper bound on the full spectrum)",
             neg < 0, measured=neg,
-            notes="mistimed hops are not positive semidefinite",
+            notes="second-order leakage into penalised configurations; "
+                  "compare -2*j_prop^2/j_pen = "
+                  f"{-2.0 * couplings.j_prop ** 2 / couplings.j_pen:.6g}",
             runtime=t.dt)
 
     # (c) type-1 invariant set; shift-invert near the fringe value, which

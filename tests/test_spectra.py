@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from hamline import chain, hamiltonian as hm, spectra, verify
 from hamline.chain import Configuration
-from hamline.circuit import (Gate2Q, LayeredCircuit, circuit_unitary,
-                             identity_round, input_state,
+from hamline.circuit import (NAMED_GATES, Gate2Q, LayeredCircuit,
+                             circuit_unitary, identity_round, input_state,
                              output_zero_probability)
 from hamline.verify import accepting_circuit, cnot_circuit
 
@@ -220,21 +221,42 @@ def embedding(basis):
 
 def test_restrict_equals_full_operator_on_all_configurations():
     """Over all 6^4 configurations of n=2, R=1 the restriction is the whole
-    operator, permuted.  Round 1 must be identity, so the Haar gate is put
-    on the rule-1 hop term directly."""
+    operator, permuted, for a Haar gate and a real gate (CNOT).  Round 1
+    must be identity, so the gate is put on the rule-1 hop term directly;
+    both routes are complex for the Haar gate and real for CNOT."""
     spec = hm.build_hamiltonian(identity_circuit(2, 1, 1))
-    gate = tuple(haar_gate(11).ravel())
-    terms = [replace(t, gate=gate) if t.gate is not None else t
-             for t in spec.terms]
-    assert sum(t.gate == gate for t in terms) == 1
     configs = [Configuration(2, 1, bytes(s))
                for s in itertools.product(range(6), repeat=4)]
-    mat, basis = spectra.restrict(terms, configs)
-    idx = embedding(basis)
-    assert np.array_equal(np.sort(idx), np.arange(8 ** 4))
-    full = spectra.FullOperator(terms, (2, 1)).dense()
-    diff = np.abs(full[np.ix_(idx, idx)] - mat.toarray())
-    assert np.max(diff) <= 1e-12 * np.max(np.abs(full))
+    for u, dtype in ((haar_gate(11), np.complex128),
+                     (NAMED_GATES["CNOT"], np.float64)):
+        gate = tuple(u.ravel())
+        terms = [replace(t, gate=gate) if t.gate is not None else t
+                 for t in spec.terms]
+        assert sum(t.gate == gate for t in terms) == 1
+        mat, basis = spectra.restrict(terms, configs)
+        idx = embedding(basis)
+        assert np.array_equal(np.sort(idx), np.arange(8 ** 4))
+        op = spectra.FullOperator(terms, (2, 1))
+        assert mat.dtype == op.dtype == dtype
+        full = op.dense()
+        diff = np.abs(full[np.ix_(idx, idx)] - mat.toarray())
+        assert np.max(diff) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_restrict_dtype_follows_gates():
+    """Real gates give a float64 restriction, a Haar gate a complex one."""
+    legal = spectra.legal_basis(2, 2)
+    for kind in ("I", "SWAP"):
+        circ = LayeredCircuit(2, 1, (identity_round(2),
+                                     (Gate2Q(NAMED_GATES[kind], 1),)))
+        for configs in (legal, verify.legal_fringe(2, 2)):
+            mat, _ = spectra.restrict(hm.build_hamiltonian(circ), configs)
+            assert mat.dtype == np.float64
+    circ = LayeredCircuit(2, 1, (identity_round(2),
+                                 (Gate2Q(haar_gate(12), 1),)))
+    mat, _ = spectra.restrict(hm.build_hamiltonian(circ), legal)
+    assert mat.dtype == np.complex128
+    assert np.any(mat.data.imag)
 
 
 def test_restrict_matches_full_operator_with_d_windows():
@@ -268,6 +290,44 @@ def test_min_eigs_walk_example():
 def test_min_eigs_identity():
     res = spectra.min_eigs(np.eye(5), k=2)
     assert np.allclose(res.values, [1.0, 1.0])
+
+
+def test_full_operator_real_matvec_on_complex_input(dense_21):
+    """A real operator applies to the real and imaginary parts of a
+    complex vector separately, with the same rounding."""
+    _, op, H = dense_21
+    assert op.dtype == np.float64
+    assert op.linear_operator().dtype == np.float64
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    re, im = op.matvec(v.real), op.matvec(v.imag)
+    assert re.dtype == np.float64
+    assert np.array_equal(op.matvec(v), re + 1j * im)
+    assert np.max(np.abs(re - (H @ v.real).real)) < 1e-12
+
+
+def test_min_eigs_complex_start_on_real_operator(dense_21):
+    """A start vector with an imaginary part runs the real operator in
+    complex arithmetic, exactly as a complex operator would, and reaches
+    the real run's minimum (checked against dense in the next test); one
+    whose imaginary part is zero is cast to real and gives the real run's
+    result exactly."""
+    _, op, _ = dense_21
+    assert op.dtype == np.float64
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(op.dim)
+    z = x + 1j * rng.standard_normal(op.dim)
+    as_complex = spla.LinearOperator((op.dim, op.dim), matvec=op.matvec,
+                                     dtype=complex)
+    run = dict(k=1, maxiter=5000, tol=1e-12)
+    real = spectra.min_eigs(op, v0=x, **run)
+    res = spectra.min_eigs(op, v0=z, **run)
+    assert real.converged and res.converged
+    assert abs(res.values[0] - real.values[0]) < 1e-10
+    for a, b in ((res, spectra.min_eigs(as_complex, v0=z, **run)),
+                 (real, spectra.min_eigs(op, v0=x.astype(complex), **run))):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.residuals, b.residuals)
 
 
 def test_min_eigs_lanczos_vs_dense(dense_21):
