@@ -267,8 +267,8 @@ class FullOperator:
     def dense(self) -> np.ndarray:
         if self.dim > 8 ** 4:
             raise ValueError("dense form limited to 4 sites")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        eye = np.eye(self.dim, dtype=complex)
+        out = np.zeros((self.dim, self.dim), dtype=self.dtype)
+        eye = np.eye(self.dim, dtype=self.dtype)
         for c in range(self.dim):
             out[:, c] = self.matvec(eye[:, c])
         return out
@@ -508,11 +508,25 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
     k lowest eigenpairs only; larger sparse matrices use shift-invert
     about ``sigma`` (default just below zero; pass a value near the
     expected bottom of the spectrum when it is far from zero) from a
-    seeded real start vector;
-    LinearOperators use Lanczos with a seeded (or given) start vector in
-    the operator's dtype; a real operator stays real unless ``v0`` has
-    an imaginary part.  Non-convergence is reported, not raised: the
-    result carries the achieved residuals.
+    seeded real start vector.
+
+    LinearOperators (and :class:`FullOperator`) use a thick-restart
+    Lanczos (:func:`_lanczos`) with ``ncv`` basis vectors from a seeded
+    (or given) start vector in the operator's dtype; a real operator
+    stays real unless ``v0`` has an imaginary part.  ``maxiter`` counts
+    the restarts after the first cycle, so a run makes at most
+    ncv + maxiter*(ncv - k) operator applications, plus one per returned
+    value for its residual.  Whether the run converged or was cut short,
+    the values are the k lowest Ritz values of the last Krylov space,
+    each the Rayleigh quotient of its Ritz vector and so an upper bound
+    on the k-th eigenvalue; ``iterations`` is the number of restarts.
+    ``converged`` holds when each residual ||H y - theta y|| is at most
+    tol * max(|theta|, eps^(2/3)) (ARPACK's test).  A single start
+    vector sees a degenerate eigenvalue's further copies only through
+    rounding, so a run may converge with one copy missing.
+
+    Non-convergence is reported, not raised: the result carries the
+    achieved residuals.
     """
     if isinstance(op, np.ndarray):
         vals, vecs = sla.eigh(op, subset_by_index=[0, min(k, len(op)) - 1])
@@ -542,37 +556,111 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
     if isinstance(op, FullOperator):
         op = op.linear_operator()
     dim = op.shape[0]
-    if v0 is None:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(dim)
-        if op.dtype.kind == "c":
-            v0 = v0 + 1j * rng.standard_normal(dim)
-    v0 = _exact_real(np.asarray(v0))
-    dtype = np.result_type(op.dtype, v0.dtype)
-    if dtype != op.dtype:
-        op = spla.LinearOperator(op.shape, matvec=op.matvec, dtype=dtype)
-    v0 = v0.astype(dtype, copy=False)
-    v0 = v0 / np.linalg.norm(v0)
     if ncv is None:
         # keep the Krylov basis small: full-space vectors are 268 MB each
         ncv = min(dim, 6 if dim > 4_000_000 else 10)
-    try:
-        vals, vecs = spla.eigsh(op, k=k, which="SA", v0=v0,
-                                maxiter=maxiter, tol=tol, ncv=ncv)
-        converged = True
-    except spla.ArpackNoConvergence as exc:
-        vals, vecs = exc.eigenvalues, exc.eigenvectors
-        converged = False
-        if vals is None or len(vals) == 0:
-            # fall back to the starting vector's Rayleigh quotient
-            hv = op.matvec(v0)
-            vals = np.array([np.vdot(v0, hv).real])
-            vecs = v0.reshape(-1, 1)
-    res = []
-    for j in range(len(vals)):
-        w = vecs[:, j]
-        res.append(np.linalg.norm(op.matvec(w) - vals[j] * w))
-    return EigResult(np.asarray(vals), np.asarray(res), converged)
+    if not k < ncv <= dim:
+        raise ValueError(f"need k < ncv <= dim, got k={k}, ncv={ncv}, "
+                         f"dim={dim}")
+    if v0 is not None:
+        v0 = _exact_real(np.asarray(v0))
+    basis = np.empty((ncv + 1, dim), dtype=op.dtype if v0 is None
+                     else np.result_type(op.dtype, v0.dtype))
+    if v0 is None:
+        rng = np.random.default_rng(seed)
+        basis[0].real = rng.standard_normal(dim)
+        if basis.dtype.kind == "c":
+            basis[0].imag = rng.standard_normal(dim)
+    else:
+        basis[0] = v0
+    return _lanczos(op.matvec, basis, k, maxiter, tol)
+
+
+def _norm(x: np.ndarray) -> float:
+    """2-norm in one contiguous pass (``np.linalg.norm`` reads a complex
+    vector's real and imaginary parts as two strided halves)."""
+    return math.sqrt(np.vdot(x, x).real)
+
+
+def _rotate(V: np.ndarray, S: np.ndarray, chunk: int = 1 << 16):
+    """V[:k] <- S^T V[:m] in place for S of shape (m, k): the rows of V
+    are basis vectors, and the product runs over column chunks so no
+    full-length temporary is made."""
+    m, k = S.shape
+    St = S.T.astype(V.dtype)
+    for a in range(0, V.shape[1], chunk):
+        V[:k, a:a + chunk] = St @ V[:m, a:a + chunk]
+
+
+def _lanczos(matvec, V: np.ndarray, k: int, maxiter: int,
+             tol: float) -> EigResult:
+    """Thick-restart Lanczos (Wu & Simon) for the k lowest eigenpairs.
+
+    ``V`` is the preallocated (ncv+1, dim) basis with the start vector in
+    row 0.  A cycle extends the basis to ncv vectors; each step is a
+    three-term (after a restart, arrow) update by ``axpy`` and one
+    classical Gram-Schmidt pass against the whole basis as two ``gemv``
+    calls, all in place on the operator's output.  A restart keeps the
+    k lowest Ritz vectors and the residual vector, with the Ritz values
+    on the diagonal of the projected matrix and their couplings to the
+    residual in its row k.  ``maxiter`` restarts at most follow the
+    first cycle; a zero residual (an invariant subspace) ends the run.
+    The result holds the k lowest Ritz pairs of the last Krylov space,
+    each value recomputed as the Rayleigh quotient of its Ritz vector
+    and each residual from one explicit matvec.
+    """
+    ncv = V.shape[0] - 1
+    axpy, gemv = sla.get_blas_funcs(("axpy", "gemv"), (V,))
+    adjoint = 2 if V.dtype.kind == "c" else 1
+    floor = np.finfo(float).eps ** (2 / 3)
+
+    def small(res, theta):
+        return bool(np.all(res <= tol * np.maximum(np.abs(theta), floor)))
+
+    T = np.zeros((ncv + 1, ncv + 1))
+    V[0] /= _norm(V[0])
+    start, restarts = 0, 0
+    while True:
+        m = ncv
+        for j in range(start, ncv):
+            w = np.asarray(matvec(V[j]), dtype=V.dtype)
+            T[j, j] = np.vdot(V[j], w).real
+            for i in np.flatnonzero(T[j, :j + 1]):
+                w = axpy(V[i], w, a=-T[j, i])
+            A = V[:j + 1].T
+            h = gemv(1.0, A, w, trans=adjoint)
+            w = gemv(-1.0, A, h, beta=1.0, y=w, overwrite_y=True)
+            T[j, j] += h[j].real
+            beta = _norm(w)
+            T[j + 1, j] = T[j, j + 1] = beta
+            if beta == 0.0:
+                m = j + 1
+                break
+            np.multiply(w, 1.0 / beta, out=V[j + 1])
+            del w  # free the output before the operator makes the next
+        theta, S = sla.eigh(T[:m, :m])
+        kk = min(k, m)
+        beta = T[m, m - 1]
+        if (beta == 0.0 or restarts == maxiter
+                or small(beta * np.abs(S[m - 1, :kk]), theta[:kk])):
+            break
+        restarts += 1
+        _rotate(V, S[:, :k])
+        V[k] = V[m]
+        T[:] = 0.0
+        T[:k, :k] = np.diag(theta[:k])
+        T[k, :k] = T[:k, k] = beta * S[m - 1, :k]
+        start = k
+    _rotate(V, S[:, :kk])
+    vals, res = np.empty(kk), np.empty(kk)
+    for i in range(kk):
+        hy = np.asarray(matvec(V[i]), dtype=V.dtype)
+        vals[i] = np.vdot(V[i], hy).real / np.vdot(V[i], V[i]).real
+        res[i] = _norm(axpy(V[i], hy, a=-vals[i]))
+        del hy
+    order = np.argsort(vals, kind="stable")
+    vals, res = vals[order], res[order]
+    return EigResult(vals, res, small(res, vals), restarts)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ ACCEPT_DOC = {
     "n": 2, "m": 1,
     "rounds": [[{"kind": "I"}], [{"kind": "CNOT"}]],
 }
+ONE_ROUND_DOC = {"n": 2, "m": 1, "rounds": [[{"kind": "I"}]]}
 
 
 def test_sequence_counts_and_exit_codes():
@@ -75,6 +76,19 @@ def test_spectrum_subspace(tmp_path):
     assert "eigenvalue" in out.stdout
     first = float(out.stdout.split("eigenvalue")[1].split()[0])
     assert first < 1e-10  # accepting-capable circuit: legal span reaches 0
+
+
+def test_spectrum_lanczos_exit_code_follows_convergence(tmp_path):
+    circ = write_circuit(tmp_path, ONE_ROUND_DOC)
+    cut = run("spectrum", "--circuit", circ, "--method", "lanczos",
+              "--maxiter", "1")
+    assert cut.returncode == 3, cut.stderr
+    assert "converged=False" in cut.stdout
+    assert "eigenvalue" in cut.stdout and "residual" in cut.stdout
+    done = run("spectrum", "--circuit", circ, "--method", "lanczos",
+               "--couplings", "unit")
+    assert done.returncode == 0, done.stdout
+    assert "converged=True" in done.stdout
 
 
 def test_spectrum_dense_guard(tmp_path):

@@ -133,7 +133,8 @@ def test_apply_full_matches_dense(dense_21):
     rng = np.random.default_rng(2)
     for _ in range(100):
         v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        assert np.max(np.abs(op.matvec(v) - H @ v)) < 1e-12
+        Hv = H @ v.real + 1j * (H @ v.imag)  # real BLAS on the real H
+        assert np.max(np.abs(op.matvec(v) - Hv)) < 1e-12
 
 
 def test_apply_full_hermitian_symmetry(dense_21):
@@ -330,13 +331,74 @@ def test_min_eigs_complex_start_on_real_operator(dense_21):
         assert np.array_equal(a.residuals, b.residuals)
 
 
-def test_min_eigs_lanczos_vs_dense(dense_21):
+@pytest.fixture(scope="module")
+def dense_21_spectrum(dense_21):
+    return np.linalg.eigvalsh(dense_21[2])
+
+
+def test_min_eigs_lanczos_vs_dense(dense_21, dense_21_spectrum):
     _, op, H = dense_21
-    dense_vals = np.linalg.eigvalsh(H)
+    assert H.dtype == op.dtype == np.float64
     res = spectra.min_eigs(op, k=1, seed=0, maxiter=5000, tol=1e-12)
     assert res.converged
-    assert abs(res.values[0] - dense_vals[0]) < 1e-8
+    assert abs(res.values[0] - dense_21_spectrum[0]) < 1e-8
     assert res.residuals[0] < 1e-6
+
+
+def test_min_eigs_lanczos_three_lowest(dense_21, dense_21_spectrum):
+    """k=3 finds the bottom three, both copies of the degenerate pair
+    -0.1667925 included."""
+    _, op, _ = dense_21
+    want = dense_21_spectrum[:3]
+    assert abs(want[1] + 0.1667925) < 1e-7 and abs(want[2] - want[1]) < 1e-12
+    res = spectra.min_eigs(op, k=3, seed=0, maxiter=5000, tol=1e-12)
+    assert res.converged and 0 < res.iterations < 5000
+    assert np.max(np.abs(res.values - want)) < 1e-8
+    assert np.max(res.residuals) < 1e-6
+
+
+def test_min_eigs_lanczos_cut_short(dense_21, dense_21_spectrum):
+    """A run stopped after one restart returns the lowest Ritz value of
+    its Krylov space: an upper bound on the minimum, and below the start
+    vector's Rayleigh quotient."""
+    _, op, _ = dense_21
+    res = spectra.min_eigs(op, k=1, seed=0, ncv=4, maxiter=1)
+    v0 = np.random.default_rng(0).standard_normal(op.dim)
+    start = np.vdot(v0, op.matvec(v0)) / np.vdot(v0, v0)
+    assert dense_21_spectrum[0] <= res.values[0] < start - 1.0
+    assert not res.converged and res.iterations == 1
+
+
+def test_min_eigs_lanczos_invariant_start():
+    """A start vector spanning an invariant subspace ends the run with
+    its exact eigenpair, not a division by the zero residual."""
+    diag = np.arange(1.0, 21.0)
+    op = spla.LinearOperator((20, 20), matvec=lambda v: diag * v, dtype=float)
+    res = spectra.min_eigs(op, k=1, v0=np.eye(20)[0])
+    assert res.converged and res.iterations == 0
+    assert res.values[0] == 1.0 and res.residuals[0] == 0.0
+
+
+class CountingOperator(spla.LinearOperator):
+    def __init__(self, op):
+        super().__init__(dtype=op.dtype, shape=(op.dim, op.dim))
+        self.op = op
+        self.matvecs = 0
+
+    def _matvec(self, v):
+        self.matvecs += 1
+        return self.op.matvec(v)
+
+
+@pytest.mark.parametrize("k,ncv,maxiter", [(1, 6, 1), (1, 4, 3), (3, 10, 2)])
+def test_min_eigs_lanczos_matvec_budget(dense_21, k, ncv, maxiter):
+    """ncv applications for the first cycle, ncv - k per restart, one
+    per returned value for its residual."""
+    counted = CountingOperator(dense_21[1])
+    res = spectra.min_eigs(counted, k=k, ncv=ncv, maxiter=maxiter)
+    assert counted.matvecs <= ncv + maxiter * (ncv - k) + k
+    assert len(res.values) == len(res.residuals) == k
+    assert res.iterations <= maxiter
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +505,7 @@ def test_export_coo_round_trip(dense_21):
     text = spectra.export_coo(spec)
     head, *rows = text.strip().split("\n")
     assert head.startswith("# hamline-coo-v1 n=2 R=1 dim=4096")
-    rebuilt = np.zeros_like(H)
+    rebuilt = np.zeros(H.shape, dtype=complex)
     for row in rows:
         r, c, re, im = row.split()
         rebuilt[int(r), int(c)] = float(re) + 1j * float(im)
