@@ -177,7 +177,11 @@ def cmd_spectrum(args) -> int:
         op = spectra.FullOperator.from_spec(spec).dense()
         res = spectra.min_eigs(op, k=args.eigs, seed=args.seed)
     elif args.method == "lanczos":
-        op = spectra.FullOperator.from_spec(spec)
+        try:
+            op = spectra.FullOperator.from_spec(spec)
+        except ValueError as exc:
+            print(f"validation error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         res = spectra.min_eigs(op, k=1, seed=args.seed,
                                maxiter=args.maxiter)
     else:

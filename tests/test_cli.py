@@ -97,6 +97,17 @@ def test_spectrum_dense_guard(tmp_path):
     assert out.returncode == 2
 
 
+def test_spectrum_lanczos_full_space_guard(tmp_path):
+    circ = write_circuit(tmp_path, {
+        "n": 3, "m": 1,
+        "rounds": [[{"kind": "I"}, {"kind": "I"}]] * 2,
+    })
+    out = run("spectrum", "--circuit", circ, "--method", "lanczos")
+    assert out.returncode == 2, out.stderr
+    assert "validation error: chain of 12 sites" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_verify_suites_exit_zero():
     assert run("verify", "--suite", "census").returncode == 0
     assert run("verify", "--suite", "facts", "--n", "3", "--R", "2"

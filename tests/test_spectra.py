@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,86 @@ def test_restricted_and_full_expectations_agree(dense_21):
     full = float(np.vdot(eta.to_full(), op.matvec(eta.to_full())).real)
     restricted = spectra.expectation(spec, eta)
     assert abs(full - restricted) < 1e-12
+
+
+def test_to_full_dtype_follows_amplitudes():
+    """Real amplitudes give a float64 full vector, a Haar gate's complex
+    ones a complex128 vector; either gives the restricted expectation."""
+    cases = ((identity_circuit(2, 1, 1), np.float64),
+             (LayeredCircuit(2, 1, (identity_round(2),
+                                    (Gate2Q(haar_gate(12), 1),))),
+              np.complex128))
+    for circ, dtype in cases:
+        eta = spectra.history_state(circ, np.array([1.0, 0.0]))
+        v = eta.to_full()
+        assert v.dtype == dtype
+        spec = hm.build_hamiltonian(circ, couplings=hm.UNIT_COUPLINGS)
+        assert abs(spectra.expectation(spec, v)
+                   - spectra.expectation(spec, eta)) < 1e-12
+
+
+def per_window_matvec(op, v):
+    """FullOperator.matvec as one whole-vector strided pass per hop entry,
+    window after window: the loop before the slab sweep, kept as the
+    bit-exact reference."""
+    v = np.asarray(v).reshape(op.dim)
+    dtype = np.result_type(v.dtype, op.dtype)
+    v = v.astype(dtype, copy=False)
+    out = op.diag * v
+    scratch = np.empty(op.dim // 64, dtype=dtype)
+    for i, entries in op.hops:
+        left = 8 ** (i - 1)
+        right = op.dim // (left * 64)
+        vv = v.reshape(left, 64, right)
+        oo = out.reshape(left, 64, right)
+        buf = scratch.reshape(left, right)
+        for d64, s64, val in entries:
+            np.multiply(vv[:, s64, :], val, out=buf)
+            oo[:, d64, :] += buf
+    return out
+
+
+@pytest.mark.parametrize("n,R", [(3, 1), (2, 2), (2, 1)])
+def test_full_operator_matvec_bit_identical_to_per_window_loop(n, R):
+    """Every amplitude gets the diagonal, then each window's entries in the
+    same order as in the per-window loop, so the results are equal to the
+    last bit.  At 6 sites window 1 is a whole-vector pass and windows 2-5
+    go through slabs; at 8 sites windows 1-3 are whole-vector passes; at
+    4 sites the vector is one slab.  Round 1 must be identity, so the
+    complex operator puts a Haar gate on the rule-1 hop terms directly."""
+    rng = np.random.default_rng(21)
+    real = spectra.FullOperator.from_spec(
+        hm.build_hamiltonian(identity_circuit(n, 1, R)))
+    assert real.dtype == np.float64
+    x = rng.standard_normal(real.dim)
+    assert np.array_equal(real.matvec(x), per_window_matvec(real, x))
+    z = x + 1j * rng.standard_normal(real.dim)
+    del x
+    assert np.array_equal(real.matvec(z), per_window_matvec(real, z))
+    del real
+    gate = tuple(haar_gate(12).ravel())
+    terms = [replace(t, gate=gate) if t.gate is not None else t
+             for t in hm.build_hamiltonian(identity_circuit(n, 1, R)).terms]
+    cplx = spectra.FullOperator(terms, (n, R))
+    assert cplx.dtype == np.complex128
+    assert np.array_equal(cplx.matvec(z), per_window_matvec(cplx, z))
+
+
+def test_full_operator_matvec_allocates_one_buffer():
+    """One 6-site matvec allocates the output and one buffer of at most
+    max(slab, dim/64) entries: no full-length temporary."""
+    op = spectra.FullOperator.from_spec(
+        hm.build_hamiltonian(identity_circuit(3, 1, 1)))
+    rng = np.random.default_rng(22)
+    v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    tracemalloc.start()
+    try:
+        op.matvec(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = op.dim + max(spectra._SLAB, op.dim // 64)
+    assert peak <= entries * v.itemsize + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
