@@ -91,6 +91,21 @@ def test_spectrum_lanczos_exit_code_follows_convergence(tmp_path):
     assert "converged=True" in done.stdout
 
 
+def test_spectrum_subspace_fringe_reaches_bottom(tmp_path):
+    """The n=3, R=3 identity circuit's legal+fringe block (dimension
+    3,024) reaches far below the initial shift of -1."""
+    circ = write_circuit(tmp_path, {
+        "n": 3, "m": 1,
+        "rounds": [[{"kind": "I"}, {"kind": "I"}]] * 3,
+    })
+    out = run("spectrum", "--circuit", circ, "--method", "subspace",
+              "--set", "fringe")
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "converged=True" in out.stdout
+    first = [l for l in out.stdout.splitlines() if l.startswith("eigenvalue")]
+    assert first[0].split()[1] == "-2.916093665627e+05"
+
+
 def test_spectrum_dense_guard(tmp_path):
     circ = write_circuit(tmp_path, ACCEPT_DOC)
     out = run("spectrum", "--circuit", circ, "--method", "dense")

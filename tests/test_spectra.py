@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hamline import chain, hamiltonian as hm, spectra, verify
@@ -372,6 +374,70 @@ def test_min_eigs_walk_example():
 def test_min_eigs_identity():
     res = spectra.min_eigs(np.eye(5), k=2)
     assert np.allclose(res.values, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("n,R,bottom", [(3, 3, None),
+                                        (4, 2, -214631.0760613)])
+def test_min_eigs_sparse_identity_fringe_bottom(n, R, bottom):
+    """The identity circuit's legal+fringe block reaches far below the
+    default shift of -1; the certified shift still finds its bottom."""
+    spec = hm.build_hamiltonian(identity_circuit(n, 1, R))
+    mat, _ = spectra.restrict(spec, verify.legal_fringe(n, R))
+    if bottom is None:
+        bottom = np.linalg.eigvalsh(mat.toarray())[0]
+    res = spectra.min_eigs(mat, k=1)
+    assert mat.shape[0] > 2000 and res.converged
+    assert abs(res.values[0] - bottom) <= 1e-8 * abs(bottom)
+    assert res.sigma < bottom and res.floor > 0
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("sigma", [None, 0.0])
+def test_min_eigs_sparse_sigma_is_first_guess(k, sigma):
+    """Eigenvalues far below the start shift are found, whether the shift
+    is the default or given: ``sigma`` only starts the search."""
+    rng = np.random.default_rng(9)
+    d = rng.uniform(1.0, 2.0, 2500)
+    d[[300, 1200, 1201, 2100]] = [-5e5 + 3.0, -2e5, -2e5 + 0.5, -1e5]
+    e = rng.uniform(-1.0, 1.0, 2499)
+    mat = sp.diags([e, d, e], [-1, 0, 1], format="csr")
+    ref = sla.eigvalsh_tridiagonal(d, e, select="i",
+                                   select_range=(0, k - 1))
+    res = spectra.min_eigs(mat, k=k, sigma=sigma)
+    assert res.converged
+    assert np.all(np.abs(res.values - ref) <= 1e-8 * np.abs(ref))
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_min_eigs_sparse_shift_on_a_zero_pivot(pair):
+    """A shift on a diagonal eigenvalue makes A - sigma I singular; a
+    shift on the equal diagonals of a coupled pair (eigenvalues 9.5 and
+    11.5) gives a zero pivot that SuperLU leaves the diagonal for, and
+    the pivots of such a factorization would miss the eigenvalue 9.5
+    below the shift.  Either way the shift moves down by the precision
+    floor."""
+    d = np.arange(1.0, 2501.0) + (19.0 if pair else 0.0)
+    off = np.zeros(2499)
+    if pair:
+        d[:2], off[0] = 10.5, 1.0
+    mat = sp.diags([off, d, off], [-1, 0, 1], format="csr")
+    res = spectra.min_eigs(mat, k=1, sigma=10.5 if pair else 3.0)
+    assert res.converged
+    assert abs(res.values[0] - (9.5 if pair else 1.0)) < 1e-12
+
+
+def test_min_eigs_sparse_certificate_rejects_a_missed_bottom(monkeypatch):
+    """An exact eigenpair that is not the lowest has a zero residual; only
+    the inertia count below it shows that the solve missed the bottom."""
+    mat = sp.diags(np.arange(1.0, 2501.0), format="csr")
+
+    def second_pair(A, k, **kw):
+        return np.array([2.0]), np.eye(A.shape[0], 1, -1)
+
+    monkeypatch.setattr(spla, "eigsh", second_pair)
+    res = spectra.min_eigs(mat, k=1)
+    assert res.values[0] == 2.0 and res.residuals[0] == 0.0
+    assert not res.converged
 
 
 def test_full_operator_real_matvec_on_complex_input(dense_21):
