@@ -19,6 +19,11 @@ The module provides
   locally undetectable illegal),
 * exploration tools: invariant sets under the two-site exchange terms
   and the detectability horizon of undetectable configurations.
+
+Pair types come from one cached tuple (:func:`location_types`), which
+one window scanner walks for the rules, the exchange terms and the
+forbidden-pair witnesses; both horizons run one breadth-first search
+that differs only in its move function.
 """
 
 from __future__ import annotations
@@ -164,9 +169,17 @@ def location_type(i: int, n: int, R: int) -> str:
     return "D" if i % w == 0 else "B"
 
 
+@lru_cache(maxsize=None)
 def location_types(n: int, R: int) -> tuple[str, ...]:
-    """Types of all pairs 1..2nR-1, in order."""
+    """Types of all pairs 1..2nR-1, in order; the one source of pair
+    types for this module and :mod:`hamline.hamiltonian`."""
     return tuple(location_type(i, n, R) for i in range(1, 2 * n * R))
+
+
+def _windows(c: Configuration):
+    """(i, type, (x, y)) for every pair (i, i+1) of c, left to right."""
+    s = c.sites
+    return zip(range(1, c.length), location_types(c.n, c.R), zip(s, s[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -293,32 +306,22 @@ def mutated_rules(rid: str, after: tuple[int, int]) -> tuple[Rule, ...]:
     return tuple(out)
 
 
-def _context_ok(c: Configuration, pos: int, rule: Rule) -> bool:
-    L = c.length
-    for off, sym in rule.context:
-        k = pos + off
-        if k < 1 or k > L or c.sites[k - 1] != sym:
-            return False
-    return True
-
-
-def _matches(c: Configuration, pos: int, rule: Rule,
-             window: tuple[int, int]) -> bool:
-    if c.sites[pos - 1] != window[0] or c.sites[pos] != window[1]:
-        return False
-    if location_type(pos, c.n, c.R) not in rule.types:
-        return False
-    return _context_ok(c, pos, rule)
-
-
 def _scan(c: Configuration, direction: str,
           rules: tuple[Rule, ...]) -> list[RuleInstance]:
+    """Rule instances matching c in ``direction``, rule-major: pair i
+    carries the rule's window (``before`` forward, ``after`` backward) at
+    one of its types, and every context site exists and matches."""
+    at: dict[tuple[int, int], list[tuple[int, str]]] = {}
+    for i, t, pair in _windows(c):
+        at.setdefault(pair, []).append((i, t))
     out = []
     for rule in rules:
         window = rule.before if direction == "forward" else rule.after
-        for pos in range(1, c.length):
-            if _matches(c, pos, rule, window):
-                out.append(RuleInstance(rule.rid, pos, direction))
+        for i, t in at.get(window, ()):
+            if t in rule.types and all(
+                    1 <= i + off <= c.length and c.sites[i + off - 1] == sym
+                    for off, sym in rule.context):
+                out.append(RuleInstance(rule.rid, i, direction))
     return out
 
 
@@ -337,17 +340,12 @@ def backward_rules(c: Configuration,
 def apply_rule(c: Configuration, inst: RuleInstance,
                rules: tuple[Rule, ...] = RULES) -> Configuration:
     """Rewrite the two-site window of a matched rule instance."""
-    by_id = {r.rid: r for r in rules}
-    rule = by_id[inst.rule]
-    if inst.direction == "forward":
-        if not _matches(c, inst.position, rule, rule.before):
-            raise ValueError(f"rule {inst.rule} does not apply forward "
-                             f"at {inst.position}")
-        return c.replace_pair(inst.position, rule.after)
-    if not _matches(c, inst.position, rule, rule.after):
-        raise ValueError(f"rule {inst.rule} does not apply backward "
-                         f"at {inst.position}")
-    return c.replace_pair(inst.position, rule.before)
+    rule = next(r for r in rules if r.rid == inst.rule)
+    if inst not in _scan(c, inst.direction, (rule,)):
+        raise ValueError(f"rule {inst.rule} does not apply "
+                         f"{inst.direction} at {inst.position}")
+    forward = inst.direction == "forward"
+    return c.replace_pair(inst.position, rule.after if forward else rule.before)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +373,10 @@ class BranchingError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _annotated_sequence_cached(n: int, R: int):
-    return _annotated_sequence(n, R, RULES)
-
-
-def _annotated_sequence(n, R, rules):
+def annotated_sequence(n: int, R: int, rules: tuple[Rule, ...] = RULES):
+    """(configurations, applied-rule instances); the last annotation is
+    None.  Cached per rule table; a table that branches raises
+    :class:`BranchingError` on every call."""
     c = initial_configuration(n, R)
     seq = [c]
     applied = []
@@ -399,13 +396,6 @@ def _annotated_sequence(n, R, rules):
         seen.add(c)
         seq.append(c)
     return tuple(seq), tuple(applied)
-
-
-def annotated_sequence(n: int, R: int, rules: tuple[Rule, ...] = RULES):
-    """(configurations, applied-rule instances); the last annotation is None."""
-    if rules is RULES:
-        return _annotated_sequence_cached(n, R)
-    return _annotated_sequence(n, R, rules)
 
 
 def legal_sequence(n: int, R: int,
@@ -525,11 +515,9 @@ def forbidden_witnesses(c: Configuration) -> list[tuple]:
         out.append(("end", 1, c.sites[0]))
     if c.sites[-1] not in RIGHT_END_ALLOWED:
         out.append(("end", c.length, c.sites[-1]))
-    for i in range(1, c.length):
-        x, y = c.sites[i - 1], c.sites[i]
-        t = location_type(i, c.n, c.R)
-        if not pair_allowed(x, y, t):
-            out.append(("pair", i, t, (x, y)))
+    for i, t, pair in _windows(c):
+        if t not in ALLOWED_PAIRS.get(pair, ""):
+            out.append(("pair", i, t, pair))
     return out
 
 
@@ -595,9 +583,7 @@ def exchange_neighbours(c: Configuration,
     "forward" for src->dst and "backward" for dst->src.
     """
     out = []
-    for i in range(1, c.length):
-        pair = (c.sites[i - 1], c.sites[i])
-        t = location_type(i, c.n, c.R)
+    for i, t, pair in _windows(c):
         for term in terms:
             if t not in term.types:
                 continue
@@ -640,20 +626,11 @@ def invariant_set(c: Configuration, cap: int = 5_000_000) -> InvariantSet:
 # Detectability horizon
 # ---------------------------------------------------------------------------
 
-def detect_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
-    """Fewest forward rule applications until a detectable configuration.
-
-    BFS over forward rule applications starting from an undetectable
-    configuration.  Returns None when the forward closure is exhausted
-    first: every branch ends in a configuration without a local
-    violation at which no rule is admissible, i.e. no window matches a
-    rule's left-hand side at one of its location types with its context
-    sites present and matching.  Blanks may remain: ``xxqiqi|qiq...``
-    (n=3, R=2) halts at ``xxxxxq|iqiqq.``.  Whether the construction
-    allows such halts is open (see README).  Halted configurations
-    still connect to detectable ones through the 2-local exchange terms
-    (see :func:`exchange_horizon`).
-    """
+def _horizon(c: Configuration, moves, max_steps: int) -> int | None:
+    """Breadth-first search shared by both horizons: the fewest moves
+    from the undetectable configuration c until a configuration with a
+    local violation, or None when no reachable one has any.
+    ``moves(cur)`` yields the configurations one move from cur."""
     verdict = classify(c)
     if verdict.tag != "undetectable":
         raise ValueError(f"expected an undetectable configuration, got {verdict.tag}")
@@ -661,8 +638,7 @@ def detect_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
     queue = deque([(c, 0)])
     while queue:
         cur, depth = queue.popleft()
-        for inst in forward_rules(cur):
-            nxt = apply_rule(cur, inst)
+        for nxt in moves(cur):
             if forbidden_witnesses(nxt):
                 return depth + 1
             if nxt not in seen:
@@ -673,9 +649,30 @@ def detect_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
     return None
 
 
+def detect_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
+    """Fewest forward rule applications until a detectable configuration.
+
+    The shared breadth-first search (:func:`_horizon`) over forward rule
+    applications, starting from an undetectable configuration.  Returns
+    None when the forward closure is exhausted first: every branch ends
+    in a configuration without a local violation at which no rule is
+    admissible, i.e. no window matches a rule's left-hand side at one of
+    its location types with its context sites present and matching.
+    Blanks may remain: ``xxqiqi|qiq...`` (n=3, R=2) halts at
+    ``xxxxxq|iqiqq.``.  Whether the construction allows such halts is
+    open (see README).  Halted configurations still connect to
+    detectable ones through the 2-local exchange terms (see
+    :func:`exchange_horizon`).
+    """
+    return _horizon(c, lambda cur: (apply_rule(cur, inst)
+                                    for inst in forward_rules(cur)),
+                    max_steps)
+
+
 def exchange_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
     """Fewest exchange-term moves (either direction) until a detectable
-    configuration.
+    configuration, by the same breadth-first search as
+    :func:`detect_horizon` with exchanges as its moves.
 
     Exchanges preserve the holder count and block alignment, so an
     undetectable configuration can only reach undetectable or detectable
@@ -683,22 +680,8 @@ def exchange_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
     penalty anywhere in it, which would defeat the penalty mechanism;
     the verification suites treat that as a hard failure.
     """
-    verdict = classify(c)
-    if verdict.tag != "undetectable":
-        raise ValueError(f"expected an undetectable configuration, got {verdict.tag}")
-    seen = {c}
-    queue = deque([(c, 0)])
-    while queue:
-        cur, depth = queue.popleft()
-        for _, _, _, nxt in exchange_neighbours(cur):
-            if forbidden_witnesses(nxt):
-                return depth + 1
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > max_steps:
-                    raise RuntimeError("horizon search exceeded step budget")
-                queue.append((nxt, depth + 1))
-    return None
+    return _horizon(c, lambda cur: (nxt for *_, nxt in exchange_neighbours(cur)),
+                    max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -710,11 +693,10 @@ def allowed_configurations(n: int, R: int):
     L = 2 * n * R
     types = location_types(n, R)
     # successor symbols for (previous symbol, pair type)
-    succ: dict[tuple[int, str], tuple[int, ...]] = {}
+    succ: dict[tuple[int, str], list[int]] = {}
     for (x, y), allowed in ALLOWED_PAIRS.items():
         for t in allowed:
-            succ.setdefault((x, t), tuple())
-            succ[(x, t)] += (y,)
+            succ.setdefault((x, t), []).append(y)
 
     prefix = bytearray(L)
 

@@ -93,21 +93,29 @@ def _log_config(args):
                                 if k != "command" and v is not None))
 
 
-def cmd_compile(args) -> int:
-    from . import chain, circuit, hamiltonian as hm
+def _load_circuit(path):
+    """(circuit, None) or (None, exit code): an unreadable file or a parse
+    error is exit 1, a validation error exit 2."""
+    from . import circuit
     try:
-        text = open(args.circuit).read()
-    except OSError as exc:
+        with open(path) as fh:
+            return circuit.parse_circuit(fh.read()), None
+    except (OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        circ = circuit.parse_circuit(text)
+        return None, EXIT_USAGE
     except circuit.CircuitFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return None, EXIT_USAGE
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return None, EXIT_VALIDATION
+
+
+def cmd_compile(args) -> int:
+    from . import chain, hamiltonian as hm
+    circ, code = _load_circuit(args.circuit)
+    if circ is None:
+        return code
     couplings = hm.UNIT_COUPLINGS if args.couplings == "unit" else None
     spec = hm.build_hamiltonian(circ, couplings=couplings)
     with open(args.out, "w") as fh:
@@ -157,16 +165,10 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    import numpy as np
-    from . import chain, circuit, hamiltonian as hm, spectra, verify
-    try:
-        circ = circuit.parse_circuit(open(args.circuit).read())
-    except circuit.CircuitFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    from . import hamiltonian as hm, spectra, verify
+    circ, code = _load_circuit(args.circuit)
+    if circ is None:
+        return code
     couplings = hm.UNIT_COUPLINGS if args.couplings == "unit" else None
     spec = hm.build_hamiltonian(circ, couplings=couplings)
     n, R = circ.n, circ.R

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import chain
 from .chain import (BLANK, DEAD, GATE, INSI, PUSHER, QUBIT,
-                    TRANSITION_TERMS, TransitionTerm, location_type)
+                    TRANSITION_TERMS, TransitionTerm)
 from .circuit import LayeredCircuit, gate_at_location
 
 __all__ = [
@@ -210,12 +210,13 @@ def build_h_pen(n: int, R: int,
     fault-injection tests.
     """
     L = 2 * n * R
+    types = chain.location_types(n, R)
     terms = []
     for (x, y, t) in chain.forbidden_families():
         if drop_family == (x, y, t):
             continue
-        for i in range(1, L):
-            if location_type(i, n, R) == t:
+        for i, ti in enumerate(types, 1):
+            if ti == t:
                 terms.append(_diag_term(
                     "pen", (i, i + 1),
                     [SYMBOL_SLOTS[x], SYMBOL_SLOTS[y]]))
@@ -261,8 +262,7 @@ def projector_layout(n: int, R: int):
     L = 2 * n * R
     rows = _projector_rows()
     out = []
-    for i in range(1, L):
-        t = location_type(i, n, R)
+    for i, t in enumerate(chain.location_types(n, R), 1):
         for rule, types, piece, off, (a, b) in rows:
             if t not in types:
                 continue
@@ -283,14 +283,12 @@ def build_h_prop(circ: LayeredCircuit,
     plus hop pieces from the chain's transition terms; rule-1 hops carry
     the gate installed at their location."""
     n, R = circ.n, circ.R
-    L = 2 * n * R
     terms = []
     for rule, piece, sites, syms, window in projector_layout(n, R):
         terms.append(_diag_term("prop", sites,
                                 [SYMBOL_SLOTS[s] for s in syms],
                                 rule=rule, piece=piece, window=window))
-    for i in range(1, L):
-        t = location_type(i, n, R)
+    for i, t in enumerate(chain.location_types(n, R), 1):
         for tt in transitions:
             if t not in tt.types:
                 continue

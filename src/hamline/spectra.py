@@ -532,9 +532,6 @@ class EigResult:
     sigma: float | None = None
     floor: float | None = None
 
-    def __iter__(self):
-        return iter(self.values)
-
 
 def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
              maxiter: int = 2000, tol: float = 1e-10,
@@ -580,9 +577,7 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
     """
     if isinstance(op, np.ndarray):
         vals, vecs = sla.eigh(op, subset_by_index=[0, min(k, len(op)) - 1])
-        res = np.array([np.linalg.norm(op @ vecs[:, j] - vals[j] * vecs[:, j])
-                        for j in range(len(vals))])
-        return EigResult(vals, res, True)
+        return EigResult(vals, _residuals(op, vals, vecs), True)
     if sp.issparse(op):
         dim = op.shape[0]
         if k >= dim - 1 or dim <= 2000:
@@ -642,12 +637,17 @@ def _shift_invert(A: sp.csc_matrix, k: int, seed: int, tol: float,
     del lu
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
-    res = np.array([np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j])
-                    for j in range(k)])
+    res = _residuals(A, vals, vecs)
     _, below = _inertia(A, vals[0] - max(res[0], floor), floor)
     converged = below == 0 and bool(
         np.all(res <= np.maximum(tol * np.abs(vals), floor)))
     return EigResult(vals, res, converged, sigma=x, floor=floor)
+
+
+def _residuals(A, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """||A y_j - theta_j y_j|| for each eigenpair (vals[j], vecs[:, j])."""
+    return np.array([np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j])
+                     for j in range(len(vals))])
 
 
 def _factor(A: sp.csc_matrix, x: float, floor: float):

@@ -150,14 +150,9 @@ def cnot_circuit() -> LayeredCircuit:
 
 def _projector_hits(layout, c: Configuration) -> tuple[int, int]:
     """How many forward (xy) / backward (zw) identifying projectors fire."""
-    xy = zw = 0
-    for rule, piece, sites, syms, window in layout:
-        if all(c.symbol(s) == sym for s, sym in zip(sites, syms)):
-            if piece == "xy":
-                xy += 1
-            else:
-                zw += 1
-    return xy, zw
+    fired = [piece for rule, piece, sites, syms, window in layout
+             if all(c.symbol(s) == sym for s, sym in zip(sites, syms))]
+    return fired.count("xy"), fired.count("zw")
 
 
 def check_facts(n: int, R: int, rules=chain.RULES,
@@ -169,7 +164,6 @@ def check_facts(n: int, R: int, rules=chain.RULES,
     with _timer() as t:
         seq = chain.legal_sequence(n, R, rules)
         K = len(seq) - 1
-        index = {c: t_ for t_, c in enumerate(seq)}
         layout = hm.projector_layout(n, R)
         bad_fwd = bad_bwd = bad_xy = bad_zw = bad_exch = 0
         for t_, c in enumerate(seq):
@@ -418,8 +412,8 @@ def soundness_probe(accepting: LayeredCircuit | None = None,
                 continue
             mat, _ = spectra.restrict(pp_terms, inv3.configs, max_dim=dim)
             lam = float(spectra.min_eigs(mat, k=1).values[0])
-            bound = couplings.j_prop * (
-                1.0 - np.cos(np.pi / (2 * kprime + 3))) / 2.0
+            bound = couplings.j_prop * spectra.walk_eigs_analytic(
+                1.0, 0.5, kprime)[0] / 2.0
             worst_margin = min(worst_margin, lam - bound)
             checked += 1
     rep.add(f"type-3 samples ({checked}) meet the walk-matrix lower bound "
@@ -543,8 +537,7 @@ def appendix_suite(Lmax: int = 64) -> Report:
 def _chain_shapes(max_len: int):
     for n in range(2, max_len // 2 + 1):
         for R in range(1, max_len // (2 * n) + 1):
-            if 2 * n * R <= max_len:
-                yield n, R
+            yield n, R
 
 
 def horizon_suite(max_len: int = 12) -> Report:

@@ -36,8 +36,10 @@ def test_location_types_partition(n, R):
     # every pair gets exactly one of A-E, and the closed-form index sets
     # reproduce the assignment
     w = 2 * n
+    per_position = []
     for i in range(1, 2 * n * R):
         t = chain.location_type(i, n, R)
+        per_position.append(t)
         expect = None
         if (i - 1) % w == 0:
             expect = "C"
@@ -50,6 +52,8 @@ def test_location_types_partition(n, R):
         else:
             expect = "B"
         assert t == expect
+    # the cached tuple every scanner reads is the same assignment
+    assert chain.location_types(n, R) == tuple(per_position)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +108,13 @@ def test_backward_rules():
         == [("6b", 2)]
 
 
+def test_forward_rules_rule_major_order():
+    # three rules match; they come in rule-table order, not by position
+    c = cfg(".q<g|i<g.", 2, 2)
+    assert [(r.rule, r.position) for r in chain.forward_rules(c)] \
+        == [("2c", 7), ("5a", 2), ("5b", 5)]
+
+
 def test_apply_rule_examples():
     seq = chain.legal_sequence(3, 2)
     c0, c1 = seq[0], seq[1]
@@ -117,6 +128,29 @@ def test_apply_rule_examples():
     # applying a non-matching rule raises
     with pytest.raises(ValueError):
         chain.apply_rule(c0, chain.RuleInstance("1", 2, "forward"))
+
+
+@pytest.mark.parametrize("text,inst", [
+    # rule 1's window gq (and its after-window qg) at pair 3, type A;
+    # rule 1 is admitted at B only
+    ("..gq..", ("1", 3, "forward")),
+    ("..qg..", ("1", 3, "backward")),
+    # rule 3a's window qi at pair 3 (type A) with prev = x, but its
+    # next2 context site 5 is a blank instead of a qubit
+    ("xxqi..", ("3a", 3, "forward")),
+    # rule 3b's prev context site 0 lies off the chain
+    ("qiq...", ("3b", 1, "forward")),
+])
+def test_apply_rule_rejects_type_and_context(text, inst):
+    c = cfg(text, 3, 1)
+    with pytest.raises(ValueError, match="does not apply"):
+        chain.apply_rule(c, chain.RuleInstance(*inst))
+
+
+def test_apply_rule_accepts_matching_context():
+    c = cfg("xxqiq.", 3, 1)
+    assert chain.apply_rule(c, chain.RuleInstance("3a", 3, "forward")) \
+        == cfg("xxxqq.", 3, 1)
 
 
 @given(st.integers(min_value=0, max_value=1_000_000))
@@ -174,6 +208,15 @@ def test_mutated_rules_diverge():
         assert seq != chain.legal_sequence(3, 2)
     except chain.BranchingError:
         pass  # branching is also an acceptable way to expose the fault
+
+
+def test_branching_mutation_raises_on_every_call():
+    # 2c's after-window <g lets rules 4a and 5a both fire; the cached
+    # sequence must not turn the second call into a silent result
+    rules = chain.mutated_rules("2c", (chain.PUSHER, GATE))
+    for _ in range(2):
+        with pytest.raises(chain.BranchingError):
+            chain.legal_sequence(2, 2, rules)
 
 
 # ---------------------------------------------------------------------------

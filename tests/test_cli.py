@@ -1,12 +1,23 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+import hamline
 
 CLI = [sys.executable, "-m", "hamline.cli"]
+# the subprocess imports the package this test process imported
+SRC = str(Path(hamline.__file__).resolve().parents[1])
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          env=ENV)
 
 
 def write_circuit(tmp_path, doc, name="c.json"):
@@ -66,6 +77,27 @@ def test_compile_parse_and_validation_errors(tmp_path):
     out = run("compile", "--circuit", nonunitary, "--out",
               str(tmp_path / "y"))
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["compile", "spectrum"])
+def test_circuit_load_errors_share_exit_codes(tmp_path, command):
+    # README: an unreadable file or a parse error exits 1, a validation
+    # error exits 2, whichever command reads the circuit
+    extra = ["--out", str(tmp_path / "out")] if command == "compile" else []
+    missing = run(command, "--circuit", str(tmp_path / "missing.json"), *extra)
+    assert missing.returncode == 1
+    assert missing.stderr.startswith("error:")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    assert run(command, "--circuit", str(bad), *extra).returncode == 1
+    nonunitary = write_circuit(tmp_path, {
+        "n": 2, "m": 1,
+        "rounds": [[{"kind": "I"}],
+                   [{"matrix": [[[1.0, 0.0]] * 4] * 4}]],
+    }, "nu.json")
+    out = run(command, "--circuit", nonunitary, *extra)
+    assert out.returncode == 2
+    assert out.stderr.startswith("validation error:")
 
 
 def test_spectrum_subspace(tmp_path):
