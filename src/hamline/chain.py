@@ -372,11 +372,16 @@ class BranchingError(RuntimeError):
     """Raised if more than one forward rule ever applies to a legal state."""
 
 
-@lru_cache(maxsize=None)
 def annotated_sequence(n: int, R: int, rules: tuple[Rule, ...] = RULES):
     """(configurations, applied-rule instances); the last annotation is
-    None.  Cached per rule table; a table that branches raises
-    :class:`BranchingError` on every call."""
+    None.  Cached once per (n, R, rule table), whether or not ``rules``
+    is passed; a table that branches raises :class:`BranchingError` on
+    every call."""
+    return _annotated_sequence(n, R, rules)
+
+
+@lru_cache(maxsize=None)
+def _annotated_sequence(n: int, R: int, rules: tuple[Rule, ...]):
     c = initial_configuration(n, R)
     seq = [c]
     applied = []

@@ -164,6 +164,21 @@ def cmd_sequence(args) -> int:
     return EXIT_OK
 
 
+def eigenvalue_lines(res) -> list[str]:
+    """One line per eigenvalue: value, residual and, when the result has
+    one, its precision floor; a value smaller in magnitude than its floor
+    is flagged, since its sign is not resolved."""
+    lines = []
+    for lam, r in zip(res.values, res.residuals):
+        line = f"eigenvalue {lam:.12e}  residual {r:.3e}"
+        if res.floor is not None:
+            line += f"  floor {res.floor:.3e}"
+            if abs(lam) < res.floor:
+                line += "  below floor"
+        lines.append(line)
+    return lines
+
+
 def cmd_spectrum(args) -> int:
     from . import hamiltonian as hm, spectra, verify
     circ, code = _load_circuit(args.circuit)
@@ -195,10 +210,8 @@ def cmd_spectrum(args) -> int:
         mat, _ = spectra.restrict(spec, configs)
         res = spectra.min_eigs(mat, k=min(args.eigs, mat.shape[0] - 2),
                                seed=args.seed)
-    lines = [f"method={args.method} K={spec.K} converged={res.converged}"]
-    for lam, r in zip(res.values, res.residuals):
-        lines.append(f"eigenvalue {lam:.12e}  residual {r:.3e}")
-    out = "\n".join(lines)
+    out = "\n".join([f"method={args.method} K={spec.K} "
+                     f"converged={res.converged}"] + eigenvalue_lines(res))
     print(out)
     if args.out:
         with open(args.out, "w") as fh:

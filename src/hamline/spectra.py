@@ -538,24 +538,34 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
              sigma: float | None = None, ncv: int | None = None) -> EigResult:
     """k smallest eigenvalues of a Hermitian operator.
 
-    Dense arrays (and sparse matrices up to dimension 2000) are solved
-    exactly, for the k lowest eigenpairs only.
+    Dense arrays go to LAPACK ``eigh``, for the k lowest eigenpairs only,
+    and so does a sparse matrix when k >= dim - 1, which ARPACK cannot
+    serve.  These results carry the precision floor eps * ||A||_1
+    (``floor``) but no certificate: ``converged`` is always true.
 
-    Larger sparse matrices use shift-invert about a shift below the whole
-    spectrum, certified by Sylvester inertia counts
-    (:func:`_shift_invert`): the negative pivots of a symmetric LDL^H
-    factorization of A - x I count the eigenvalues below x.  The search
-    starts at ``sigma`` (default -1), a first guess only: if eigenvalues
-    lie below it, the shift is bisected on counts between the Gershgorin
-    lower bound and ``sigma`` until the bracket is 5% wide, and the solve
-    runs at its lower end, where the count is 0, so the k eigenvalues
-    nearest above the shift are the k lowest.  ARPACK finds them on a
-    factorization at that shift, from a seeded real start vector.  The
-    result carries the shift (``sigma``) and the precision floor
-    eps * ||A||_1 (``floor``).  ``converged`` holds only when a further
-    count finds no eigenvalue below theta_1 - max(r_1, floor), so that
-    theta_1 is the smallest eigenvalue to within max(r_1, floor), and
-    every residual r is at most max(tol * |theta|, floor).
+    Every other sparse matrix, whatever its dimension, uses shift-invert
+    about a shift below the whole spectrum, certified by Sylvester inertia
+    counts (:func:`_shift_invert`): the negative pivots of a symmetric
+    LDL^H factorization of A - x I count the eigenvalues below x.  The
+    search starts at ``sigma`` (default -1), a first guess only: if
+    eigenvalues lie below it, the shift is bisected on counts between the
+    Gershgorin lower bound and ``sigma`` until the bracket is 5% wide, and
+    the solve runs at its lower end, where the count is 0, so the k
+    eigenvalues nearest above the shift are the k lowest.  ARPACK finds
+    them on a factorization at that shift, from a seeded real start
+    vector.  The result carries the shift (``sigma``) and the precision
+    floor eps * ||A||_1 (``floor``).  ``converged`` holds only when
+
+    * a count finds no eigenvalue below theta_1 - max(r_1, floor), so
+      that theta_1 is the smallest eigenvalue to within max(r_1, floor);
+    * for k > 1, a count finds at most k - 1 eigenvalues below
+      theta_k - max(r_k, floor).  A solve that misses a copy of a
+      degenerate eigenvalue returns theta_k >= lambda_{k+1}, and then k
+      eigenvalues lie below that point;
+    * every residual r_j = ||A y_j - theta_j y_j|| is at most
+      max(tol * |theta_j|, b_j), with b_j the rounding bound of
+      :func:`_residual_bounds`: the residual evaluation itself cannot
+      certify less, so near theta = 0 no relative test applies.
 
     LinearOperators (and :class:`FullOperator`) use a thick-restart
     Lanczos (:func:`_lanczos`) with ``ncv`` basis vectors from a seeded
@@ -570,17 +580,18 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
     ``converged`` holds when each residual ||H y - theta y|| is at most
     tol * max(|theta|, eps^(2/3)) (ARPACK's test).  A single start
     vector sees a degenerate eigenvalue's further copies only through
-    rounding, so a run may converge with one copy missing.
+    rounding, so a run may converge with one copy missing.  These
+    results carry no ``floor``: the operator's norm is not formed.
 
     Non-convergence is reported, not raised: the result carries the
-    achieved residuals.
+    values and residuals achieved.
     """
     if isinstance(op, np.ndarray):
         vals, vecs = sla.eigh(op, subset_by_index=[0, min(k, len(op)) - 1])
-        return EigResult(vals, _residuals(op, vals, vecs), True)
+        return EigResult(vals, _residuals(op, vals, vecs), True,
+                         floor=_floor(op))
     if sp.issparse(op):
-        dim = op.shape[0]
-        if k >= dim - 1 or dim <= 2000:
+        if k >= op.shape[0] - 1:
             return min_eigs(op.toarray(), k)
         return _shift_invert(op.tocsc(), k, seed, tol,
                              -1.0 if sigma is None else float(sigma))
@@ -611,12 +622,12 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
 def _shift_invert(A: sp.csc_matrix, k: int, seed: int, tol: float,
                   sigma: float) -> EigResult:
     """The sparse branch of :func:`min_eigs`: bracket a shift with no
-    eigenvalue below it, solve there, certify the lowest value."""
-    colsum = np.asarray(abs(A).sum(axis=0)).ravel()
-    floor = float(np.finfo(float).eps * colsum.max())
+    eigenvalue below it, solve there, certify the lowest values."""
+    floor = _floor(A)
     x, count = _inertia(A, sigma, floor)
     if count:
         # Gershgorin: A is Hermitian, so its row sums are its column sums
+        colsum = np.asarray(abs(A).sum(axis=0)).ravel()
         lo, hi = float(np.min(2.0 * A.diagonal().real - colsum)), x
         while hi - lo > 0.05 * max(1.0, abs(hi)):
             mid, count = _inertia(A, _midpoint(lo, hi), floor)
@@ -631,23 +642,63 @@ def _shift_invert(A: sp.csc_matrix, k: int, seed: int, tol: float,
     # a seeded start vector: ARPACK's own is not reproducible across
     # processes
     start = np.random.default_rng(seed).standard_normal(A.shape[0])
-    vals, vecs = spla.eigsh(
-        A, k=k, sigma=x, which="LM", v0=start,
-        OPinv=spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype))
+    try:
+        vals, vecs = spla.eigsh(
+            A, k=k, sigma=x, which="LM", v0=start,
+            OPinv=spla.LinearOperator(A.shape, matvec=lu.solve,
+                                      dtype=A.dtype))
+        converged = True
+    except spla.ArpackNoConvergence as exc:
+        vals, vecs, converged = exc.eigenvalues, exc.eigenvectors, False
     del lu
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     res = _residuals(A, vals, vecs)
-    _, below = _inertia(A, vals[0] - max(res[0], floor), floor)
-    converged = below == 0 and bool(
-        np.all(res <= np.maximum(tol * np.abs(vals), floor)))
+    converged = converged and len(vals) == k and bool(
+        np.all(res <= np.maximum(tol * np.abs(vals),
+                                 _residual_bounds(A, vals, vecs))))
+    if converged:
+        _, below = _inertia(A, vals[0] - max(res[0], floor), floor)
+        converged = below == 0
+    if converged and k > 1:
+        _, below = _inertia(A, vals[-1] - max(res[-1], floor), floor)
+        converged = below <= k - 1
     return EigResult(vals, res, converged, sigma=x, floor=floor)
+
+
+def _floor(A) -> float:
+    """The precision floor eps * ||A||_1 of a dense or sparse matrix."""
+    return float(np.finfo(float).eps * abs(A).sum(axis=0).max())
 
 
 def _residuals(A, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """||A y_j - theta_j y_j|| for each eigenpair (vals[j], vecs[:, j])."""
     return np.array([np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j])
                      for j in range(len(vals))])
+
+
+def _residual_bounds(A, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """b_j = (m + 2) * eps * (|| |A| |y_j| ||_2 + |theta_j|) for unit
+    vectors y_j, m the most nonzeros in a row of A: the smallest residual
+    that :func:`_residuals` can certify for (theta_j, y_j).
+
+    With unit roundoff u = eps/2, a row of A y is a sum of at most m
+    products, computed with error at most gamma_m (|A| |y|)_i, gamma_m =
+    m u / (1 - m u), or gamma_(m+2) for complex entries (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Lemma 3.5); forming
+    theta y_i and the difference adds about 2 u |theta| |y_i|.  Storing
+    the exact eigenvector in floating point moves each entry by at most
+    u |y_i|, which moves A y - theta y by at most u (|A| |y| + |theta|
+    |y|).  So even the exact eigenvector, rounded to working precision,
+    may show a computed residual of (m + 4) u (|| |A| |y| || + |theta|)
+    to first order, and (m + 2) eps = (2m + 4) u covers that.  The bound
+    scales with |theta| and with the entries y meets, not with ||A||_1,
+    so it stays meaningful at theta = 0, where a relative test cannot
+    hold.
+    """
+    m = int(A.getnnz(axis=1).max())
+    mag = np.linalg.norm(abs(A) @ np.abs(vecs), axis=0)
+    return (m + 2) * np.finfo(float).eps * (mag + np.abs(vals))
 
 
 def _factor(A: sp.csc_matrix, x: float, floor: float):

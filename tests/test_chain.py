@@ -169,6 +169,14 @@ def test_apply_rule_involution_and_holder_count(idx):
 # legal sequence and templates
 # ---------------------------------------------------------------------------
 
+def test_annotated_sequence_one_cache_entry_per_shape():
+    chain._annotated_sequence.cache_clear()
+    chain.legal_sequence(3, 2)
+    chain.annotated_sequence(3, 2)
+    chain.legal_sequence(3, 2, chain.RULES)
+    assert chain._annotated_sequence.cache_info().currsize == 1
+
+
 def test_sequence_lengths():
     # the closed form (R-1)(3n^2+2n-1)+2n counts configurations
     assert len(chain.legal_sequence(3, 2)) == 38

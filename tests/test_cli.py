@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hamline
@@ -136,6 +137,19 @@ def test_spectrum_subspace_fringe_reaches_bottom(tmp_path):
     assert "converged=True" in out.stdout
     first = [l for l in out.stdout.splitlines() if l.startswith("eigenvalue")]
     assert first[0].split()[1] == "-2.916093665627e+05"
+
+
+def test_eigenvalue_lines_print_and_flag_the_floor():
+    from hamline.cli import eigenvalue_lines
+    from hamline.spectra import EigResult
+    res = EigResult(np.array([-1e-17, 0.25]), np.array([1e-16, 2e-16]),
+                    True, floor=4e-16)
+    lines = eigenvalue_lines(res)
+    assert lines[0].split()[1] == "-1.000000000000e-17"
+    assert lines[0].endswith("floor 4.000e-16  below floor")
+    assert lines[1].endswith("residual 2.000e-16  floor 4.000e-16")
+    res.floor = None
+    assert eigenvalue_lines(res)[1].endswith("residual 2.000e-16")
 
 
 def test_spectrum_dense_guard(tmp_path):

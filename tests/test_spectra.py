@@ -440,6 +440,91 @@ def test_min_eigs_sparse_certificate_rejects_a_missed_bottom(monkeypatch):
     assert not res.converged
 
 
+def haar_circuit(n, R, seed):
+    """Round 1 all identity, every later gate Haar-random."""
+    later = [tuple(Gate2Q(haar_gate(seed + r * n + g), g) for g in range(1, n))
+             for r in range(1, R)]
+    return LayeredCircuit(n, 1, (identity_round(n), *later))
+
+
+@pytest.mark.parametrize("block,dtype", [("fringe identity 3,2", np.float64),
+                                         ("legal random 4,2", np.complex128)])
+def test_min_eigs_sparse_small_block_is_certified(block, dtype):
+    """Sparse blocks below dimension 2000 take the certified shift-invert
+    route too.  Each value lies within its residual of an eigenvalue, and
+    so does each dense eigh value, whose residuals here reach several
+    times the floor; the two agree within the sum."""
+    if block.startswith("fringe"):
+        spec = hm.build_hamiltonian(identity_circuit(3, 1, 2))
+        configs = verify.legal_fringe(3, 2)
+    else:
+        spec = hm.build_hamiltonian(haar_circuit(4, 2, 40))
+        configs = spectra.legal_basis(4, 2)
+    mat, _ = spectra.restrict(spec, configs)
+    assert mat.shape[0] < 2000 and mat.dtype == dtype
+    res = spectra.min_eigs(mat, k=3)
+    dense = spectra.min_eigs(mat.toarray(), k=3)
+    assert res.converged and res.sigma is not None and res.floor > 0
+    assert res.floor == pytest.approx(dense.floor, rel=1e-12)
+    assert np.all(np.abs(res.values - dense.values)
+                  <= res.residuals + dense.residuals)
+
+
+def test_min_eigs_sparse_zero_energy_block_converges():
+    """The accepting circuit's legal block at unit couplings has a doubly
+    degenerate zero eigenvalue; residuals at rounding level pass, though
+    no relative test can hold at theta = 0."""
+    spec = hm.build_hamiltonian(accepting_circuit(),
+                                couplings=hm.UNIT_COUPLINGS)
+    mat, _ = spectra.restrict(spec, spectra.legal_basis(2, 2))
+    res = spectra.min_eigs(mat, k=3)
+    assert res.converged
+    assert np.all(np.abs(res.values[:2]) <= res.floor + res.residuals[:2])
+    assert res.values[2] > 1e-3
+
+
+@pytest.mark.parametrize("drop,converged", [(False, True), (True, False)])
+def test_min_eigs_sparse_kth_count_catches_a_missed_copy(monkeypatch, drop,
+                                                          converged):
+    """Eigenvalues 1, 2, 2, 3, ...: a k=3 solve that returns exact pairs
+    for 1, 2, 3 has zero residuals and the right lowest value; only the
+    count below theta_3 shows the missing copy of 2."""
+    mat = sp.diags(np.concatenate(([1.0, 2.0, 2.0], np.arange(3.0, 100.0))),
+                   format="csr")
+    cols = [0, 1, 3] if drop else [0, 1, 2]
+
+    def pairs(A, k, **kw):
+        return mat.diagonal()[cols], np.eye(A.shape[0])[:, cols]
+
+    monkeypatch.setattr(spla, "eigsh", pairs)
+    res = spectra.min_eigs(mat, k=3)
+    assert np.array_equal(res.residuals, np.zeros(3))
+    assert res.converged is converged
+
+
+def test_min_eigs_sparse_reports_arpack_no_convergence(monkeypatch):
+    """ARPACK's non-convergence comes back as a result with the pairs it
+    did converge, not as an exception."""
+    mat = sp.diags(np.arange(1.0, 101.0), format="csr")
+
+    def gives_up(A, k, **kw):
+        raise spla.ArpackNoConvergence("no convergence", np.array([1.0]),
+                                       np.eye(A.shape[0], 1))
+
+    monkeypatch.setattr(spla, "eigsh", gives_up)
+    res = spectra.min_eigs(mat, k=2)
+    assert not res.converged
+    assert np.array_equal(res.values, [1.0])
+    assert np.array_equal(res.residuals, [0.0])
+
+
+def test_min_eigs_dense_carries_floor():
+    a = np.diag([-3.0, 1.0, 2.0]) + 0.5 * np.eye(3, k=1) + 0.5 * np.eye(3, k=-1)
+    res = spectra.min_eigs(a, k=1)
+    assert res.floor == np.finfo(float).eps * 3.5
+    assert spectra.min_eigs(sp.csr_matrix(a), k=2).floor == res.floor
+
+
 def test_full_operator_real_matvec_on_complex_input(dense_21):
     """A real operator applies to the real and imaginary parts of a
     complex vector separately, with the same rounding."""
