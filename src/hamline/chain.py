@@ -20,10 +20,13 @@ The module provides
 * exploration tools: invariant sets under the two-site exchange terms
   and the detectability horizon of undetectable configurations.
 
-Pair types come from one cached tuple (:func:`location_types`), which
-one window scanner walks for the rules, the exchange terms and the
-forbidden-pair witnesses; both horizons run one breadth-first search
-that differs only in its move function.
+Which move fires where comes from one move index per (n, R, table)
+(:func:`_move_index`): the rule scans and application, the legal
+sequence, the exchange neighbours and both horizons read it, and the
+allowed-pair test reads the matching per-window pair sets.  Sets of
+configurations share one packed form with :mod:`hamline.spectra`
+(:class:`_Packed`); invariant sets are frontier closures over packed
+rows.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "INSI", "PUSHER", "BLANK", "DEAD", "QUBIT", "GATE",
@@ -95,10 +101,6 @@ class Configuration:
     def length(self) -> int:
         return 2 * self.n * self.R
 
-    def symbol(self, i: int) -> int:
-        """Symbol at 1-based site i."""
-        return self.sites[i - 1]
-
     def holders(self) -> tuple[int, ...]:
         """1-based positions of qubit-holding sites, left to right."""
         return tuple(i + 1 for i, s in enumerate(self.sites)
@@ -107,11 +109,13 @@ class Configuration:
     def holder_count(self) -> int:
         return sum(1 for s in self.sites if s in QUBIT_HOLDING)
 
-    def replace_pair(self, i: int, pair: tuple[int, int]) -> "Configuration":
-        """New configuration with sites (i, i+1) rewritten."""
-        b = bytearray(self.sites)
-        b[i - 1], b[i] = pair
-        return Configuration(self.n, self.R, bytes(b))
+    @classmethod
+    def _trusted(cls, n: int, R: int, sites: bytes) -> "Configuration":
+        """A configuration without revalidation, for sites made by the
+        rule or term tables or read from packed rows of valid ones."""
+        c = object.__new__(cls)
+        c.__dict__.update(n=n, R=R, sites=sites)
+        return c
 
     @classmethod
     def from_string(cls, text: str, n: int, R: int) -> "Configuration":
@@ -176,12 +180,6 @@ def location_types(n: int, R: int) -> tuple[str, ...]:
     return tuple(location_type(i, n, R) for i in range(1, 2 * n * R))
 
 
-def _windows(c: Configuration):
-    """(i, type, (x, y)) for every pair (i, i+1) of c, left to right."""
-    s = c.sites
-    return zip(range(1, c.length), location_types(c.n, c.R), zip(s, s[1:]))
-
-
 # ---------------------------------------------------------------------------
 # Allowed pairs (56 entries) and forbidden families (124)
 # ---------------------------------------------------------------------------
@@ -215,6 +213,13 @@ ALLOWED_PAIRS: dict[tuple[int, int], str] = {
 def pair_allowed(x: int, y: int, loc: str) -> bool:
     """True if symbol pair (x, y) may occur at a location of the given type."""
     return loc in ALLOWED_PAIRS.get((x, y), "")
+
+
+@lru_cache(maxsize=None)
+def _allowed_at(n: int, R: int) -> tuple[frozenset, ...]:
+    """The symbol pairs allowed at each pair (i, i+1), in window order."""
+    return tuple(frozenset(p for p, types in ALLOWED_PAIRS.items()
+                           if t in types) for t in location_types(n, R))
 
 
 def allowed_pair_count() -> int:
@@ -306,46 +311,132 @@ def mutated_rules(rid: str, after: tuple[int, int]) -> tuple[Rule, ...]:
     return tuple(out)
 
 
-def _scan(c: Configuration, direction: str,
-          rules: tuple[Rule, ...]) -> list[RuleInstance]:
-    """Rule instances matching c in ``direction``, rule-major: pair i
-    carries the rule's window (``before`` forward, ``after`` backward) at
-    one of its types, and every context site exists and matches."""
-    at: dict[tuple[int, int], list[tuple[int, str]]] = {}
-    for i, t, pair in _windows(c):
-        at.setdefault(pair, []).append((i, t))
+@dataclass(frozen=True)
+class TransitionTerm:
+    """A two-site exchange NO <-> PQ with its admissible location types.
+
+    These are exactly the transition pieces of the propagation
+    Hamiltonian; unlike the rules above they carry no context, so they
+    can fire at "wrong" moments and map configurations out of the legal
+    set.
+    """
+
+    rule: str
+    types: frozenset
+    src: tuple[int, int]
+    dst: tuple[int, int]
+
+
+#: RULES stably sorted by (parent rule, most location types first).  The
+#: transition terms and the projector layout of the propagation family
+#: are derived in this order; assembly keeps ties between pieces on the
+#: same sites in it, so it fixes the byte order of term exports.
+RULES_BY_PARENT: tuple[Rule, ...] = tuple(
+    sorted(RULES, key=lambda r: (r.rid[0], -len(r.types))))
+
+#: Transition pieces, one per rewrite rule: its window exchange
+#: before -> after without the context sites, keyed by parent rule.
+#: The qubit-move family (rule 3) fires at all odd-type pairs, with two
+#: of its four exchanges restricted to AE / AC.
+TRANSITION_TERMS: tuple[TransitionTerm, ...] = tuple(
+    TransitionTerm(r.rid[0], r.types, r.before, r.after)
+    for r in RULES_BY_PARENT)
+
+
+# ---------------------------------------------------------------------------
+# The move index
+# ---------------------------------------------------------------------------
+
+class _Move(NamedTuple):
+    """Entry ``rank`` of a table (``label``: rule id or parent rule)
+    writes ``new`` over its window in ``direction`` when each 0-based
+    (site, symbol) of ``context`` matches."""
+
+    rank: int
+    label: str
+    direction: str
+    new: bytes
+    context: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=None)
+def _move_index(n: int, R: int, table: tuple) -> tuple[dict, ...]:
+    """The move index of a rule or exchange-term table: for each pair
+    (i, i+1), left to right, a dict from the symbol pair there to its
+    moves, in table order with each entry's forward move (a rule's
+    before -> after, a term's src -> dst) before its backward one.  A
+    move with a context site off the chain is left out."""
+    index = []
+    for i, t in enumerate(location_types(n, R), 1):
+        at: dict[tuple[int, int], list[_Move]] = {}
+        for rank, e in enumerate(table):
+            label, a, b, context = ((e.rid, e.before, e.after, e.context)
+                                    if isinstance(e, Rule)
+                                    else (e.rule, e.src, e.dst, ()))
+            ctx = tuple((i - 1 + off, sym) for off, sym in context)
+            if t in e.types and all(0 <= j < 2 * n * R for j, _ in ctx):
+                at.setdefault(a, []).append(
+                    _Move(rank, label, "forward", bytes(b), ctx))
+                at.setdefault(b, []).append(
+                    _Move(rank, label, "backward", bytes(a), ctx))
+        index.append({pair: tuple(moves) for pair, moves in at.items()})
+    return tuple(index)
+
+
+def _fire(sites: bytes, index, direction: str | None = None) -> list:
+    """(move, i, new sites) for every move of ``index`` that fires on
+    ``sites``, window by window in index order; ``direction`` keeps the
+    moves of that direction only."""
     out = []
-    for rule in rules:
-        window = rule.before if direction == "forward" else rule.after
-        for i, t in at.get(window, ()):
-            if t in rule.types and all(
-                    1 <= i + off <= c.length and c.sites[i + off - 1] == sym
-                    for off, sym in rule.context):
-                out.append(RuleInstance(rule.rid, i, direction))
+    for i, (at, pair) in enumerate(zip(index, zip(sites, sites[1:])), 1):
+        for m in at.get(pair, ()):
+            if (direction is None or m.direction == direction) and all(
+                    sites[j] == sym for j, sym in m.context):
+                out.append((m, i, sites[:i - 1] + m.new + sites[i + 1:]))
     return out
+
+
+def _rule_moves(c: Configuration, direction: str,
+                rules: tuple[Rule, ...]) -> list:
+    """(instance, result) for every rule matching c in ``direction``,
+    rule-major: by table order, then by position."""
+    fired = _fire(c.sites, _move_index(c.n, c.R, rules), direction)
+    return [(RuleInstance(m.label, i, direction),
+             Configuration._trusted(c.n, c.R, s))
+            for m, i, s in sorted(fired, key=lambda f: f[0].rank)]
 
 
 def forward_rules(c: Configuration,
                   rules: tuple[Rule, ...] = RULES) -> list[RuleInstance]:
     """All rule instances whose left-hand side matches c."""
-    return _scan(c, "forward", rules)
+    return [inst for inst, _ in _rule_moves(c, "forward", rules)]
 
 
 def backward_rules(c: Configuration,
                    rules: tuple[Rule, ...] = RULES) -> list[RuleInstance]:
     """All rule instances whose right-hand side matches c."""
-    return _scan(c, "backward", rules)
+    return [inst for inst, _ in _rule_moves(c, "backward", rules)]
 
 
 def apply_rule(c: Configuration, inst: RuleInstance,
                rules: tuple[Rule, ...] = RULES) -> Configuration:
     """Rewrite the two-site window of a matched rule instance."""
-    rule = next(r for r in rules if r.rid == inst.rule)
-    if inst not in _scan(c, inst.direction, (rule,)):
-        raise ValueError(f"rule {inst.rule} does not apply "
-                         f"{inst.direction} at {inst.position}")
-    forward = inst.direction == "forward"
-    return c.replace_pair(inst.position, rule.after if forward else rule.before)
+    for found, nxt in _rule_moves(c, inst.direction, rules):
+        if found == inst:
+            return nxt
+    raise ValueError(f"rule {inst.rule} does not apply "
+                     f"{inst.direction} at {inst.position}")
+
+
+def exchange_neighbours(c: Configuration,
+                        terms: tuple[TransitionTerm, ...] = TRANSITION_TERMS,
+                        ) -> list[tuple[TransitionTerm, int, str, Configuration]]:
+    """Every configuration one exchange away, as (term, position,
+    direction, result) tuples by position, then term order; direction is
+    "forward" for src->dst and "backward" for dst->src."""
+    return [(terms[m.rank], i, m.direction,
+             Configuration._trusted(c.n, c.R, s))
+            for m, i, s in _fire(c.sites, _move_index(c.n, c.R, terms))]
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +478,15 @@ def _annotated_sequence(n: int, R: int, rules: tuple[Rule, ...]):
     applied = []
     seen = {c}
     while True:
-        fr = forward_rules(c, rules)
+        fr = _rule_moves(c, "forward", rules)
         if len(fr) > 1:
-            raise BranchingError(
-                f"{len(fr)} forward rules apply to {c}: {fr}")
+            raise BranchingError(f"{len(fr)} forward rules apply to {c}: "
+                                 f"{[inst for inst, _ in fr]}")
         if not fr:
             applied.append(None)
             break
-        applied.append(fr[0])
-        c = apply_rule(c, fr[0], rules)
+        inst, c = fr[0]
+        applied.append(inst)
         if c in seen:
             raise BranchingError(f"configuration repeated: {c}")
         seen.add(c)
@@ -520,9 +611,11 @@ def forbidden_witnesses(c: Configuration) -> list[tuple]:
         out.append(("end", 1, c.sites[0]))
     if c.sites[-1] not in RIGHT_END_ALLOWED:
         out.append(("end", c.length, c.sites[-1]))
-    for i, t, pair in _windows(c):
-        if t not in ALLOWED_PAIRS.get(pair, ""):
-            out.append(("pair", i, t, pair))
+    s, types = c.sites, location_types(c.n, c.R)
+    for i, (allowed, pair) in enumerate(
+            zip(_allowed_at(c.n, c.R), zip(s, s[1:])), 1):
+        if pair not in allowed:
+            out.append(("pair", i, types[i - 1], pair))
     return out
 
 
@@ -544,59 +637,67 @@ def classify(c: Configuration) -> ConfigClass:
 
 
 # ---------------------------------------------------------------------------
-# Exchange terms and invariant sets
+# Packed configuration sets and invariant sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransitionTerm:
-    """A two-site exchange NO <-> PQ with its admissible location types.
+class _Packed:
+    """Configurations of one chain as an (N, L) ``uint8`` array ``S`` of
+    symbol codes, rows found by binary search on their L-byte keys.
+    Each row's content space (2^holders, ``cdim``) follows the previous
+    row's (``offsets``); ``ranks`` holds each site's holder rank."""
 
-    These are exactly the transition pieces of the propagation
-    Hamiltonian; unlike the rules above they carry no context, so they
-    can fire at "wrong" moments and map configurations out of the legal
-    set.
-    """
+    def __init__(self, S: np.ndarray):
+        self.S = S
+        keys = _keys(S)
+        self.order = np.argsort(keys)
+        self.sorted_keys = keys[self.order]
+        holds = np.isin(S, tuple(QUBIT_HOLDING))
+        self.cdim = 1 << holds.sum(axis=1, dtype=np.int64)
+        self.offsets = np.concatenate(([0], np.cumsum(self.cdim)))
+        self.ranks = np.maximum(np.cumsum(holds, axis=1) - 1, 0)
 
-    rule: str
-    types: frozenset
-    src: tuple[int, int]
-    dst: tuple[int, int]
+    @classmethod
+    def of(cls, configs) -> "_Packed":
+        return cls(np.frombuffer(b"".join(c.sites for c in configs),
+                                 dtype=np.uint8).reshape(len(configs), -1))
+
+    def hop(self, i: int, a: tuple[int, int], b: tuple[int, int]):
+        """The rows carrying pair ``a`` at sites (i, i+1); for each, the
+        packed index of its image with ``b`` there, whether that image
+        is packed, and the image itself."""
+        src = np.flatnonzero((self.S[:, i - 1] == a[0])
+                             & (self.S[:, i] == a[1]))
+        moved = self.S[src]
+        moved[:, i - 1:i + 1] = b
+        pos, found = _lookup(self.sorted_keys, _keys(moved))
+        return src, self.order[pos], found, moved
+
+    def expand(self, sel: np.ndarray):
+        """Config, global row and content index of every basis vector of
+        the configurations ``sel``."""
+        counts = self.cdim[sel]
+        cfg = np.repeat(sel, counts)
+        content = np.arange(len(cfg)) \
+            - np.repeat(np.cumsum(counts) - counts, counts)
+        return cfg, self.offsets[cfg] + content, content
 
 
-#: RULES stably sorted by (parent rule, most location types first).  The
-#: transition terms and the projector layout of the propagation family
-#: are derived in this order; assembly keeps ties between pieces on the
-#: same sites in it, so it fixes the byte order of term exports.
-RULES_BY_PARENT: tuple[Rule, ...] = tuple(
-    sorted(RULES, key=lambda r: (r.rid[0], -len(r.types))))
-
-#: Transition pieces, one per rewrite rule: its window exchange
-#: before -> after without the context sites, keyed by parent rule.
-#: The qubit-move family (rule 3) fires at all odd-type pairs, with two
-#: of its four exchanges restricted to AE / AC.
-TRANSITION_TERMS: tuple[TransitionTerm, ...] = tuple(
-    TransitionTerm(r.rid[0], r.types, r.before, r.after)
-    for r in RULES_BY_PARENT)
+def _keys(S: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous (N, L) array as L-byte keys."""
+    return S.view(np.dtype((np.void, S.shape[1]))).ravel()
 
 
-def exchange_neighbours(c: Configuration,
-                        terms: tuple[TransitionTerm, ...] = TRANSITION_TERMS,
-                        ) -> list[tuple[TransitionTerm, int, str, Configuration]]:
-    """Every configuration reachable by one exchange, both directions.
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
+    """(pos, found): each key's index in ``sorted_keys``, if found."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == keys
 
-    Returns (term, position, direction, result) tuples; direction is
-    "forward" for src->dst and "backward" for dst->src.
-    """
-    out = []
-    for i, t, pair in _windows(c):
-        for term in terms:
-            if t not in term.types:
-                continue
-            if pair == term.src:
-                out.append((term, i, "forward", c.replace_pair(i, term.dst)))
-            if pair == term.dst:
-                out.append((term, i, "backward", c.replace_pair(i, term.src)))
-    return out
+
+def _configs_of(S: np.ndarray, n: int, R: int) -> list[Configuration]:
+    """The rows of a packed array as configurations, in row order."""
+    buf, L = S.tobytes(), 2 * n * R
+    return [Configuration._trusted(n, R, buf[k:k + L])
+            for k in range(0, len(buf), L)]
 
 
 @dataclass(frozen=True)
@@ -611,40 +712,66 @@ class InvariantSet:
 
 
 def invariant_set(c: Configuration, cap: int = 5_000_000) -> InvariantSet:
-    """Smallest exchange-closed set containing c (truncated at cap)."""
+    """Smallest exchange-closed set containing c, or ``cap`` of its
+    configurations (``capped``) when it has more.
+
+    A frontier closure over packed rows: the next layer is every
+    exchange image of this layer's rows, deduplicated on sorted keys,
+    less the rows of this layer and the one before.  Every exchange can
+    be undone, so no earlier layer can hold an image.  A capped set
+    keeps the smallest keys of its last layer.
+    """
     if cap < 1:
         raise ValueError("cap must be positive")
-    seen = {c}
-    queue = deque([c])
-    while queue:
-        cur = queue.popleft()
-        for _, _, _, nxt in exchange_neighbours(cur):
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    return InvariantSet(frozenset(seen), capped=True)
-                seen.add(nxt)
-                queue.append(nxt)
-    return InvariantSet(frozenset(seen))
+    index = _move_index(c.n, c.R, TRANSITION_TERMS)
+    rows = np.frombuffer(c.sites, dtype=np.uint8).reshape(1, -1)
+    prev = cur = _keys(rows)
+    layers, total, capped = [rows], 1, False
+    while len(rows) and not capped:
+        images = []
+        for j, at in enumerate(index):
+            for (x, y), moves in at.items():
+                hit = rows[(rows[:, j] == x) & (rows[:, j + 1] == y)]
+                for m in moves:
+                    image = hit.copy()
+                    image[:, j:j + 2] = tuple(m.new)
+                    images.append(image)
+        keys = np.unique(_keys(np.concatenate(images)))
+        keys = keys[~(_lookup(cur, keys)[1] | _lookup(prev, keys)[1])]
+        capped = total + len(keys) > cap
+        prev, cur = cur, keys[:cap - total]
+        rows = cur.view(np.uint8).reshape(-1, c.length)
+        layers.append(rows)
+        total += len(rows)
+    return InvariantSet(frozenset(_configs_of(np.vstack(layers), c.n, c.R)),
+                        capped)
 
 
 # ---------------------------------------------------------------------------
 # Detectability horizon
 # ---------------------------------------------------------------------------
 
-def _horizon(c: Configuration, moves, max_steps: int) -> int | None:
-    """Breadth-first search shared by both horizons: the fewest moves
-    from the undetectable configuration c until a configuration with a
-    local violation, or None when no reachable one has any.
-    ``moves(cur)`` yields the configurations one move from cur."""
+def _horizon(c: Configuration, table: tuple, direction: str | None,
+             max_steps: int) -> int | None:
+    """Breadth-first search shared by both horizons: the fewest moves of
+    ``table`` (in ``direction``, or both) from the undetectable c to a
+    configuration with a local violation, or None if none is reachable.
+    Searched configurations have none, so a move at (i, i+1) can only
+    make one at the pairs i-1..i+1 or at a chain end."""
     verdict = classify(c)
     if verdict.tag != "undetectable":
         raise ValueError(f"expected an undetectable configuration, got {verdict.tag}")
-    seen = {c}
-    queue = deque([(c, 0)])
+    index, allowed = _move_index(c.n, c.R, table), _allowed_at(c.n, c.R)
+    seen = {c.sites}
+    queue = deque([(c.sites, 0)])
     while queue:
         cur, depth = queue.popleft()
-        for nxt in moves(cur):
-            if forbidden_witnesses(nxt):
+        for _, i, nxt in _fire(cur, index, direction):
+            if (nxt[0] not in LEFT_END_ALLOWED
+                    or nxt[-1] not in RIGHT_END_ALLOWED
+                    or any((nxt[j - 1], nxt[j]) not in allowed[j - 1]
+                           for j in range(max(i - 1, 1),
+                                          min(i + 2, len(nxt))))):
                 return depth + 1
             if nxt not in seen:
                 seen.add(nxt)
@@ -669,9 +796,7 @@ def detect_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
     detectable ones through the 2-local exchange terms (see
     :func:`exchange_horizon`).
     """
-    return _horizon(c, lambda cur: (apply_rule(cur, inst)
-                                    for inst in forward_rules(cur)),
-                    max_steps)
+    return _horizon(c, RULES, "forward", max_steps)
 
 
 def exchange_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
@@ -685,8 +810,7 @@ def exchange_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
     penalty anywhere in it, which would defeat the penalty mechanism;
     the verification suites treat that as a hard failure.
     """
-    return _horizon(c, lambda cur: (nxt for *_, nxt in exchange_neighbours(cur)),
-                    max_steps)
+    return _horizon(c, TRANSITION_TERMS, None, max_steps)
 
 
 # ---------------------------------------------------------------------------

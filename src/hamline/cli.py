@@ -22,6 +22,23 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_SUITE = 3
 
+#: The most site symbols, (K+1) * 2nR by the closed form, in a legal
+#: sequence that ``sequence`` or ``verify`` builds: ``hamline sequence
+#: --n 30 --R 10`` (1.5e7 symbols) peaks at 103 MB.
+_MAX_SEQUENCE_SITES = 1 << 25
+
+
+def _too_large(n: int, R: int) -> bool:
+    """Report a validation error if the (n, R) legal sequence is over
+    :data:`_MAX_SEQUENCE_SITES`; called before anything is built."""
+    from .chain import legal_configuration_count
+    size = legal_configuration_count(n, R) * 2 * n * R
+    if size > _MAX_SEQUENCE_SITES:
+        print(f"validation error: the legal sequence of n={n}, R={R} has "
+              f"{size} site symbols, over {_MAX_SEQUENCE_SITES}",
+              file=sys.stderr)
+    return size > _MAX_SEQUENCE_SITES
+
 
 def _cap_threads():
     cap = os.environ.get("HAMLINE_THREADS")
@@ -155,6 +172,8 @@ def cmd_sequence(args) -> int:
     if args.n < 2 or args.R < 1:
         print("validation error: need n >= 2 and R >= 1", file=sys.stderr)
         return EXIT_VALIDATION
+    if _too_large(args.n, args.R):
+        return EXIT_VALIDATION
     lines = sequence_lines(args.n, args.R)
     for line in lines:
         print(line)
@@ -227,6 +246,8 @@ def cmd_verify(args) -> int:
     import numpy as np
     from . import chain, verify
 
+    if args.suite in ("census", "facts", "all") and _too_large(args.n, args.R):
+        return EXIT_VALIDATION
     rules = chain.RULES
     drop_pen = None
     if args.inject_fault == "mutate-rule":

@@ -11,6 +11,11 @@ Two state representations are used:
   rewrite rules preserve left-to-right holder order, so hops act as the
   identity on content except for the rule-1 gates.
 
+Configuration sets are handled in the automaton's packed form
+(:class:`hamline.chain._Packed`, one row of symbol codes per
+configuration); restrictions, expectations and hop images read their
+rows, content offsets and holder ranks from it.
+
 The quantum-walk matrices (tridiagonal with -1/2 off-diagonals, interior
 diagonal 1, end diagonals f and g) and their closed-form spectra live
 here as well; the restriction of the propagation family to the legal
@@ -119,11 +124,11 @@ def history_state(circ: LayeredCircuit, witness: np.ndarray) -> RestrictedState:
     seq, applied = chain.annotated_sequence(n, R)
     amp = 1.0 / np.sqrt(len(seq))
     states = {seq[0]: amp * content}
-    for c, inst in zip(seq[:-1], applied[:-1]):
+    for nxt, inst in zip(seq[1:], applied):
         if inst.rule == "1":
             gate = gate_at_location(circ, inst.position)
             content = apply_gate_to_state(content, gate.matrix, gate.target, n)
-        states[chain.apply_rule(c, inst)] = amp * content
+        states[nxt] = amp * content
     return RestrictedState(n, R, states)
 
 
@@ -168,7 +173,7 @@ def energy_parts(terms, state: RestrictedState) -> np.ndarray:
                         for v in state.amplitudes.values()])
     parts = [np.zeros(0)]
     for t, rows, cols, vals in _term_entries(
-            _term_list(terms), _Packed(list(state.amplitudes))):
+            _term_list(terms), chain._Packed.of(state.amplitudes)):
         p = (x[rows].conj() * (vals * x[cols])).real
         parts.append(p if t.kind == "diag" else 2.0 * p)
     return np.concatenate(parts)
@@ -368,46 +373,7 @@ def _slot_table(slots: frozenset) -> np.ndarray:
     return table
 
 
-class _Packed:
-    """Configurations as an (N, L) ``uint8`` symbol array, their content
-    spaces laid out one after another in the given order.  Rows are
-    found by binary search on the rows read as L-byte keys."""
-
-    def __init__(self, configs: list[Configuration]):
-        self.S = np.frombuffer(b"".join(c.sites for c in configs),
-                               dtype=np.uint8).reshape(len(configs), -1)
-        hold = np.isin(self.S, tuple(chain.QUBIT_HOLDING))
-        self.cdim = 1 << hold.sum(axis=1, dtype=np.int64)
-        self.offsets = np.concatenate(([0], np.cumsum(self.cdim)))
-        self.ranks = np.maximum(np.cumsum(hold, axis=1) - 1, 0)
-        keys = self.S.view(np.dtype((np.void, self.S.shape[1]))).ravel()
-        self.order = np.argsort(keys)
-        self.sorted_keys = keys[self.order]
-
-    def hop(self, i: int, a: tuple[int, int], b: tuple[int, int]):
-        """The rows carrying pair ``a`` at sites (i, i+1); for each, the
-        packed index of its image with ``b`` there, whether that image
-        is packed, and the image itself."""
-        src = np.flatnonzero((self.S[:, i - 1] == a[0])
-                             & (self.S[:, i] == a[1]))
-        moved = self.S[src]
-        moved[:, i - 1:i + 1] = b
-        keys = moved.view(self.sorted_keys.dtype).ravel()
-        pos = np.minimum(np.searchsorted(self.sorted_keys, keys),
-                         len(self.S) - 1)
-        return src, self.order[pos], self.sorted_keys[pos] == keys, moved
-
-    def expand(self, sel: np.ndarray):
-        """Config, global row and content index of every basis vector of
-        the configurations ``sel``."""
-        counts = self.cdim[sel]
-        cfg = np.repeat(sel, counts)
-        content = np.arange(len(cfg)) \
-            - np.repeat(np.cumsum(counts) - counts, counts)
-        return cfg, self.offsets[cfg] + content, content
-
-
-def _term_entries(terms, pk: _Packed):
+def _term_entries(terms, pk: chain._Packed):
     """The term kernel: each term's weighted entries on the packed
     configurations' content spaces, as (term, rows, cols, values) in
     global basis indices, one term at a time.
@@ -460,14 +426,14 @@ def _term_entries(terms, pk: _Packed):
 def _hop_images(terms, configs: list[Configuration]) -> list[Configuration]:
     """Configurations outside ``configs`` that one hop term maps one of
     them to, in either direction."""
-    pk = _Packed(configs)
-    images: dict[bytes, None] = {}
+    pk = chain._Packed.of(configs)
+    images: dict[Configuration, None] = {}
     for t in (t for t in terms if t.kind == "hop"):
         for a, b in ((t.src, t.dst), (t.dst, t.src)):
             _, _, found, moved = pk.hop(t.sites[0], a, b)
-            images.update(dict.fromkeys(r.tobytes() for r in moved[~found]))
-    c = configs[0]
-    return [Configuration(c.n, c.R, key) for key in images]
+            images.update(dict.fromkeys(chain._configs_of(
+                moved[~found], configs[0].n, configs[0].R)))
+    return list(images)
 
 
 def restrict(terms, configs, max_dim: int = 200_000):
@@ -486,7 +452,7 @@ def restrict(terms, configs, max_dim: int = 200_000):
     configs = _ordered_configs(configs)
     if not configs:
         return sp.csr_matrix((0, 0)), []
-    pk = _Packed(configs)
+    pk = chain._Packed.of(configs)
     dim = int(pk.offsets[-1])
     if dim > max_dim:
         raise ValueError(f"restricted dimension {dim} exceeds {max_dim}")

@@ -148,10 +148,11 @@ def cnot_circuit() -> LayeredCircuit:
 # Facts suite
 # ---------------------------------------------------------------------------
 
-def _projector_hits(layout, c: Configuration) -> tuple[int, int]:
-    """How many forward (xy) / backward (zw) identifying projectors fire."""
-    fired = [piece for rule, piece, sites, syms, window in layout
-             if all(c.symbol(s) == sym for s, sym in zip(sites, syms))]
+def _projector_hits(by_sites, c: Configuration) -> tuple[int, int]:
+    """How many forward (xy) / backward (zw) identifying projectors fire;
+    ``by_sites`` maps each projector's sites to {symbols: pieces}."""
+    fired = [piece for sites, pieces in by_sites.items()
+             for piece in pieces.get(tuple(c.sites[s - 1] for s in sites), ())]
     return fired.count("xy"), fired.count("zw")
 
 
@@ -164,7 +165,9 @@ def check_facts(n: int, R: int, rules=chain.RULES,
     with _timer() as t:
         seq = chain.legal_sequence(n, R, rules)
         K = len(seq) - 1
-        layout = hm.projector_layout(n, R)
+        by_sites: dict[tuple, dict[tuple, list[str]]] = {}
+        for _, piece, sites, syms, _ in hm.projector_layout(n, R):
+            by_sites.setdefault(sites, {}).setdefault(syms, []).append(piece)
         bad_fwd = bad_bwd = bad_xy = bad_zw = bad_exch = 0
         for t_, c in enumerate(seq):
             nf = len(chain.forward_rules(c, rules))
@@ -173,7 +176,7 @@ def check_facts(n: int, R: int, rules=chain.RULES,
                 bad_fwd += 1
             if nb != (1 if t_ > 0 else 0):
                 bad_bwd += 1
-            xy, zw = _projector_hits(layout, c)
+            xy, zw = _projector_hits(by_sites, c)
             if xy != (1 if t_ < K else 0):
                 bad_xy += 1
             if zw != (1 if t_ > 0 else 0):

@@ -1,3 +1,6 @@
+import random
+from collections import Counter, deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -346,6 +349,133 @@ def test_exchange_horizons_all_finite():
     for n, R in [(2, 1), (2, 2), (3, 1)]:
         for c in chain.undetectable_configurations(n, R):
             assert chain.exchange_horizon(c) is not None
+
+
+def _closure_by_bfs(c):
+    seen = {c}
+    queue = deque([c])
+    while queue:
+        for *_, nxt in chain.exchange_neighbours(queue.popleft()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+@pytest.mark.parametrize("text,n,R", [
+    ("giq.|....", 2, 2),          # the (2,2) initial configuration
+    ("xxxxq.|......", 3, 2),
+    ("xxxq|iqq.", 2, 2),          # a 1,856-configuration type-3 line
+])
+def test_invariant_set_equals_bfs_closure_and_cap_boundary(text, n, R):
+    c = cfg(text, n, R)
+    closure = _closure_by_bfs(c)
+    inv = chain.invariant_set(c)
+    assert not inv.capped and inv.configs == closure
+    exact = chain.invariant_set(c, cap=len(closure))
+    assert not exact.capped and exact.configs == closure
+    short = chain.invariant_set(c, cap=len(closure) - 1)
+    assert short.capped and len(short) == len(closure) - 1
+    assert c in short.configs and short.configs < closure
+
+
+#: (detect_horizon, exchange_horizon) -> count over every undetectable
+#: configuration, per shape; None is a forward halt
+HORIZON_HISTOGRAMS = {
+    (2, 1): {(None, 1): 5},
+    (2, 2): {(None, 1): 25, (1, 1): 4, (2, 1): 4, (3, 1): 1, (4, 1): 1},
+    (3, 1): {(None, 1): 20, (1, 1): 1, (2, 1): 1},
+    (4, 1): {(None, 1): 48, (1, 1): 2, (2, 1): 2, (3, 1): 1, (4, 1): 1},
+    (5, 1): {(None, 1): 92, (1, 1): 4, (2, 1): 4, (3, 1): 2, (4, 1): 2,
+             (5, 1): 1, (6, 1): 1},
+}
+
+
+@pytest.mark.parametrize("n,R", sorted(HORIZON_HISTOGRAMS))
+def test_horizon_histograms_pinned(n, R):
+    assert 2 * n * R <= 10
+    got = Counter((chain.detect_horizon(c), chain.exchange_horizon(c))
+                  for c in chain.undetectable_configurations(n, R))
+    assert got == HORIZON_HISTOGRAMS[n, R]
+
+
+# ---------------------------------------------------------------------------
+# the move index against a brute-force matcher
+# ---------------------------------------------------------------------------
+
+def _reference_rules(c, direction):
+    """Rule instances matching c, rule-major, straight from RULES and the
+    per-position location type."""
+    out = []
+    for rule in chain.RULES:
+        window = rule.before if direction == "forward" else rule.after
+        for i in range(1, c.length):
+            if ((c.sites[i - 1], c.sites[i]) == window
+                    and chain.location_type(i, c.n, c.R) in rule.types
+                    and all(1 <= i + off <= c.length
+                            and c.sites[i + off - 1] == sym
+                            for off, sym in rule.context)):
+                out.append(chain.RuleInstance(rule.rid, i, direction))
+    return out
+
+
+def _reference_exchanges(c):
+    """Exchange neighbours of c by position, then term order, src->dst
+    before dst->src, straight from TRANSITION_TERMS."""
+    out = []
+    for i in range(1, c.length):
+        pair = (c.sites[i - 1], c.sites[i])
+        for term in chain.TRANSITION_TERMS:
+            if chain.location_type(i, c.n, c.R) not in term.types:
+                continue
+            for direction, a, b in (("forward", term.src, term.dst),
+                                    ("backward", term.dst, term.src)):
+                if pair == a:
+                    s = bytearray(c.sites)
+                    s[i - 1:i + 1] = bytes(b)
+                    out.append((term, i, direction,
+                                Configuration(c.n, c.R, bytes(s))))
+    return out
+
+
+def _index_cases(group):
+    if group == "legal":
+        return [c for n in range(2, 7) for R in range(1, 4)
+                if 2 * n * R <= 12 for c in chain.legal_sequence(n, R)]
+    if group == "allowed":
+        return [c for n, R in ((2, 2), (2, 3))
+                for c in chain.allowed_configurations(n, R)]
+    rng = random.Random(12)
+    return [Configuration(n, R, bytes(rng.randrange(6)
+                                      for _ in range(2 * n * R)))
+            for n, R in ((2, 2), (3, 2)) for _ in range(200)]
+
+
+@pytest.mark.parametrize("group", ["legal", "allowed", "random"])
+def test_move_index_matches_brute_force(group):
+    cases = _index_cases(group)
+    assert len(cases) >= 100
+    for c in cases:
+        assert chain.forward_rules(c) == _reference_rules(c, "forward"), c
+        assert chain.backward_rules(c) == _reference_rules(c, "backward"), c
+        assert chain.exchange_neighbours(c) == _reference_exchanges(c), c
+        for inst in _reference_rules(c, "forward"):
+            window = next(r.after for r in chain.RULES if r.rid == inst.rule)
+            s = bytearray(c.sites)
+            s[inst.position - 1:inst.position + 1] = bytes(window)
+            assert chain.apply_rule(c, inst) == Configuration(c.n, c.R,
+                                                              bytes(s))
+
+
+def test_configuration_rejects_invalid_symbols_and_lengths():
+    with pytest.raises(ValueError, match="invalid symbol"):
+        Configuration(2, 1, bytes([3, 4, 6, 2]))
+    with pytest.raises(ValueError, match="expected 4 sites"):
+        Configuration(2, 1, bytes([3, 4, 2]))
+    with pytest.raises(ValueError, match="expected 4 sites"):
+        Configuration.from_string("xq.", 2, 1)
+    with pytest.raises(ValueError, match="unknown site character"):
+        Configuration.from_string("xq.z", 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -192,3 +192,14 @@ def test_unknown_method_usage_error(tmp_path):
     circ = write_circuit(tmp_path, ACCEPT_DOC)
     out = run("spectrum", "--circuit", circ, "--method", "magic")
     assert out.returncode == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("sequence", "--n", "1000", "--R", "10"),
+    ("verify", "--suite", "facts", "--n", "1000", "--R", "10"),
+])
+def test_automaton_size_guard_exit_two(command):
+    # (K+1) * 2nR = 5.4e11 site symbols: refused before anything is built
+    out = run(*command)
+    assert out.returncode == 2, out.stderr
+    assert "validation error: the legal sequence of n=1000, R=10" in out.stderr
