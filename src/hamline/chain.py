@@ -818,7 +818,10 @@ def exchange_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
 # ---------------------------------------------------------------------------
 
 def allowed_configurations(n: int, R: int):
-    """Yield every configuration with no local violation (DFS, lexicographic)."""
+    """Yield every configuration with no local violation, depth first.
+    Each site's successor symbols are tried in the insertion order of
+    :data:`ALLOWED_PAIRS`, not in symbol-code order; callers that pick
+    configurations by index depend on this order."""
     L = 2 * n * R
     types = location_types(n, R)
     # successor symbols for (previous symbol, pair type)

@@ -28,16 +28,21 @@ EXIT_SUITE = 3
 _MAX_SEQUENCE_SITES = 1 << 25
 
 
-def _too_large(n: int, R: int) -> bool:
-    """Report a validation error if the (n, R) legal sequence is over
+def _bad_shape(n: int, R: int) -> bool:
+    """Report a validation error if (n, R) is no chain shape (n >= 2 and
+    R >= 1 are needed) or its legal sequence is over
     :data:`_MAX_SEQUENCE_SITES`; called before anything is built."""
     from .chain import legal_configuration_count
-    size = legal_configuration_count(n, R) * 2 * n * R
-    if size > _MAX_SEQUENCE_SITES:
-        print(f"validation error: the legal sequence of n={n}, R={R} has "
-              f"{size} site symbols, over {_MAX_SEQUENCE_SITES}",
-              file=sys.stderr)
-    return size > _MAX_SEQUENCE_SITES
+    if n < 2 or R < 1:
+        error = "need n >= 2 and R >= 1"
+    else:
+        size = legal_configuration_count(n, R) * 2 * n * R
+        if size <= _MAX_SEQUENCE_SITES:
+            return False
+        error = (f"the legal sequence of n={n}, R={R} has {size} site "
+                 f"symbols, over {_MAX_SEQUENCE_SITES}")
+    print(f"validation error: {error}", file=sys.stderr)
+    return True
 
 
 def _cap_threads():
@@ -169,10 +174,7 @@ def sequence_lines(n: int, R: int) -> list[str]:
 
 
 def cmd_sequence(args) -> int:
-    if args.n < 2 or args.R < 1:
-        print("validation error: need n >= 2 and R >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
-    if _too_large(args.n, args.R):
+    if _bad_shape(args.n, args.R):
         return EXIT_VALIDATION
     lines = sequence_lines(args.n, args.R)
     for line in lines:
@@ -211,8 +213,8 @@ def cmd_spectrum(args) -> int:
             print("validation error: dense method limited to 4 sites",
                   file=sys.stderr)
             return EXIT_VALIDATION
-        op = spectra.FullOperator.from_spec(spec).dense()
-        res = spectra.min_eigs(op, k=args.eigs, seed=args.seed)
+        mat = spectra.full_sparse_matrix(spec.terms, n, R)
+        res = spectra.min_eigs(mat, k=args.eigs, seed=args.seed)
     elif args.method == "lanczos":
         try:
             op = spectra.FullOperator.from_spec(spec)
@@ -236,8 +238,8 @@ def cmd_spectrum(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(out + "\n")
     if not res.converged:
-        # a Lanczos value is an upper bound, and a subspace value has no
-        # certificate that it is the smallest eigenvalue
+        # a Lanczos value is an upper bound, and a dense or subspace value
+        # has no certificate that it is the smallest eigenvalue
         return EXIT_SUITE
     return EXIT_OK
 
@@ -246,7 +248,7 @@ def cmd_verify(args) -> int:
     import numpy as np
     from . import chain, verify
 
-    if args.suite in ("census", "facts", "all") and _too_large(args.n, args.R):
+    if args.suite in ("census", "facts", "all") and _bad_shape(args.n, args.R):
         return EXIT_VALIDATION
     rules = chain.RULES
     drop_pen = None

@@ -46,7 +46,7 @@ __all__ = [
     "energy_parts", "apply_restricted", "restrict", "min_eigs",
     "walk_matrix", "walk_eigs_analytic",
     "rotate_out_gates", "legal_basis", "basis_convention_hash",
-    "export_vector", "full_sparse_matrix", "export_coo",
+    "full_sparse_matrix", "export_coo",
 ]
 
 DEFAULT_SEED = 0
@@ -212,8 +212,9 @@ class FullOperator:
     each nonzero as one strided 64-block update.  ``dtype`` is float64
     when every table is real (the circuit's gates are) and complex128
     otherwise; ``matvec`` computes in the common type of the input and
-    the operator.  Matches the dense matrix on small instances to 1e-12
-    (tested).
+    the operator.  With ``shape`` and ``dtype`` it serves :func:`min_eigs`
+    as a LinearOperator does.  Matches :func:`full_sparse_matrix` exactly
+    on small instances (tested).
 
     ``matvec`` is cache-blocked.  The diagonal product and the leading
     windows, whose 64-slot block of 64 * 8^(L-i-1) amplitudes is larger
@@ -241,6 +242,7 @@ class FullOperator:
                 f"({FULL_SPACE_SITE_LIMIT} sites)")
         self.n, self.R, self.L = n, R, L
         self.dim = 8 ** L
+        self.shape = (self.dim, self.dim)
         blocks: dict[tuple[int, int], np.ndarray] = {}
         tables: dict[int, np.ndarray] = {}
         for t in _term_list(terms):
@@ -286,19 +288,6 @@ class FullOperator:
                 _apply_window(vs, os_, scratch, 8 ** (self.L - i - 1), entries)
         return out
 
-    def linear_operator(self) -> spla.LinearOperator:
-        return spla.LinearOperator((self.dim, self.dim),
-                                   matvec=self.matvec, dtype=self.dtype)
-
-    def dense(self) -> np.ndarray:
-        if self.dim > 8 ** 4:
-            raise ValueError("dense form limited to 4 sites")
-        out = np.zeros((self.dim, self.dim), dtype=self.dtype)
-        eye = np.eye(self.dim, dtype=self.dtype)
-        for c in range(self.dim):
-            out[:, c] = self.matvec(eye[:, c])
-        return out
-
 
 def _apply_window(v: np.ndarray, out: np.ndarray, scratch: np.ndarray,
                   right: int, entries) -> None:
@@ -318,7 +307,8 @@ def full_sparse_matrix(terms, n: int, R: int) -> sp.csr_matrix:
     """The assembled operator as a sparse matrix: the weighted blocks of
     each (site, width) window are summed, then expanded with one
     Kronecker product per window (an independent route from
-    FullOperator, used by oracle tests and the coordinate export)."""
+    FullOperator, used by oracle tests, the coordinate export and
+    ``hamline spectrum --method dense``)."""
     L = 2 * n * R
     dim = 8 ** L
     blocks: dict[tuple[int, int], np.ndarray] = {}
@@ -504,23 +494,21 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
              sigma: float | None = None, ncv: int | None = None) -> EigResult:
     """k smallest eigenvalues of a Hermitian operator.
 
-    Dense arrays go to LAPACK ``eigh``, for the k lowest eigenpairs only,
-    and so does a sparse matrix when k >= dim - 1, which ARPACK cannot
-    serve.  These results carry the precision floor eps * ||A||_1
-    (``floor``) but no certificate: ``converged`` is always true.
-
-    Every other sparse matrix, whatever its dimension, uses shift-invert
-    about a shift below the whole spectrum, certified by Sylvester inertia
-    counts (:func:`_shift_invert`): the negative pivots of a symmetric
-    LDL^H factorization of A - x I count the eigenvalues below x.  The
-    search starts at ``sigma`` (default -1), a first guess only: if
-    eigenvalues lie below it, the shift is bisected on counts between the
-    Gershgorin lower bound and ``sigma`` until the bracket is 5% wide, and
-    the solve runs at its lower end, where the count is 0, so the k
-    eigenvalues nearest above the shift are the k lowest.  ARPACK finds
-    them on a factorization at that shift, from a seeded real start
-    vector.  The result carries the shift (``sigma``) and the precision
-    floor eps * ||A||_1 (``floor``).  ``converged`` holds only when
+    An explicit matrix, a dense array or a sparse matrix of any dimension,
+    is solved by shift-invert about a shift below the whole spectrum,
+    certified by Sylvester inertia counts (:func:`_shift_invert`): the
+    negative pivots of a symmetric LDL^H factorization of A - x I count
+    the eigenvalues below x.  The search starts at ``sigma`` (default -1),
+    a first guess only: if eigenvalues lie below it, the shift is bisected
+    on counts between the Gershgorin lower bound and ``sigma`` until the
+    bracket is 5% wide, and the solve runs at its lower end, where the
+    count is 0, so the k eigenvalues nearest above the shift are the k
+    lowest.  ARPACK finds them on a factorization at that shift, from a
+    seeded real start vector.  Only a request for k >= dim - 1
+    eigenvalues, which ARPACK cannot serve, takes LAPACK ``eigh`` for the
+    k lowest pairs instead, with no shift.  Either way the result carries
+    the shift (``sigma``, None for ``eigh``) and the precision floor
+    eps * ||A||_1 (``floor``), and ``converged`` holds only when
 
     * a count finds no eigenvalue below theta_1 - max(r_1, floor), so
       that theta_1 is the smallest eigenvalue to within max(r_1, floor);
@@ -533,11 +521,12 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
       :func:`_residual_bounds`: the residual evaluation itself cannot
       certify less, so near theta = 0 no relative test applies.
 
-    LinearOperators (and :class:`FullOperator`) use a thick-restart
-    Lanczos (:func:`_lanczos`) with ``ncv`` basis vectors from a seeded
-    (or given) start vector in the operator's dtype; a real operator
-    stays real unless ``v0`` has an imaginary part.  ``maxiter`` counts
-    the restarts after the first cycle, so a run makes at most
+    Any other operator, a LinearOperator or a :class:`FullOperator`, is
+    read through its ``shape``, ``dtype`` and ``matvec`` by a
+    thick-restart Lanczos (:func:`_lanczos`) with ``ncv`` basis vectors
+    from a seeded (or given) start vector in the operator's dtype; a real
+    operator stays real unless ``v0`` has an imaginary part.  ``maxiter``
+    counts the restarts after the first cycle, so a run makes at most
     ncv + maxiter*(ncv - k) operator applications, plus one per returned
     value for its residual.  Whether the run converged or was cut short,
     the values are the k lowest Ritz values of the last Krylov space,
@@ -552,18 +541,9 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
     Non-convergence is reported, not raised: the result carries the
     values and residuals achieved.
     """
-    if isinstance(op, np.ndarray):
-        vals, vecs = sla.eigh(op, subset_by_index=[0, min(k, len(op)) - 1])
-        return EigResult(vals, _residuals(op, vals, vecs), True,
-                         floor=_floor(op))
-    if sp.issparse(op):
-        if k >= op.shape[0] - 1:
-            return min_eigs(op.toarray(), k)
-        return _shift_invert(op.tocsc(), k, seed, tol,
+    if isinstance(op, np.ndarray) or sp.issparse(op):
+        return _shift_invert(sp.csc_matrix(op), k, seed, tol,
                              -1.0 if sigma is None else float(sigma))
-    # matrix-free
-    if isinstance(op, FullOperator):
-        op = op.linear_operator()
     dim = op.shape[0]
     if ncv is None:
         # keep the Krylov basis small: full-space vectors are 268 MB each
@@ -587,9 +567,36 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
 
 def _shift_invert(A: sp.csc_matrix, k: int, seed: int, tol: float,
                   sigma: float) -> EigResult:
-    """The sparse branch of :func:`min_eigs`: bracket a shift with no
-    eigenvalue below it, solve there, certify the lowest values."""
+    """The explicit-matrix branch of :func:`min_eigs`: bracket a shift
+    with no eigenvalue below it and solve there (or solve densely when
+    k >= dim - 1), then certify the lowest values."""
     floor = _floor(A)
+    k = min(k, A.shape[0])
+    if k >= A.shape[0] - 1:
+        vals, vecs = sla.eigh(A.toarray(), subset_by_index=[0, k - 1])
+        x, converged = None, True
+    else:
+        x, vals, vecs, converged = _arpack_below(A, k, seed, sigma, floor)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    res = _residuals(A, vals, vecs)
+    converged = converged and len(vals) == k and bool(
+        np.all(res <= np.maximum(tol * np.abs(vals),
+                                 _residual_bounds(A, vals, vecs))))
+    if converged:
+        _, below = _inertia(A, vals[0] - max(res[0], floor), floor)
+        converged = below == 0
+    if converged and k > 1:
+        _, below = _inertia(A, vals[-1] - max(res[-1], floor), floor)
+        converged = below <= k - 1
+    return EigResult(vals, res, converged, sigma=x, floor=floor)
+
+
+def _arpack_below(A: sp.csc_matrix, k: int, seed: int, sigma: float,
+                  floor: float):
+    """(shift, values, vectors, converged): ARPACK's k eigenpairs nearest
+    above a shift x that has no eigenvalue of A below it, found from
+    ``sigma`` by bisection on inertia counts."""
     x, count = _inertia(A, sigma, floor)
     if count:
         # Gershgorin: A is Hermitian, so its row sums are its column sums
@@ -613,23 +620,9 @@ def _shift_invert(A: sp.csc_matrix, k: int, seed: int, tol: float,
             A, k=k, sigma=x, which="LM", v0=start,
             OPinv=spla.LinearOperator(A.shape, matvec=lu.solve,
                                       dtype=A.dtype))
-        converged = True
+        return x, vals, vecs, True
     except spla.ArpackNoConvergence as exc:
-        vals, vecs, converged = exc.eigenvalues, exc.eigenvectors, False
-    del lu
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    res = _residuals(A, vals, vecs)
-    converged = converged and len(vals) == k and bool(
-        np.all(res <= np.maximum(tol * np.abs(vals),
-                                 _residual_bounds(A, vals, vecs))))
-    if converged:
-        _, below = _inertia(A, vals[0] - max(res[0], floor), floor)
-        converged = below == 0
-    if converged and k > 1:
-        _, below = _inertia(A, vals[-1] - max(res[-1], floor), floor)
-        converged = below <= k - 1
-    return EigResult(vals, res, converged, sigma=x, floor=floor)
+        return x, exc.eigenvalues, exc.eigenvectors, False
 
 
 def _floor(A) -> float:
@@ -906,17 +899,3 @@ def rotate_out_gates(h_legal: np.ndarray, circ: LayeredCircuit) -> np.ndarray:
             out[t * d:(t + 1) * d, s * d:(s + 1) * d] = \
                 vs[t].conj().T @ block @ vs[s]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Vector export
-# ---------------------------------------------------------------------------
-
-def export_vector(v: np.ndarray, n: int, R: int, threshold: float = 0.0) -> str:
-    """Text export: header with chain shape and basis digest, then one
-    "index re im" line per (above-threshold) amplitude."""
-    lines = [f"# hamline-vector-v1 n={n} R={R} dim={len(v)} "
-             f"basis={basis_convention_hash()}"]
-    for i in np.nonzero(np.abs(v) > threshold)[0]:
-        lines.append(f"{i} {v[i].real:.17g} {v[i].imag:.17g}")
-    return "\n".join(lines) + "\n"

@@ -158,6 +158,36 @@ def test_spectrum_dense_guard(tmp_path):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("couplings", ["auto", "unit"])
+def test_spectrum_dense_certified(tmp_path, couplings):
+    """The dense method solves the Kronecker-route matrix through the
+    certified route.  Each value lies within its residual plus floor of
+    the LAPACK value for the same matrix, give or take the LAPACK pair's
+    own residual: at auto couplings that reaches 1.1e-9, about the floor,
+    and ``eigvalsh`` alone lies 2.5e-9 above the certified minimum."""
+    import scipy.linalg as sla
+    from hamline import circuit, hamiltonian as hm, spectra
+    circ = write_circuit(tmp_path, ONE_ROUND_DOC)
+    out = run("spectrum", "--circuit", circ, "--method", "dense",
+              "--couplings", couplings)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "converged=True" in out.stdout
+    spec = hm.build_hamiltonian(
+        circuit.parse_circuit(json.dumps(ONE_ROUND_DOC)),
+        couplings=hm.UNIT_COUPLINGS if couplings == "unit" else None)
+    H = spectra.full_sparse_matrix(spec.terms, 2, 1).toarray()
+    assert not np.any(H.imag)
+    want, vecs = sla.eigh(H.real, subset_by_index=[0, 3])
+    want_res = np.linalg.norm(H.real @ vecs - vecs * want, axis=0)
+    lines = [l.split() for l in out.stdout.splitlines()
+             if l.startswith("eigenvalue")]
+    assert len(lines) == 4
+    for ref, ref_res, (_, lam, _, res, _, floor) in zip(want, want_res, lines):
+        # the printed value keeps 13 significant digits
+        assert abs(float(lam) - ref) <= (float(res) + float(floor) + ref_res
+                                         + 5e-13 * abs(ref))
+
+
 def test_spectrum_lanczos_full_space_guard(tmp_path):
     circ = write_circuit(tmp_path, {
         "n": 3, "m": 1,
@@ -192,6 +222,18 @@ def test_unknown_method_usage_error(tmp_path):
     circ = write_circuit(tmp_path, ACCEPT_DOC)
     out = run("spectrum", "--circuit", circ, "--method", "magic")
     assert out.returncode == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("sequence", "--n", "1", "--R", "2"),
+    ("verify", "--suite", "facts", "--n", "1", "--R", "2"),
+    ("verify", "--suite", "census", "--n", "2", "--R", "0"),
+    ("verify", "--suite", "all", "--n", "2", "--R", "0"),
+])
+def test_chain_shape_validation_exit_two(command):
+    out = run(*command)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stderr == "validation error: need n >= 2 and R >= 1\n"
 
 
 @pytest.mark.parametrize("command", [

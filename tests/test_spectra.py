@@ -113,10 +113,13 @@ def test_forbidden_pair_pen_expectation():
 
 @pytest.fixture(scope="module")
 def dense_21():
+    """The unit-coupling one-round n=2 operator with its matrix from the
+    Kronecker route, which is exactly real for this real circuit."""
     spec = hm.build_hamiltonian(identity_circuit(2, 1, 1),
                                 couplings=hm.UNIT_COUPLINGS)
-    op = spectra.FullOperator.from_spec(spec)
-    return spec, op, op.dense()
+    H = spectra.full_sparse_matrix(spec.terms, 2, 1).toarray()
+    assert not np.any(H.imag)
+    return spec, spectra.FullOperator.from_spec(spec), H.real
 
 
 def test_apply_full_zero_and_linearity(dense_21):
@@ -305,9 +308,10 @@ def embedding(basis):
 
 def test_restrict_equals_full_operator_on_all_configurations():
     """Over all 6^4 configurations of n=2, R=1 the restriction is the whole
-    operator, permuted, for a Haar gate and a real gate (CNOT).  Round 1
-    must be identity, so the gate is put on the rule-1 hop term directly;
-    both routes are complex for the Haar gate and real for CNOT."""
+    Kronecker-route matrix, permuted, for a Haar gate and a real gate
+    (CNOT).  Round 1 must be identity, so the gate is put on the rule-1
+    hop term directly; the restriction and FullOperator are complex for
+    the Haar gate and real for CNOT."""
     spec = hm.build_hamiltonian(identity_circuit(2, 1, 1))
     configs = [Configuration(2, 1, bytes(s))
                for s in itertools.product(range(6), repeat=4)]
@@ -322,7 +326,7 @@ def test_restrict_equals_full_operator_on_all_configurations():
         assert np.array_equal(np.sort(idx), np.arange(8 ** 4))
         op = spectra.FullOperator(terms, (2, 1))
         assert mat.dtype == op.dtype == dtype
-        full = op.dense()
+        full = spectra.full_sparse_matrix(terms, 2, 1).toarray()
         diff = np.abs(full[np.ix_(idx, idx)] - mat.toarray())
         assert np.max(diff) <= 1e-12 * np.max(np.abs(full))
 
@@ -435,9 +439,19 @@ def test_min_eigs_sparse_certificate_rejects_a_missed_bottom(monkeypatch):
         return np.array([2.0]), np.eye(A.shape[0], 1, -1)
 
     monkeypatch.setattr(spla, "eigsh", second_pair)
-    res = spectra.min_eigs(mat, k=1)
-    assert res.values[0] == 2.0 and res.residuals[0] == 0.0
-    assert not res.converged
+    for op in (mat, mat.toarray()):
+        res = spectra.min_eigs(op, k=1)
+        assert res.values[0] == 2.0 and res.residuals[0] == 0.0
+        assert not res.converged
+
+    # k >= dim - 1 is beyond ARPACK; LAPACK's pairs get the same count
+    def upper_pairs(a, subset_by_index):
+        return np.array([2.0, 3.0]), np.eye(3)[:, 1:]
+
+    monkeypatch.setattr(sla, "eigh", upper_pairs)
+    res = spectra.min_eigs(sp.diags([1.0, 2.0, 3.0], format="csr"), k=2)
+    assert np.array_equal(res.values, [2.0, 3.0]) and not np.any(res.residuals)
+    assert res.sigma is None and not res.converged
 
 
 def haar_circuit(n, R, seed):
@@ -452,8 +466,8 @@ def haar_circuit(n, R, seed):
 def test_min_eigs_sparse_small_block_is_certified(block, dtype):
     """Sparse blocks below dimension 2000 take the certified shift-invert
     route too.  Each value lies within its residual of an eigenvalue, and
-    so does each dense eigh value, whose residuals here reach several
-    times the floor; the two agree within the sum."""
+    so does each LAPACK eigh value on the densified block, whose residuals
+    here reach several times the floor; the two agree within the sum."""
     if block.startswith("fringe"):
         spec = hm.build_hamiltonian(identity_circuit(3, 1, 2))
         configs = verify.legal_fringe(3, 2)
@@ -463,11 +477,13 @@ def test_min_eigs_sparse_small_block_is_certified(block, dtype):
     mat, _ = spectra.restrict(spec, configs)
     assert mat.shape[0] < 2000 and mat.dtype == dtype
     res = spectra.min_eigs(mat, k=3)
-    dense = spectra.min_eigs(mat.toarray(), k=3)
+    a = mat.toarray()
+    vals, vecs = sla.eigh(a, subset_by_index=[0, 2])
+    dense_res = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
     assert res.converged and res.sigma is not None and res.floor > 0
-    assert res.floor == pytest.approx(dense.floor, rel=1e-12)
-    assert np.all(np.abs(res.values - dense.values)
-                  <= res.residuals + dense.residuals)
+    assert res.floor == pytest.approx(
+        np.finfo(float).eps * np.abs(a).sum(axis=0).max(), rel=1e-12)
+    assert np.all(np.abs(res.values - vals) <= res.residuals + dense_res)
 
 
 def test_min_eigs_sparse_zero_energy_block_converges():
@@ -529,14 +545,13 @@ def test_full_operator_real_matvec_on_complex_input(dense_21):
     """A real operator applies to the real and imaginary parts of a
     complex vector separately, with the same rounding."""
     _, op, H = dense_21
-    assert op.dtype == np.float64
-    assert op.linear_operator().dtype == np.float64
+    assert op.shape == (op.dim, op.dim) and op.dtype == np.float64
     rng = np.random.default_rng(4)
     v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
     re, im = op.matvec(v.real), op.matvec(v.imag)
     assert re.dtype == np.float64
     assert np.array_equal(op.matvec(v), re + 1j * im)
-    assert np.max(np.abs(re - (H @ v.real).real)) < 1e-12
+    assert np.max(np.abs(re - H @ v.real)) < 1e-12
 
 
 def test_min_eigs_complex_start_on_real_operator(dense_21):
@@ -727,9 +742,12 @@ def test_rotation_quadratic_form_consistency():
 
 
 def test_full_sparse_matrix_matches_operator(dense_21):
-    spec, op, H = dense_21
-    S = spectra.full_sparse_matrix(spec.terms, 2, 1)
-    assert np.max(np.abs(S.toarray() - H)) == 0.0
+    """FullOperator.matvec on every unit vector gives the Kronecker-route
+    matrix exactly."""
+    _, op, H = dense_21
+    eye = np.eye(op.dim)
+    cols = np.column_stack([op.matvec(eye[c]) for c in range(op.dim)])
+    assert np.max(np.abs(cols - H)) == 0.0
 
 
 def test_export_coo_round_trip(dense_21):
@@ -782,12 +800,3 @@ def test_export_coo_dimension_guard():
                                 couplings=hm.UNIT_COUPLINGS)
     with pytest.raises(ValueError):
         spectra.export_coo(spec)
-
-
-def test_export_vector_header():
-    eta = spectra.history_state(identity_circuit(2, 1, 1), np.array([1, 0]))
-    text = spectra.export_vector(eta.to_full(), 2, 1)
-    head, *rows = text.strip().split("\n")
-    assert head.startswith("# hamline-vector-v1 n=2 R=1 dim=4096")
-    assert spectra.basis_convention_hash() in head
-    assert len(rows) == 4

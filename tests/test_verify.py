@@ -121,8 +121,8 @@ def test_soundness_report_reproducible_across_processes():
 
 
 def test_reports_reproducible():
-    # measured values and verdicts are identical across runs (runtimes
-    # live only in the text rendering)
+    # measured values and verdicts are identical across runs; reports
+    # hold no timings
     a = verify.census_suite().to_json()
     b = verify.census_suite().to_json()
     assert a == b
