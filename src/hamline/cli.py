@@ -202,6 +202,10 @@ def eigenvalue_lines(res) -> list[str]:
 
 def cmd_spectrum(args) -> int:
     from . import hamiltonian as hm, spectra, verify
+    if args.eigs < 1 or args.maxiter < 0:
+        print("validation error: need --eigs >= 1 and --maxiter >= 0",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     circ, code = _load_circuit(args.circuit)
     if circ is None:
         return code

@@ -464,10 +464,10 @@ def export_terms(spec: HamiltonianSpec) -> str:
     """Structured text export: one JSON header line, one JSON line per
     term with the dense block in basis order, row-major, re/im pairs.
 
-    A block holds few distinct values, so each distinct entry (by bit
-    pattern, which keeps -0.0 apart from 0.0) is JSON-encoded once, with
-    a cache shared across terms, and the pieces are spliced into the
-    term's line in entry order.
+    A block holds few distinct values, so each distinct entry (by the
+    bit patterns of its two parts, grouped by one lexsort, which keeps
+    -0.0 apart from 0.0) is JSON-encoded once, with a cache shared across
+    terms, and the pieces are spliced into the term's line in entry order.
     """
     import json
 
@@ -480,21 +480,24 @@ def export_terms(spec: HamiltonianSpec) -> str:
         "basis": list(BASIS_LABELS),
         "terms": len(spec.terms),
     }, sort_keys=True)]
-    encoded: dict[bytes, str] = {}
+    encoded: dict[tuple[int, int], str] = {}
     splice = json.dumps(_MATRIX_SPLICE)
     for t in spec.terms:
-        entries = t.matrix().ravel()
-        keys, inverse = np.unique(entries.view(np.dtype((np.void, 16))),
-                                  return_inverse=True)
+        bits = t.matrix().ravel().view(np.uint64).reshape(-1, 2)
+        order = np.lexsort(bits.T[::-1])
+        re, im = bits[order].T
+        first = np.r_[True, (re[1:] != re[:-1]) | (im[1:] != im[:-1])]
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(first) - 1
         pieces = []
-        for key in keys.tolist():
+        for key in zip(re[first].tolist(), im[first].tolist()):
             text = encoded.get(key)
             if text is None:
-                v = np.frombuffer(key, dtype=complex)[0]
+                v = np.array(key, dtype=np.uint64).view(complex)[0]
                 text = encoded[key] = json.dumps([v.real, v.imag])
             pieces.append(text)
         matrix = "[" + ", ".join(
-            np.array(pieces, dtype=object)[inverse.ravel()].tolist()) + "]"
+            np.array(pieces, dtype=object)[inverse].tolist()) + "]"
         lines.append(json.dumps({
             "family": t.family, "rule": t.rule, "piece": t.piece,
             "sites": list(t.sites), "weight": t.weight,

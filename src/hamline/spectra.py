@@ -51,7 +51,6 @@ __all__ = [
 
 DEFAULT_SEED = 0
 FULL_SPACE_SITE_LIMIT = 8  # 8^8 ~ 1.7e7 amplitudes
-_SLAB = 1 << 16  # amplitudes per FullOperator.matvec slab, see there
 
 
 def full_dimension(n: int, R: int) -> int:
@@ -204,33 +203,29 @@ class FullOperator:
     """Matrix-free application of a term list on the full chain space.
 
     Diag terms are summed into one weighted block per (site, width)
-    window, and each window is broadcast into the diagonal vector once.
-    The hop terms of a window are merged into one Hermitian 64x64 table,
-    weight * sign * (T + T^dagger) summed over the window's terms, kept
-    as float64 when it is exactly real; ``hops`` keeps each table's
-    nonzeros as (site, [(d64, s64, value), ...]), and ``matvec`` applies
-    each nonzero as one strided 64-block update.  ``dtype`` is float64
+    window, hop terms into one Hermitian 64x64 table per site, weight *
+    sign * (T + T^dagger) summed over the window's terms and kept as
+    float64 when it is exactly real.  ``hops`` keeps each table's
+    nonzeros as (site, [(d64, s64, value), ...]); ``dtype`` is float64
     when every table is real (the circuit's gates are) and complex128
-    otherwise; ``matvec`` computes in the common type of the input and
-    the operator.  With ``shape`` and ``dtype`` it serves :func:`min_eigs`
-    as a LinearOperator does.  Matches :func:`full_sparse_matrix` exactly
-    on small instances (tested).
+    otherwise.  With ``shape`` and ``dtype`` the operator serves
+    :func:`min_eigs` as a LinearOperator does.  Matches
+    :func:`full_sparse_matrix` exactly on small instances (tested).
 
-    ``matvec`` is cache-blocked.  The diagonal product and the leading
-    windows, whose 64-slot block of 64 * 8^(L-i-1) amplitudes is larger
-    than a slab, are whole-vector passes in window order.  The remaining
-    trailing windows only mix amplitudes inside one contiguous slab of
-    ``_SLAB`` amplitudes, so they are applied together slab by slab:
-    inside a slab, window after window and each window's entries in table
-    order.  A strided update on a trailing window would otherwise stream
-    the whole vector through the cache once per entry.  Every amplitude
-    still receives the diagonal, then windows 1..L-1, then each entry in
-    the same order as in one whole-vector pass per entry, with the same
-    products, so the result is bit-identical to that loop (tested).  A
-    slab of 2^16 amplitudes is 1 MB complex: the input slab, the output
-    slab and the buffer stay within a 2 MB per-core L2; smaller slabs lose
-    more to per-call overhead than they gain.  At 4 sites the vector is
-    one slab.
+    One fixed rule splits the windows between two CSR blocks, each a sum
+    of Kronecker products with identities (:func:`_window_kron`): the head
+    block holds windows 1..h-1 on the first h = L - floor(L/2) + 1 sites,
+    the tail block windows h..L-1 on the last floor(L/2) sites; they
+    share site h.  At 8 sites they are 32,768 and 4,096 square with 34,816
+    and 3,584 nonzeros.  ``diag`` is the broadcast sum of a head and a
+    tail diagonal, split the same way.  ``matvec`` multiplies the head
+    block into the vector read as an (8^h, 8^(L-h)) matrix, which
+    allocates the output, then adds the diagonal and tail products slab
+    by slab of 8^floor(L/2) amplitudes, while each slab is in cache.  A
+    real operator reads a complex vector through its float64 view, two
+    columns per amplitude, so the blocks are never upcast and the real
+    and imaginary parts get the same real arithmetic (the complex
+    diagonal product adds an exact zero to each).
     """
 
     def __init__(self, terms, nR: tuple[int, int]):
@@ -252,77 +247,71 @@ class FullOperator:
                 blocks[key] = blocks.get(key, 0.0) + t.weight * t.diagonal()
             else:
                 tables[i] = tables.get(i, 0.0) + t.weight * t.matrix()
-        self.diag = np.zeros(self.dim)
-        for (i, _), block in blocks.items():
-            left = 8 ** (i - 1)
-            right = self.dim // (left * len(block))
-            self.diag.reshape(left, len(block), right)[:] += \
-                block[None, :, None]
+        tables = {i: _exact_real(tables[i]) for i in sorted(tables)}
+        self.dtype = np.result_type(np.float64, *tables.values())
         self.hops = []
-        self.dtype = self.diag.dtype
-        for i in sorted(tables):
-            table = _exact_real(tables[i])
-            self.dtype = np.result_type(self.dtype, table)
+        for i, table in tables.items():
             d64, s64 = np.nonzero(table)
             self.hops.append((i, list(zip(d64.tolist(), s64.tolist(),
                                           table[d64, s64].tolist()))))
+        h = L - L // 2 + 1
+        halves = []
+        for first, sites, starts in ((1, h, range(1, h)),
+                                     (h, L - h + 1, range(h, L + 1))):
+            diag = np.zeros(8 ** sites)
+            for (i, _), block in blocks.items():
+                if i in starts:
+                    diag.reshape(8 ** (i - first), len(block), -1)[:] += \
+                        block[None, :, None]
+            hop = sum((_window_kron(table, i - first + 1, sites)
+                       for i, table in tables.items() if i in starts),
+                      sp.csr_matrix((len(diag), len(diag)), dtype=self.dtype))
+            halves.append((hop, diag))
+        (self.head, head_diag), (self.tail, tail_diag) = halves
+        self.diag = np.add(head_diag.reshape(-1, 8, 1),
+                           tail_diag.reshape(1, 8, -1)).reshape(self.dim)
 
     @classmethod
     def from_spec(cls, spec: HamiltonianSpec) -> "FullOperator":
         return cls(spec.terms, (spec.n, spec.R))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v).reshape(self.dim)
-        dtype = np.result_type(v.dtype, self.dtype)
-        v = v.astype(dtype, copy=False)
-        out = self.diag * v
-        scratch = np.empty(self.dim // 64, dtype=dtype)
-        slab = min(_SLAB, self.dim)
-        lead = [h for h in self.hops if 64 * 8 ** (self.L - h[0] - 1) > slab]
-        for i, entries in lead:
-            _apply_window(v, out, scratch, 8 ** (self.L - i - 1), entries)
-        trail = self.hops[len(lead):]
+        v = np.ascontiguousarray(v).reshape(self.dim)
+        v = v.astype(np.result_type(v.dtype, self.dtype), copy=False)
+        x = v.view(self.dtype).reshape(self.dim, -1)
+        out = (self.head @ x.reshape(self.head.shape[0], -1)).reshape(x.shape)
+        flat = out.view(v.dtype).reshape(self.dim)
+        slab = self.tail.shape[0]
         for a in range(0, self.dim, slab):
-            vs, os_ = v[a:a + slab], out[a:a + slab]
-            for i, entries in trail:
-                _apply_window(vs, os_, scratch, 8 ** (self.L - i - 1), entries)
-        return out
+            s = slice(a, a + slab)
+            flat[s] += self.diag[s] * v[s]
+            out[s] += self.tail @ x[s]
+        return flat
 
 
-def _apply_window(v: np.ndarray, out: np.ndarray, scratch: np.ndarray,
-                  right: int, entries) -> None:
-    """out += one window's hop entries applied to v, for contiguous
-    segments v and out that hold whole 64-slot blocks of ``right``
-    amplitudes per slot: each entry is one strided update through the
-    first len(v)/64 entries of ``scratch``."""
-    vv = v.reshape(-1, 64, right)
-    oo = out.reshape(-1, 64, right)
-    buf = scratch[:len(v) // 64].reshape(-1, right)
-    for d64, s64, val in entries:
-        np.multiply(vv[:, s64, :], val, out=buf)
-        oo[:, d64, :] += buf
+def _window_kron(block: np.ndarray, i: int, L: int) -> sp.csr_matrix:
+    """I (x) block (x) I on an L-site chain, for a block on the window
+    that starts at site i, in the block's dtype."""
+    left = 8 ** (i - 1)
+    right = 8 ** L // (left * len(block))
+    return sp.kron(
+        sp.kron(sp.identity(left, format="csr", dtype=block.dtype),
+                sp.csr_matrix(block)),
+        sp.identity(right, format="csr", dtype=block.dtype), format="csr")
 
 
 def full_sparse_matrix(terms, n: int, R: int) -> sp.csr_matrix:
     """The assembled operator as a sparse matrix: the weighted blocks of
     each (site, width) window are summed, then expanded with one
-    Kronecker product per window (an independent route from
-    FullOperator, used by oracle tests, the coordinate export and
-    ``hamline spectrum --method dense``)."""
-    L = 2 * n * R
-    dim = 8 ** L
+    Kronecker product per window (:func:`_window_kron`).  Used by oracle
+    tests, the coordinate export and ``hamline spectrum --method dense``."""
     blocks: dict[tuple[int, int], np.ndarray] = {}
     for t in _term_list(terms):
         key = (t.sites[0], len(t.sites))
         blocks[key] = blocks.get(key, 0.0) + t.weight * t.matrix()
-    total = sp.csr_matrix((dim, dim), dtype=complex)
-    for (i, width), blk in blocks.items():
-        left = sp.identity(8 ** (i - 1), format="csr", dtype=complex)
-        right = sp.identity(8 ** (L - i - width + 1), format="csr",
-                            dtype=complex)
-        total = total + sp.kron(sp.kron(left, sp.csr_matrix(blk)), right,
-                                format="csr")
-    return total
+    return sum((_window_kron(blk, i, 2 * n * R)
+                for (i, _), blk in blocks.items()),
+               sp.csr_matrix((full_dimension(n, R),) * 2, dtype=complex))
 
 
 def export_coo(spec: HamiltonianSpec, threshold: float = 0.0) -> str:
@@ -539,8 +528,11 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
     results carry no ``floor``: the operator's norm is not formed.
 
     Non-convergence is reported, not raised: the result carries the
-    values and residuals achieved.
+    values and residuals achieved.  A request for k < 1 values, or for
+    maxiter < 0 restarts of the Lanczos branch, is a ValueError.
     """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     if isinstance(op, np.ndarray) or sp.issparse(op):
         return _shift_invert(sp.csc_matrix(op), k, seed, tol,
                              -1.0 if sigma is None else float(sigma))
@@ -548,9 +540,9 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
     if ncv is None:
         # keep the Krylov basis small: full-space vectors are 268 MB each
         ncv = min(dim, 6 if dim > 4_000_000 else 10)
-    if not k < ncv <= dim:
-        raise ValueError(f"need k < ncv <= dim, got k={k}, ncv={ncv}, "
-                         f"dim={dim}")
+    if not k < ncv <= dim or maxiter < 0:
+        raise ValueError(f"need k < ncv <= dim and maxiter >= 0, got k={k}, "
+                         f"ncv={ncv}, dim={dim}, maxiter={maxiter}")
     if v0 is not None:
         v0 = _exact_real(np.asarray(v0))
     basis = np.empty((ncv + 1, dim), dtype=op.dtype if v0 is None
@@ -885,17 +877,16 @@ def rotate_out_gates(h_legal: np.ndarray, circ: LayeredCircuit) -> np.ndarray:
     """W^dagger (H restricted to the legal span, time-ordered basis) W,
     with W = sum_t |t><t| (x) V_t.  For the propagation family the result
     is 2 * walk_matrix(1/2, 1/2, K) on the time register, tensored with
-    the identity on content."""
+    the identity on content.  Only the nonzero (t, s) blocks are
+    transformed; the others stay zero."""
     vs = step_unitaries(circ)
     d = 1 << circ.n
     T = len(vs)
     if h_legal.shape != (T * d, T * d):
         raise ValueError(f"expected a {(T * d, T * d)} matrix, "
                          f"got {h_legal.shape}")
-    out = np.empty_like(h_legal, dtype=complex)
-    for t in range(T):
-        for s in range(T):
-            block = h_legal[t * d:(t + 1) * d, s * d:(s + 1) * d]
-            out[t * d:(t + 1) * d, s * d:(s + 1) * d] = \
-                vs[t].conj().T @ block @ vs[s]
-    return out
+    blocks = h_legal.reshape(T, d, T, d)
+    out = np.zeros((T, d, T, d), dtype=complex)
+    for t, s in np.argwhere(blocks.any(axis=(1, 3))):
+        out[t, :, s] = vs[t].conj().T @ blocks[t, :, s] @ vs[s]
+    return out.reshape(h_legal.shape)

@@ -236,6 +236,21 @@ def test_chain_shape_validation_exit_two(command):
     assert out.stderr == "validation error: need n >= 2 and R >= 1\n"
 
 
+@pytest.mark.parametrize("method,flag,value", [
+    ("subspace", "--eigs", "0"), ("subspace", "--eigs", "-1"),
+    ("dense", "--eigs", "0"), ("dense", "--eigs", "-1"),
+    ("lanczos", "--maxiter", "-1"),
+])
+def test_spectrum_count_validation_exit_two(tmp_path, method, flag, value):
+    # a solver count below its least value is refused before any solve,
+    # on the 4-site identity circuit that every method accepts
+    circ = write_circuit(tmp_path, ONE_ROUND_DOC)
+    out = run("spectrum", "--circuit", circ, "--method", method, flag, value)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stderr == ("validation error: need --eigs >= 1 and "
+                          "--maxiter >= 0\n")
+
+
 @pytest.mark.parametrize("command", [
     ("sequence", "--n", "1000", "--R", "10"),
     ("verify", "--suite", "facts", "--n", "1000", "--R", "10"),

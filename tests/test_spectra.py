@@ -178,58 +178,118 @@ def test_to_full_dtype_follows_amplitudes():
                    - spectra.expectation(spec, eta)) < 1e-12
 
 
-def per_window_matvec(op, v):
+def per_window_matvec(op, v, magnitude=False):
     """FullOperator.matvec as one whole-vector strided pass per hop entry,
-    window after window: the loop before the slab sweep, kept as the
-    bit-exact reference."""
-    v = np.asarray(v).reshape(op.dim)
-    dtype = np.result_type(v.dtype, op.dtype)
-    v = v.astype(dtype, copy=False)
-    out = op.diag * v
-    scratch = np.empty(op.dim // 64, dtype=dtype)
+    window after window, on a vector or on the columns of a (dim, k)
+    array: an independent reference for the head and tail blocks.  With
+    ``magnitude`` it gives |H| |v| from the absolute diagonal and table
+    entries instead."""
+    f = np.abs if magnitude else (lambda a: a)
+    shape = np.shape(v)
+    v = f(np.asarray(v)).reshape(op.dim, -1)
+    if not magnitude:
+        v = v.astype(np.result_type(v.dtype, op.dtype), copy=False)
+    out = f(op.diag)[:, None] * v
     for i, entries in op.hops:
-        left = 8 ** (i - 1)
-        right = op.dim // (left * 64)
-        vv = v.reshape(left, 64, right)
-        oo = out.reshape(left, 64, right)
-        buf = scratch.reshape(left, right)
+        vv = v.reshape(8 ** (i - 1), 64, -1)
+        oo = out.reshape(8 ** (i - 1), 64, -1)
         for d64, s64, val in entries:
-            np.multiply(vv[:, s64, :], val, out=buf)
-            oo[:, d64, :] += buf
-    return out
+            oo[:, d64] += f(val) * vv[:, s64]
+    return out.reshape(shape)
 
 
-@pytest.mark.parametrize("n,R", [(3, 1), (2, 2), (2, 1)])
-def test_full_operator_matvec_bit_identical_to_per_window_loop(n, R):
-    """Every amplitude gets the diagonal, then each window's entries in the
-    same order as in the per-window loop, so the results are equal to the
-    last bit.  At 6 sites window 1 is a whole-vector pass and windows 2-5
-    go through slabs; at 8 sites windows 1-3 are whole-vector passes; at
-    4 sites the vector is one slab.  Round 1 must be identity, so the
-    complex operator puts a Haar gate on the rule-1 hop terms directly."""
+def per_window_diag(terms, dim):
+    """The diagonal as one whole-vector broadcast per (site, width)
+    window of summed diag blocks, in term order."""
+    blocks = {}
+    for t in terms:
+        if t.kind == "diag":
+            key = (t.sites[0], len(t.sites))
+            blocks[key] = blocks.get(key, 0.0) + t.weight * t.diagonal()
+    diag = np.zeros(dim)
+    for (i, _), block in blocks.items():
+        diag.reshape(8 ** (i - 1), len(block), -1)[:] += block[None, :, None]
+    return diag
+
+
+def row_nonzeros(op):
+    """At least the most nonzeros in a row of the operator: the diagonal
+    plus, per window, the most entries in one row of its table."""
+    return 1 + sum(np.bincount([d for d, _, _ in entries]).max()
+                   for _, entries in op.hops)
+
+
+def haar_hop_terms(n, R):
+    """Round 1 must be identity, so a Haar gate is put on the rule-1 hop
+    terms directly: their tables are complex and Hermitian, not
+    symmetric."""
+    gate = tuple(haar_gate(12).ravel())
+    return [replace(t, gate=gate) if t.gate is not None else t
+            for t in hm.build_hamiltonian(identity_circuit(n, 1, R)).terms]
+
+
+def test_full_operator_exact_on_sampled_unit_vectors():
+    """On a unit vector each output entry is one product, so the head and
+    tail blocks must reproduce the per-window loop exactly: on a seeded
+    sample of 6-site unit vectors, for the real and the Haar-gate
+    operator (every 4-site unit vector is checked with the Kronecker
+    route below)."""
+    rng = np.random.default_rng(23)
+    for op in (spectra.FullOperator.from_spec(
+                   hm.build_hamiltonian(identity_circuit(3, 1, 1))),
+               spectra.FullOperator(haar_hop_terms(3, 1), (3, 1))):
+        e = np.zeros(op.dim)
+        for j in rng.choice(op.dim, 32, replace=False):
+            e[j] = 1.0
+            assert np.array_equal(op.matvec(e), per_window_matvec(op, e))
+            e[j] = 0.0
+
+
+@pytest.mark.parametrize("n,R", [(2, 1), (3, 1), (2, 2)])
+def test_full_operator_matvec_within_rounding_of_per_window_loop(n, R):
+    """On random vectors the blocks sum each row's products in another
+    order than the per-window loop.  Each result is within
+    gamma_(m+2) (|H| |v|)_i of the exact product, m the most nonzeros in
+    a row (Higham, Lemma 3.5, as in spectra._residual_bounds), so the two
+    differ by at most (m + 2) * eps * (|H| |v|)_i per entry.  Real and
+    complex vectors meet the real operator, complex vectors the
+    Haar-gate operator; ``diag`` equals the per-window broadcast to the
+    last bit."""
     rng = np.random.default_rng(21)
-    real = spectra.FullOperator.from_spec(
-        hm.build_hamiltonian(identity_circuit(n, 1, R)))
+    spec = hm.build_hamiltonian(identity_circuit(n, 1, R))
+    real = spectra.FullOperator.from_spec(spec)
     assert real.dtype == np.float64
+    assert np.array_equal(real.diag, per_window_diag(spec.terms, real.dim))
     x = rng.standard_normal(real.dim)
-    assert np.array_equal(real.matvec(x), per_window_matvec(real, x))
+    assert_within_rounding(real, x)
     z = x + 1j * rng.standard_normal(real.dim)
     del x
-    assert np.array_equal(real.matvec(z), per_window_matvec(real, z))
+    assert_within_rounding(real, z)
     del real
-    gate = tuple(haar_gate(12).ravel())
-    terms = [replace(t, gate=gate) if t.gate is not None else t
-             for t in hm.build_hamiltonian(identity_circuit(n, 1, R)).terms]
-    cplx = spectra.FullOperator(terms, (n, R))
+    cplx = spectra.FullOperator(haar_hop_terms(n, R), (n, R))
     assert cplx.dtype == np.complex128
-    assert np.array_equal(cplx.matvec(z), per_window_matvec(cplx, z))
+    assert_within_rounding(cplx, z)
+
+
+def assert_within_rounding(op, v):
+    y = op.matvec(v)
+    assert y.dtype == np.result_type(op.dtype, v.dtype)
+    y -= per_window_matvec(op, v)
+    err = np.abs(y)
+    del y
+    bound = per_window_matvec(op, v, magnitude=True)
+    bound *= (row_nonzeros(op) + 2) * np.finfo(float).eps
+    assert np.all(err <= bound), np.max(err - bound)
 
 
 def test_full_operator_matvec_allocates_one_buffer():
-    """One 6-site matvec allocates the output and one buffer of at most
-    max(slab, dim/64) entries: no full-length temporary."""
+    """One 6-site matvec allocates the output plus O(tail slab): the
+    diagonal and tail products of one slab of 8^3 amplitudes at a time,
+    no full-length temporary."""
     op = spectra.FullOperator.from_spec(
         hm.build_hamiltonian(identity_circuit(3, 1, 1)))
+    slab = op.tail.shape[0]
+    assert slab == 8 ** 3
     rng = np.random.default_rng(22)
     v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
     tracemalloc.start()
@@ -238,8 +298,7 @@ def test_full_operator_matvec_allocates_one_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    entries = op.dim + max(spectra._SLAB, op.dim // 64)
-    assert peak <= entries * v.itemsize + 64 * 1024
+    assert peak <= (op.dim + 4 * slab) * v.itemsize + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +707,18 @@ def test_min_eigs_lanczos_matvec_budget(dense_21, k, ncv, maxiter):
     assert res.iterations <= maxiter
 
 
+def test_min_eigs_rejects_bad_counts(dense_21):
+    """k < 1 is refused by every branch, maxiter < 0 by the Lanczos
+    branch, whose restart count would otherwise never reach it."""
+    _, op, H = dense_21
+    for mat in (H[:8, :8], sp.csr_matrix(H[:8, :8]), op):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k >= 1"):
+                spectra.min_eigs(mat, k=k)
+    with pytest.raises(ValueError, match="maxiter >= 0"):
+        spectra.min_eigs(op, k=1, maxiter=-1)
+
+
 # ---------------------------------------------------------------------------
 # walk matrices
 # ---------------------------------------------------------------------------
@@ -718,6 +789,21 @@ def test_rotated_gap_beats_quadratic_bound():
         assert second >= 1.0 / (2 * (K + 1) ** 2)
 
 
+def test_rotation_dense_input_transforms_every_block():
+    """A dense random Hermitian input has no zero block, so every block
+    is transformed and the result is the all-blocks formula
+    V_t^dagger H_ts V_s."""
+    circ = cnot_circuit()
+    vs = spectra.step_unitaries(circ)
+    T, d = len(vs), 4
+    rng = np.random.default_rng(8)
+    h = rng.standard_normal((T * d,) * 2) + 1j * rng.standard_normal((T * d,) * 2)
+    h += h.conj().T
+    want = np.block([[vs[t].conj().T @ h[t * d:(t + 1) * d, s * d:(s + 1) * d]
+                      @ vs[s] for s in range(T)] for t in range(T)])
+    assert np.array_equal(spectra.rotate_out_gates(h, circ), want)
+
+
 def test_rotation_quadratic_form_consistency():
     # the expectation through the term list agrees with the quadratic
     # form of the rotated matrix for states supported on the legal span
@@ -743,11 +829,14 @@ def test_rotation_quadratic_form_consistency():
 
 def test_full_sparse_matrix_matches_operator(dense_21):
     """FullOperator.matvec on every unit vector gives the Kronecker-route
-    matrix exactly."""
+    matrix and the per-window loop exactly: each output entry is one
+    product."""
     _, op, H = dense_21
-    eye = np.eye(op.dim)
-    cols = np.column_stack([op.matvec(eye[c]) for c in range(op.dim)])
-    assert np.max(np.abs(cols - H)) == 0.0
+    for a in range(0, op.dim, 512):
+        units = np.eye(op.dim, 512, -a)
+        cols = np.column_stack([op.matvec(e) for e in units.T])
+        assert np.max(np.abs(cols - H[:, a:a + 512])) == 0.0
+        assert np.array_equal(cols, per_window_matvec(op, units))
 
 
 def test_export_coo_round_trip(dense_21):
