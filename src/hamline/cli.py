@@ -99,9 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--R", type=int, default=2)
     v.add_argument("--Lmax", type=int, default=64)
     v.add_argument("--max-len", type=int, default=12)
-    v.add_argument("--full-space", action="store_true",
-                   help="include the full-space Lanczos probes "
-                        "(slow, needs ~3 GB)")
     v.add_argument("--json", help="write a machine-readable report here")
     v.add_argument("--inject-fault",
                    choices=["mutate-rule", "drop-pen-family"],
@@ -272,8 +269,7 @@ def cmd_verify(args) -> int:
                 return verify.check_history(verify.accepting_circuit(),
                                             np.array([1.0, 0.0]))
             if name == "soundness":
-                return verify.soundness_probe(full_space=args.full_space,
-                                              seed=args.seed)
+                return verify.soundness_probe()
             if name == "appendix":
                 return verify.appendix_suite(args.Lmax)
             if name == "horizon":

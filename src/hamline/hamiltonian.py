@@ -64,13 +64,6 @@ GATE0, GATE1 = 6, 7
 QUBIT0, QUBIT1 = 4, 5
 
 
-def _slotset(*symbols: int) -> frozenset[int]:
-    out = set()
-    for s in symbols:
-        out.update(SYMBOL_SLOTS[s])
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # Local terms
 # ---------------------------------------------------------------------------
@@ -220,11 +213,12 @@ def build_h_pen(n: int, R: int,
                 terms.append(_diag_term(
                     "pen", (i, i + 1),
                     [SYMBOL_SLOTS[x], SYMBOL_SLOTS[y]]))
-    # only dead/gate may start the chain, only gate/blank may end it
-    terms.append(_diag_term("pen", (1,),
-                            [_slotset(BLANK, QUBIT, PUSHER, INSI)]))
-    terms.append(_diag_term("pen", (L,),
-                            [_slotset(DEAD, QUBIT, PUSHER, INSI)]))
+    # the chain ends: every symbol outside the allowed end symbols
+    for site, allowed in ((1, chain.LEFT_END_ALLOWED),
+                          (L, chain.RIGHT_END_ALLOWED)):
+        terms.append(_diag_term("pen", (site,), [
+            {s for sym, slots in SYMBOL_SLOTS.items() if sym not in allowed
+             for s in slots}]))
     return terms
 
 

@@ -493,9 +493,12 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
     bracket is 5% wide, and the solve runs at its lower end, where the
     count is 0, so the k eigenvalues nearest above the shift are the k
     lowest.  ARPACK finds them on a factorization at that shift, from a
-    seeded real start vector.  Only a request for k >= dim - 1
-    eigenvalues, which ARPACK cannot serve, takes LAPACK ``eigh`` for the
-    k lowest pairs instead, with no shift.  Either way the result carries
+    seeded real start vector; pairs that fail the residual test below
+    (ARPACK can stop short on a degenerate bottom) get one block inverse
+    iteration on that factorization and Rayleigh-Ritz on their span.
+    Only a request for k >= dim - 1 eigenvalues, which ARPACK cannot
+    serve, takes LAPACK ``eigh`` for the k lowest pairs instead, with no
+    shift.  Either way the result carries
     the shift (``sigma``, None for ``eigh``) and the precision floor
     eps * ||A||_1 (``floor``), and ``converged`` holds only when
 
@@ -566,15 +569,16 @@ def _shift_invert(A: sp.csc_matrix, k: int, seed: int, tol: float,
     k = min(k, A.shape[0])
     if k >= A.shape[0] - 1:
         vals, vecs = sla.eigh(A.toarray(), subset_by_index=[0, k - 1])
-        x, converged = None, True
+        x, lu, converged = None, None, True
     else:
-        x, vals, vecs, converged = _arpack_below(A, k, seed, sigma, floor)
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    res = _residuals(A, vals, vecs)
-    converged = converged and len(vals) == k and bool(
-        np.all(res <= np.maximum(tol * np.abs(vals),
-                                 _residual_bounds(A, vals, vecs))))
+        x, lu, vals, vecs, converged = _arpack_below(A, k, seed, sigma, floor)
+    vals, vecs, res, small = _checked_pairs(A, vals, vecs, tol)
+    if not small and lu is not None and len(vals) == k:
+        # one block inverse-iteration step, then Rayleigh-Ritz
+        Q = np.linalg.qr(lu.solve(vecs))[0]
+        theta, S = sla.eigh(Q.conj().T @ (A @ Q))
+        vals, vecs, res, small = _checked_pairs(A, theta, Q @ S, tol)
+    converged = converged and len(vals) == k and small
     if converged:
         _, below = _inertia(A, vals[0] - max(res[0], floor), floor)
         converged = below == 0
@@ -584,11 +588,23 @@ def _shift_invert(A: sp.csc_matrix, k: int, seed: int, tol: float,
     return EigResult(vals, res, converged, sigma=x, floor=floor)
 
 
+def _checked_pairs(A, vals: np.ndarray, vecs: np.ndarray, tol: float):
+    """(values, vectors, residuals, small): the pairs in ascending order,
+    each residual ||A y_j - theta_j y_j||, and whether every residual is
+    at most max(tol * |theta_j|, b_j) (:func:`_residual_bounds`)."""
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    res = np.array([np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j])
+                    for j in range(len(vals))])
+    return vals, vecs, res, bool(np.all(res <= np.maximum(
+        tol * np.abs(vals), _residual_bounds(A, vals, vecs))))
+
+
 def _arpack_below(A: sp.csc_matrix, k: int, seed: int, sigma: float,
                   floor: float):
-    """(shift, values, vectors, converged): ARPACK's k eigenpairs nearest
-    above a shift x that has no eigenvalue of A below it, found from
-    ``sigma`` by bisection on inertia counts."""
+    """(x, factorization of A - x I, values, vectors, converged): ARPACK's
+    k eigenpairs nearest above a shift x that has no eigenvalue of A
+    below it, found from ``sigma`` by bisection on inertia counts."""
     x, count = _inertia(A, sigma, floor)
     if count:
         # Gershgorin: A is Hermitian, so its row sums are its column sums
@@ -612,9 +628,9 @@ def _arpack_below(A: sp.csc_matrix, k: int, seed: int, sigma: float,
             A, k=k, sigma=x, which="LM", v0=start,
             OPinv=spla.LinearOperator(A.shape, matvec=lu.solve,
                                       dtype=A.dtype))
-        return x, vals, vecs, True
+        return x, lu, vals, vecs, True
     except spla.ArpackNoConvergence as exc:
-        return x, exc.eigenvalues, exc.eigenvectors, False
+        return x, lu, exc.eigenvalues, exc.eigenvectors, False
 
 
 def _floor(A) -> float:
@@ -622,16 +638,10 @@ def _floor(A) -> float:
     return float(np.finfo(float).eps * abs(A).sum(axis=0).max())
 
 
-def _residuals(A, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """||A y_j - theta_j y_j|| for each eigenpair (vals[j], vecs[:, j])."""
-    return np.array([np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j])
-                     for j in range(len(vals))])
-
-
 def _residual_bounds(A, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """b_j = (m + 2) * eps * (|| |A| |y_j| ||_2 + |theta_j|) for unit
     vectors y_j, m the most nonzeros in a row of A: the smallest residual
-    that :func:`_residuals` can certify for (theta_j, y_j).
+    that :func:`_checked_pairs` can certify for (theta_j, y_j).
 
     With unit roundoff u = eps/2, a row of A y is a sum of at most m
     products, computed with error at most gamma_m (|A| |y|)_i, gamma_m =

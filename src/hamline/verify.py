@@ -9,9 +9,10 @@ structural claims the construction rests on:
   identifying projectors on legal configurations; every mistimed
   exchange is locally detectable.
 * ``check_history``    -- the history state's energy decomposition.
-* ``soundness_probe``  -- spectra of the assembled Hamiltonian on the
-  full space and on restricted subspaces, including the walk-matrix
-  lower bounds for undetectable lines.
+* ``soundness_probe``  -- exact full-space ground energies of the
+  assembled Hamiltonian from its exchange-closed blocks, spectra on
+  restricted subspaces, and the walk-matrix lower bounds for
+  undetectable lines.
 * ``appendix_suite``   -- closed-form walk spectra against dense
   diagonalization, eigenvector residuals, and the gap inequality.
 * ``horizon_suite``    -- every locally undetectable configuration on
@@ -20,11 +21,11 @@ structural claims the construction rests on:
 A note on signs: at the couplings from ``choose_couplings`` the
 assembled Hamiltonian has a strictly negative ground energy, even for
 accepting circuits.  The legal span alone is positive; the negativity
-is second-order leakage from it into penalised configurations.  On the
-type-1 block of the n=2, R=2 rejecting circuit the minimum follows
+is second-order leakage from it into penalised configurations.  For
+the n=2, R=2 rejecting circuit the exact full-space ground energy is
+-2073.7345, the minimum of its type-1 block; it follows
 E ~ E_legal - 2 j_prop^2 / j_pen and vanishes as j_pen grows.  The
-meaningful spectra live on restricted subspaces; the full-space checks
-below record the negativity as measured.
+full-space checks below record the negativity as measured.
 """
 
 from __future__ import annotations
@@ -249,45 +250,68 @@ def legal_fringe(n: int, R: int) -> list[Configuration]:
 def _witness_subspace_min(circ: LayeredCircuit, terms) -> float:
     """Smallest eigenvalue of a term family restricted to the span of
     history states over a witness basis (ancillas correctly |0>)."""
-    n, R = circ.n, circ.R
-    basis_cfgs = spectra.legal_basis(n, R)
-    mat, basis = spectra.restrict(terms, basis_cfgs)
-    offsets = {c: off for c, off, _ in basis}
-    dim = mat.shape[0]
-    cols = []
-    for w in range(1 << circ.m):
-        witness = np.zeros(1 << circ.m)
-        witness[w] = 1.0
-        eta = spectra.history_state(circ, witness)
-        vec = np.zeros(dim, dtype=complex)
-        for c, v in eta.amplitudes.items():
-            off = offsets[c]
-            vec[off:off + len(v)] = v
-        cols.append(vec)
-    V = np.array(cols).T
-    M = V.conj().T @ (mat @ V)
-    return float(np.linalg.eigvalsh(M)[0])
+    mat, basis = spectra.restrict(terms, spectra.legal_basis(circ.n, circ.R))
+    V = np.array([np.concatenate([spectra.history_state(circ, w)
+                                  .amplitudes[c] for c, _, _ in basis])
+                  for w in np.eye(1 << circ.m)]).T
+    return float(np.linalg.eigvalsh(V.conj().T @ (mat @ V))[0])
+
+
+#: The most content dimensions of one block, as in :func:`spectra.restrict`.
+_BLOCK_LIMIT = 200_000
+
+
+def _pen_free_blocks(spec: hm.HamiltonianSpec):
+    """(blocks, c): the exchange-closed configuration sets that hold a
+    pen-free configuration, each once, and a floor c that no other
+    set's block reaches below.
+
+    Every term maps a configuration's content space into itself or, for
+    a hop, into an exchange neighbour's, so H is block diagonal over the
+    exchange-closed sets and lambda_min(H) is the least block minimum.
+    Take a set with no pen-free configuration.  Each of its basis vectors
+    lies in a configuration with a local violation, where a pen
+    projector of weight j_pen reads 1; every diag term is a projector
+    with a non-negative weight, so the diag part of the block is at least
+    j_pen times the identity.  The hop part of the block is a compression
+    of the hop part V of H, so its norm is at most ||V||, and ||V|| is at
+    most the sum of w ||T + T^dagger||_2 over the hop terms.  The block's
+    minimum is therefore at least
+
+        c = j_pen - sum over hop terms of w ||T + T^dagger||_2,
+
+    and the least pen-free block minimum, when it lies below c, is
+    lambda_min(H) exactly.  A set of more than :data:`_BLOCK_LIMIT`
+    content dimensions is a ValueError, raised before any solve.
+    """
+    blocks, seen = [], set()
+    for c in chain.allowed_configurations(spec.n, spec.R):
+        if c in seen:
+            continue
+        inv = chain.invariant_set(c, cap=_BLOCK_LIMIT)
+        dim = int(chain._Packed.of(inv.configs).offsets[-1])
+        if inv.capped or dim > _BLOCK_LIMIT:
+            raise ValueError(f"the exchange-closed set of {c} exceeds "
+                             f"{_BLOCK_LIMIT} dimensions")
+        blocks.append(inv.configs)
+        seen |= inv.configs
+    hops = math.fsum(t.weight * np.linalg.norm(t.matrix(), 2)
+                     for t in spec.terms if t.kind == "hop")
+    return blocks, spec.couplings.j_pen - hops
 
 
 def soundness_probe(accepting: LayeredCircuit | None = None,
-                    rejecting: LayeredCircuit | None = None,
-                    full_space: bool = True,
-                    type3_samples: int = 12,
-                    invariant_cap: int = 200_000,
-                    seed: int = 0) -> Report:
+                    rejecting: LayeredCircuit | None = None) -> Report:
     """Spectral probes of the assembled Hamiltonian (defaults: the n=2,
     R=2 reference circuits).
 
-    Full-space Lanczos estimates are upper bounds on the true ground
-    energy: each is the lowest Ritz value after three thick restarts
-    (6 + 3*5 operator applications on 8^8 amplitudes), not converged,
-    and the Rayleigh quotient of its Ritz vector.  The accepting run
-    starts from the history state (Rayleigh quotient 0) and reaches
-    -2060.84, the criterion-8 leakage seen from the full space.  The
-    restricted-subspace diagonalizations are the rigorous part.  The
-    probe also certifies (variationally) that the assembled operator is
-    *not* positive semidefinite: mixing the legal span with its
-    one-exchange fringe produces a strictly negative Rayleigh quotient.
+    Each full-space ground energy is exact, the least minimum over the
+    blocks of :func:`_pen_free_blocks` (12, of dimension 64 to 14,848, at
+    n=2, R=2).  The type-1 block holds the initial configuration; on
+    every other (type-3) block the pen+prop minimum meets the walk-matrix
+    bound.  The legal span is positive, and mixing it with its
+    one-exchange fringe certifies (variationally) that the assembled
+    operator is *not* positive semidefinite.
     """
     accepting = accepting or accepting_circuit()
     rejecting = rejecting or rejecting_circuit()
@@ -296,36 +320,38 @@ def soundness_probe(accepting: LayeredCircuit | None = None,
     rep = Report(f"soundness(n={n},R={R})")
     couplings = hm.choose_couplings(n, R, accepting)
 
-    # (a) full-space Lanczos estimates
-    est = {}
-    if full_space and 2 * n * R <= spectra.FULL_SPACE_SITE_LIMIT:
-        for name, circ in (("accepting", accepting), ("rejecting", rejecting)):
-            spec = hm.build_hamiltonian(circ, couplings=couplings)
-            op = spectra.FullOperator.from_spec(spec)
-            v0 = None
-            if name == "accepting":
-                v0 = spectra.history_state(
-                    circ, np.eye(1 << circ.m)[0]).to_full()
-            res = spectra.min_eigs(op, k=1, seed=seed, v0=v0,
-                                   maxiter=3, tol=1e-10)
-            est[name] = float(res.values[0])
-            rep.add(f"full-space Lanczos estimate recorded ({name})",
-                    True, measured=est[name],
-                    notes=f"residual {res.residuals[0]:.3g}, lowest Ritz "
-                          f"value after {res.iterations} restarts: an upper "
-                          f"bound on the ground energy")
-        rep.add("accepting full-space estimate is at most 1e-8",
-                est["accepting"] <= 1e-8, measured=est["accepting"],
-                bound=1e-8)
+    # (a) exact full-space ground energies from the pen-free blocks
+    specs = {name: hm.build_hamiltonian(circ, couplings=couplings)
+             for name, circ in (("accepting", accepting),
+                                ("rejecting", rejecting))}
+    ground, solves = {}, {}
+    for name, spec in specs.items():
+        # the blocks depend on (n, R) only; the floor on the couplings
+        blocks, floor = _pen_free_blocks(spec)
+        solves[name] = [spectra.min_eigs(spectra.restrict(spec, b)[0], k=1)
+                        for b in blocks]
+        low = min(solves[name], key=lambda r: r.values[0])
+        ground[name] = float(low.values[0])
+        rep.add(f"full-space ground energy ({name})",
+                all(r.converged for r in solves[name])
+                and ground[name] < floor,
+                measured=ground[name], bound=floor,
+                notes=f"least minimum over the {len(blocks)} exchange-"
+                      f"closed blocks that hold a pen-free configuration; "
+                      f"every other block lies above the bound; precision "
+                      f"floor eps * ||block||_1 = {low.floor:.3g}")
+    rep.add("accepting full-space ground energy is at most 1e-8",
+            ground["accepting"] <= 1e-8, measured=ground["accepting"],
+            bound=1e-8)
 
     # (b) legal-subspace diagonalizations (the rigorous positives)
-    pieces_rej = hm.build_pieces(rejecting)
-    hout_min = _witness_subspace_min(rejecting, pieces_rej["out"])
+    spec_rej = specs["rejecting"]
+    hout_min = _witness_subspace_min(rejecting,
+                                     hm.build_pieces(rejecting)["out"])
     rep.add("rejecting circuit: output penalty on ancilla-correct history "
             "states has smallest eigenvalue 1/(K+1)",
             abs(hout_min - 1.0 / (K + 1)) <= 1e-12,
             measured=hout_min, bound=1.0 / (K + 1))
-    spec_rej = hm.build_hamiltonian(rejecting, couplings=couplings)
     legal_mat, _ = spectra.restrict(spec_rej, spectra.legal_basis(n, R))
     legal = spectra.min_eigs(legal_mat, k=1)
     legal_min = float(legal.values[0])
@@ -335,8 +361,7 @@ def soundness_probe(accepting: LayeredCircuit | None = None,
                   f"eps * ||block||_1 = {legal.floor:.3g}")
 
     # negativity certificate: legal span + one-exchange fringe
-    fringe = legal_fringe(n, R)
-    fr_mat, _ = spectra.restrict(spec_rej, fringe)
+    fr_mat, _ = spectra.restrict(spec_rej, legal_fringe(n, R))
     neg = float(spectra.min_eigs(fr_mat, k=1).values[0])
     rep.add("legal-plus-fringe restriction exhibits the negative ground "
             "energy (variational upper bound on the full spectrum)",
@@ -345,57 +370,32 @@ def soundness_probe(accepting: LayeredCircuit | None = None,
                   "compare -2*j_prop^2/j_pen = "
                   f"{-2.0 * couplings.j_prop ** 2 / couplings.j_pen:.6g}")
 
-    # (c) type-1 invariant set; shift-invert near the fringe value, which
-    # is an accurate variational proxy for the bottom of this block
-    inv = chain.invariant_set(chain.initial_configuration(n, R),
-                              cap=invariant_cap)
-    type1_min = None
-    if not inv.capped and len(inv) * (1 << n) <= 60_000:
-        mat, _ = spectra.restrict(spec_rej, inv.configs,
-                                  max_dim=len(inv) * (1 << n))
-        type1_min = float(spectra.min_eigs(
-            mat, k=1, sigma=2.0 * neg - 1.0).values[0])
+    # (c) the type-1 block, from the rejecting circuit's solves
+    start = chain.initial_configuration(n, R)
+    t1 = next(i for i, b in enumerate(blocks) if start in b)
+    type1 = solves["rejecting"][t1]
     rep.add("type-1 invariant-set restriction diagonalized",
-            type1_min is not None, measured=type1_min,
-            notes=f"set size {len(inv)}, capped={inv.capped}")
-    if type1_min is not None and est.get("rejecting") is not None:
-        rep.add("full-space estimate consistent with the subspace value",
-                est["rejecting"] >= type1_min - 1e-6,
-                measured=est["rejecting"], bound=type1_min)
+            type1.converged, measured=float(type1.values[0]),
+            notes=f"set size {len(blocks[t1])}")
 
-    # (d) type-3 samples: pen+prop on undetectable lines
-    samples = []
-    for c in chain.undetectable_configurations(n, R):
-        samples.append(c)
-    rng = np.random.default_rng(seed)
-    if len(samples) > type3_samples:
-        idx = rng.choice(len(samples), size=type3_samples, replace=False)
-        samples = [samples[i] for i in sorted(idx)]
-    checked = 0
-    worst_margin = np.inf
-    for c in samples:
-        inv3 = chain.invariant_set(c, cap=20_000)
-        if inv3.capped:
-            continue
-        undet = [d for d in inv3.configs
-                 if chain.classify(d).tag == "undetectable"]
-        kprime = len(undet) - 1
+    # (d) every type-3 block: pen+prop against the walk-matrix bound
+    pp_terms = [t for t in spec_rej.terms if t.family in ("pen", "prop")]
+    others = blocks[:t1] + blocks[t1 + 1:]
+    checked, converged, worst_margin = 0, True, np.inf
+    for block in others:
+        kprime = sum(chain.classify(d).tag == "undetectable"
+                     for d in block) - 1
         if kprime < 1:
             continue
-        pp_terms = [t3 for t3 in spec_rej.terms
-                    if t3.family in ("pen", "prop")]
-        dim = sum(1 << d.holder_count() for d in inv3.configs)
-        if dim > 60_000:
-            continue
-        mat, _ = spectra.restrict(pp_terms, inv3.configs, max_dim=dim)
-        lam = float(spectra.min_eigs(mat, k=1).values[0])
+        res = spectra.min_eigs(spectra.restrict(pp_terms, block)[0], k=1)
         bound = couplings.j_prop * spectra.walk_eigs_analytic(
             1.0, 0.5, kprime)[0] / 2.0
-        worst_margin = min(worst_margin, lam - bound)
+        worst_margin = min(worst_margin, float(res.values[0] - bound))
+        converged &= res.converged
         checked += 1
-    rep.add(f"type-3 samples ({checked}) meet the walk-matrix lower bound "
-            "j_prop*(1-cos(pi/(2K'+3)))/2",
-            checked > 0 and worst_margin >= 0,
+    rep.add(f"type-3 blocks ({checked} of {len(others)} with K' >= 1) meet "
+            "the walk-matrix lower bound j_prop*(1-cos(pi/(2K'+3)))/2",
+            checked > 0 and converged and worst_margin >= 0,
             measured=worst_margin, bound=0.0)
     return rep
 

@@ -207,6 +207,13 @@ def test_verify_suites_exit_zero():
                ).returncode == 0
 
 
+def test_verify_has_no_full_space_flag():
+    # the soundness suite's full-space values come from its exact blocks
+    out = run("verify", "--suite", "soundness", "--full-space")
+    assert out.returncode == 1
+    assert "unrecognized arguments: --full-space" in out.stderr
+
+
 def test_verify_fault_injection_exit_three(tmp_path):
     out = run("verify", "--suite", "facts", "--n", "3", "--R", "2",
               "--inject-fault", "mutate-rule")

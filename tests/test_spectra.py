@@ -513,6 +513,46 @@ def test_min_eigs_sparse_certificate_rejects_a_missed_bottom(monkeypatch):
     assert res.sigma is None and not res.converged
 
 
+def test_min_eigs_sparse_refines_a_loose_pair(monkeypatch):
+    """A pair that misses the residual test gets one block
+    inverse-iteration step on the solve's factorization: a bottom
+    eigenvector polluted at 1e-12 by a far eigenvalue comes back
+    converged."""
+    mat = sp.diags(np.concatenate((np.ones(4), np.arange(1e6, 1e6 + 96))),
+                   format="csr")
+    y = np.eye(100, 1) + 1e-12 * np.eye(100, 1, -5)
+    y /= np.linalg.norm(y)
+
+    def loose(A, k, **kw):
+        return np.array([float(y[:, 0] @ (A @ y[:, 0]))]), y
+
+    monkeypatch.setattr(spla, "eigsh", loose)
+    res = spectra.min_eigs(mat, k=1)
+    assert res.converged and res.values[0] == pytest.approx(1.0, abs=1e-12)
+    assert res.residuals[0] <= 1e-10
+
+
+def test_min_eigs_sparse_degenerate_bottom_converges_for_every_seed():
+    """The 14,848-dimensional type-3 block at n=2, R=2 has an (at least)
+    4-fold lowest eigenvalue, where ARPACK can stop short of the residual
+    test depending on the start vector; every seed converges, to values
+    within max(residual, floor) of each other."""
+    specs = [hm.build_hamiltonian(c, couplings=hm.choose_couplings(
+        2, 2, accepting_circuit())) for c in (accepting_circuit(),
+                                              verify.rejecting_circuit())]
+    blocks, _ = verify._pen_free_blocks(specs[0])
+    block = next(b for b in blocks
+                 if sum(1 << c.holder_count() for c in b) == 14_848)
+    pen_prop = [t for t in specs[1].terms if t.family in ("pen", "prop")]
+    for terms in (specs[0], specs[1], pen_prop):
+        mat, _ = spectra.restrict(terms, block)
+        runs = [spectra.min_eigs(mat, k=1, seed=seed) for seed in range(3)]
+        assert all(r.converged for r in runs)
+        vals = [r.values[0] for r in runs]
+        slack = max(max(r.residuals[0] for r in runs), runs[0].floor)
+        assert max(vals) - min(vals) <= slack
+
+
 def haar_circuit(n, R, seed):
     """Round 1 all identity, every later gate Haar-random."""
     later = [tuple(Gate2Q(haar_gate(seed + r * n + g), g) for g in range(1, n))

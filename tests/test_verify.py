@@ -1,13 +1,16 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from hamline import chain, verify
-from hamline.chain import DEAD, GATE, INSI
+from hamline import chain, hamiltonian as hm, spectra, verify
+from hamline.chain import Configuration, DEAD, GATE, INSI
 from hamline.circuit import Gate2Q, LayeredCircuit, identity_round
 
 
@@ -84,8 +87,8 @@ def test_horizon_suite_short_chains():
     assert all("forward-rule horizon" in c.notes for c in rep.checks)
 
 
-def test_soundness_probe_subspace_parts():
-    rep = verify.soundness_probe(full_space=False, type3_samples=6)
+def test_soundness_probe_subspace_parts(soundness_run):
+    rep, _ = soundness_run
     assert rep.passed, rep.to_text()
     claims = {c.claim: c for c in rep.checks}
     neg = next(c for c in rep.checks if "negative ground energy" in c.claim)
@@ -93,6 +96,55 @@ def test_soundness_probe_subspace_parts():
     out = next(c for c in rep.checks if "1/(K+1)" in c.claim)
     K = chain.step_count(2, 2)
     assert abs(out.measured - 1.0 / (K + 1)) < 1e-12
+
+
+def test_pen_free_blocks_give_the_full_space_minimum():
+    """n=2, R=1 with a Haar gate on the rule-1 hop (round 1 must be
+    identity, so the gate goes on the term directly): the least minimum
+    over the pen-free blocks is the certified minimum of the whole
+    Kronecker-route matrix, and every other configuration spans a block
+    that lies above the floor."""
+    spec = hm.build_hamiltonian(LayeredCircuit(2, 1, (identity_round(2),)))
+    gate = tuple(haar_round(np.random.default_rng(11), 2)[0].matrix.ravel())
+    spec = replace(spec, terms=tuple(
+        replace(t, gate=gate) if t.gate is not None else t
+        for t in spec.terms))
+    assert sum(t.gate == gate for t in spec.terms) == 1
+    blocks, floor = verify._pen_free_blocks(spec)
+    assert len(blocks) == 3
+    low = min((spectra.min_eigs(spectra.restrict(spec, b)[0], k=1)
+               for b in blocks), key=lambda r: r.values[0])
+    full = spectra.min_eigs(spectra.full_sparse_matrix(spec.terms, 2, 1), k=1)
+    assert low.converged and full.converged
+    assert low.values[0] < floor
+    assert abs(low.values[0] - full.values[0]) <= max(
+        low.residuals[0], full.residuals[0], low.floor, full.floor)
+    inside = frozenset().union(*blocks)
+    rest = [Configuration(2, 1, bytes(s))
+            for s in itertools.product(range(6), repeat=4)]
+    rest = [c for c in rest if c not in inside]
+    above = spectra.min_eigs(spectra.restrict(spec, rest)[0], k=1)
+    assert above.converged and above.values[0] >= floor
+
+
+def test_pen_free_blocks_partition_at_2_2():
+    """The 12 blocks at n=2, R=2 are disjoint and exchange-closed, each
+    holds a pen-free configuration and together they hold all 54; the
+    floor is j_pen less 31 hop terms of norm 1 at j_prop."""
+    spec = hm.build_hamiltonian(verify.rejecting_circuit())
+    blocks, floor = verify._pen_free_blocks(spec)
+    pen_free = set(chain.allowed_configurations(2, 2))
+    union = frozenset().union(*blocks)
+    assert len(blocks) == 12 and len(pen_free) == 54
+    assert sum(map(len, blocks)) == len(union)
+    assert pen_free <= union
+    assert all(not pen_free.isdisjoint(b) for b in blocks)
+    for b in blocks:
+        assert all(out in b for c in b
+                   for *_, out in chain.exchange_neighbours(c))
+    c = spec.couplings
+    assert floor == pytest.approx(c.j_pen - 31 * c.j_prop, rel=1e-12)
+    assert floor == pytest.approx(252_182_528, rel=1e-12)
 
 
 def test_report_serialization():
@@ -105,14 +157,14 @@ def test_report_serialization():
 
 
 def test_soundness_report_reproducible_across_processes():
-    """The restricted soundness report is byte-identical between two
-    fresh interpreters; the shift-invert solves must not start from
-    ARPACK's own random vector."""
+    """The soundness report is byte-identical between two fresh
+    interpreters; the shift-invert solves must not start from ARPACK's
+    own random vector."""
     src = str(Path(verify.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("from hamline import verify; "
-            "print(verify.soundness_probe(full_space=False).to_json())")
+            "print(verify.soundness_probe().to_json())")
     a, b = (subprocess.run([sys.executable, "-c", code], env=env,
                            capture_output=True, text=True, check=True,
                            timeout=600).stdout
