@@ -129,11 +129,9 @@ class Configuration:
             codes.append(_CHAR_TO_SYMBOL[ch])
         return cls(n, R, bytes(codes))
 
-    def to_string(self, boundaries: bool = True) -> str:
-        """Render as text; block boundaries become '|' when requested."""
+    def to_string(self) -> str:
+        """Render as text, with '|' at the block boundaries."""
         chars = [SYMBOL_CHARS[s] for s in self.sites]
-        if not boundaries:
-            return "".join(chars)
         w = 2 * self.n
         return "|".join("".join(chars[k:k + w])
                         for k in range(0, len(chars), w))
@@ -418,10 +416,9 @@ def backward_rules(c: Configuration,
     return [inst for inst, _ in _rule_moves(c, "backward", rules)]
 
 
-def apply_rule(c: Configuration, inst: RuleInstance,
-               rules: tuple[Rule, ...] = RULES) -> Configuration:
+def apply_rule(c: Configuration, inst: RuleInstance) -> Configuration:
     """Rewrite the two-site window of a matched rule instance."""
-    for found, nxt in _rule_moves(c, inst.direction, rules):
+    for found, nxt in _rule_moves(c, inst.direction, RULES):
         if found == inst:
             return nxt
     raise ValueError(f"rule {inst.rule} does not apply "
@@ -751,8 +748,12 @@ def invariant_set(c: Configuration, cap: int = 5_000_000) -> InvariantSet:
 # Detectability horizon
 # ---------------------------------------------------------------------------
 
-def _horizon(c: Configuration, table: tuple, direction: str | None,
-             max_steps: int) -> int | None:
+#: The most configurations one horizon search may visit.
+_HORIZON_BUDGET = 100_000
+
+
+def _horizon(c: Configuration, table: tuple,
+             direction: str | None) -> int | None:
     """Breadth-first search shared by both horizons: the fewest moves of
     ``table`` (in ``direction``, or both) from the undetectable c to a
     configuration with a local violation, or None if none is reachable.
@@ -775,13 +776,13 @@ def _horizon(c: Configuration, table: tuple, direction: str | None,
                 return depth + 1
             if nxt not in seen:
                 seen.add(nxt)
-                if len(seen) > max_steps:
+                if len(seen) > _HORIZON_BUDGET:
                     raise RuntimeError("horizon search exceeded step budget")
                 queue.append((nxt, depth + 1))
     return None
 
 
-def detect_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
+def detect_horizon(c: Configuration) -> int | None:
     """Fewest forward rule applications until a detectable configuration.
 
     The shared breadth-first search (:func:`_horizon`) over forward rule
@@ -796,10 +797,10 @@ def detect_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
     detectable ones through the 2-local exchange terms (see
     :func:`exchange_horizon`).
     """
-    return _horizon(c, RULES, "forward", max_steps)
+    return _horizon(c, RULES, "forward")
 
 
-def exchange_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
+def exchange_horizon(c: Configuration) -> int | None:
     """Fewest exchange-term moves (either direction) until a detectable
     configuration, by the same breadth-first search as
     :func:`detect_horizon` with exchanges as its moves.
@@ -810,7 +811,7 @@ def exchange_horizon(c: Configuration, max_steps: int = 100_000) -> int | None:
     penalty anywhere in it, which would defeat the penalty mechanism;
     the verification suites treat that as a hard failure.
     """
-    return _horizon(c, TRANSITION_TERMS, None, max_steps)
+    return _horizon(c, TRANSITION_TERMS, None)
 
 
 # ---------------------------------------------------------------------------

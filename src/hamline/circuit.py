@@ -77,8 +77,8 @@ class Gate2Q:
         object.__setattr__(self, "matrix",
                            _check_unitary(self.matrix, f"gate@{self.target}"))
 
-    def is_identity(self, tol: float = UNITARITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - np.eye(4))) <= tol)
+    def is_identity(self) -> bool:
+        return bool(np.max(np.abs(self.matrix - np.eye(4))) <= UNITARITY_TOL)
 
 
 @dataclass(frozen=True)

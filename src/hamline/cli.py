@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: compile (circuit -> Hamiltonian export), sequence (legal
-configuration trace), spectrum (eigenvalues by method), verify (named
-verification suites).
+configuration trace), spectrum (certified smallest eigenvalues),
+verify (named verification suites).
 
 Exit codes: 0 success, 1 usage or parse error, 2 validation error,
 3 suite failure or a spectrum solve that has not converged.  All
@@ -80,22 +80,20 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("spectrum", help="smallest eigenvalues of the "
                                         "assembled Hamiltonian")
     e.add_argument("--circuit", required=True)
-    e.add_argument("--method", choices=["dense", "lanczos", "subspace"],
+    e.add_argument("--method", choices=["dense", "subspace"],
                    default="subspace")
     e.add_argument("--set", dest="subspace", choices=["legal", "fringe"],
                    default="legal", help="restriction used by --method "
                                          "subspace")
     e.add_argument("--eigs", type=int, default=4)
     e.add_argument("--couplings", choices=["auto", "unit"], default="auto")
-    e.add_argument("--maxiter", type=int, default=50,
-                   help="Lanczos restarts; exit 3 if it has not converged")
     e.add_argument("--out", help="write the report to this file")
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True,
                    choices=["census", "facts", "history", "soundness",
                             "appendix", "horizon", "all"])
-    v.add_argument("--n", type=int, default=3)
+    v.add_argument("--n", type=int, help="default 3 (soundness: 2)")
     v.add_argument("--R", type=int, default=2)
     v.add_argument("--Lmax", type=int, default=64)
     v.add_argument("--max-len", type=int, default=12)
@@ -183,25 +181,23 @@ def cmd_sequence(args) -> int:
 
 
 def eigenvalue_lines(res) -> list[str]:
-    """One line per eigenvalue: value, residual and, when the result has
-    one, its precision floor; a value smaller in magnitude than its floor
-    is flagged, since its sign is not resolved."""
+    """One line per eigenvalue: value, residual and precision floor; a
+    value smaller in magnitude than the floor is flagged, since its sign
+    is not resolved."""
     lines = []
     for lam, r in zip(res.values, res.residuals):
-        line = f"eigenvalue {lam:.12e}  residual {r:.3e}"
-        if res.floor is not None:
-            line += f"  floor {res.floor:.3e}"
-            if abs(lam) < res.floor:
-                line += "  below floor"
+        line = (f"eigenvalue {lam:.12e}  residual {r:.3e}  "
+                f"floor {res.floor:.3e}")
+        if abs(lam) < res.floor:
+            line += "  below floor"
         lines.append(line)
     return lines
 
 
 def cmd_spectrum(args) -> int:
     from . import hamiltonian as hm, spectra, verify
-    if args.eigs < 1 or args.maxiter < 0:
-        print("validation error: need --eigs >= 1 and --maxiter >= 0",
-              file=sys.stderr)
+    if args.eigs < 1:
+        print("validation error: need --eigs >= 1", file=sys.stderr)
         return EXIT_VALIDATION
     circ, code = _load_circuit(args.circuit)
     if circ is None:
@@ -215,23 +211,13 @@ def cmd_spectrum(args) -> int:
                   file=sys.stderr)
             return EXIT_VALIDATION
         mat = spectra.full_sparse_matrix(spec.terms, n, R)
-        res = spectra.min_eigs(mat, k=args.eigs, seed=args.seed)
-    elif args.method == "lanczos":
-        try:
-            op = spectra.FullOperator.from_spec(spec)
-        except ValueError as exc:
-            print(f"validation error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        res = spectra.min_eigs(op, k=1, seed=args.seed,
-                               maxiter=args.maxiter)
     else:
         if args.subspace == "legal":
             configs = spectra.legal_basis(n, R)
         else:
             configs = verify.legal_fringe(n, R)
         mat, _ = spectra.restrict(spec, configs)
-        res = spectra.min_eigs(mat, k=min(args.eigs, mat.shape[0] - 2),
-                               seed=args.seed)
+    res = spectra.min_eigs(mat, k=args.eigs, seed=args.seed)
     out = "\n".join([f"method={args.method} K={spec.K} "
                      f"converged={res.converged}"] + eigenvalue_lines(res))
     print(out)
@@ -239,8 +225,7 @@ def cmd_spectrum(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(out + "\n")
     if not res.converged:
-        # a Lanczos value is an upper bound, and a dense or subspace value
-        # has no certificate that it is the smallest eigenvalue
+        # the value has no certificate that it is the smallest eigenvalue
         return EXIT_SUITE
     return EXIT_OK
 
@@ -272,9 +257,7 @@ def cmd_verify(args) -> int:
                 return verify.soundness_probe()
             if name == "appendix":
                 return verify.appendix_suite(args.Lmax)
-            if name == "horizon":
-                return verify.horizon_suite(args.max_len)
-            raise ValueError(name)
+            return verify.horizon_suite(args.max_len)
         except Exception as exc:  # suites must fail loudly, not crash
             rep = verify.Report(name)
             rep.add(f"suite ran to completion", False, notes=repr(exc))
@@ -298,6 +281,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if args.command == "verify":
+        # soundness_probe runs its n=2, R=2 reference circuits only
+        if args.suite == "soundness" and {args.n, args.R} - {None, 2}:
+            print("validation error: the soundness suite runs n=2, R=2 only",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
+        if args.n is None:
+            args.n = 2 if args.suite == "soundness" else 3
     _log_config(args)
     handler = {"compile": cmd_compile, "sequence": cmd_sequence,
                "spectrum": cmd_spectrum, "verify": cmd_verify}[args.command]

@@ -73,9 +73,9 @@ class LocalTerm:
     """One Hermitian block on one or two adjacent sites.
 
     ``kind`` is "diag" (a projector, described by one slot set per site)
-    or "hop" (an exchange src -> dst plus its adjoint, scaled by
-    ``sign``; rule-1 hops also carry a 4x4 content unitary).  ``weight``
-    is the non-negative coupling applied on assembly.
+    or "hop" (minus an exchange src -> dst plus its adjoint; rule-1 hops
+    also carry a 4x4 content unitary).  ``weight`` is the non-negative
+    coupling applied on assembly.
     """
 
     family: str
@@ -85,7 +85,6 @@ class LocalTerm:
     src: tuple[int, int] | None = None
     dst: tuple[int, int] | None = None
     gate: tuple | None = None          # flattened 4x4, kept hashable
-    sign: float = 1.0
     rule: str | None = None
     piece: str | None = None
     window: int | None = None      # originating hop window, for prop terms
@@ -107,7 +106,7 @@ class LocalTerm:
     def hop_entries(self) -> list[tuple[int, int, complex]]:
         """(dst64, src64, value) triples of the bare transfer operator.
 
-        The full block is sign * (T + T^dagger); only T is listed here.
+        The full block is -(T + T^dagger); only T is listed here.
         Content bits travel with the qubit-holding symbols, paired in
         left-to-right order.
         """
@@ -156,7 +155,8 @@ class LocalTerm:
         m = np.zeros((dim, dim), dtype=complex)
         for d64, s64, val in self.hop_entries():
             m[d64, s64] += val
-        return self.sign * (m + m.conj().T)
+        # a product: unary minus would export -0.0 imaginary parts
+        return -1.0 * (m + m.conj().T)
 
 
 def _diag_term(family, sites, slot_sets, rule=None, piece=None, window=None):
@@ -165,19 +165,18 @@ def _diag_term(family, sites, slot_sets, rule=None, piece=None, window=None):
                      rule=rule, piece=piece, window=window)
 
 
-def _hop_term(family, sites, src, dst, gate=None, sign=-1.0,
-              rule=None, piece="hop", window=None):
+def _hop_term(family, sites, src, dst, gate=None, rule=None, window=None):
     flat = None if gate is None else tuple(np.asarray(gate, complex).ravel())
     return LocalTerm(family=family, sites=tuple(sites), kind="hop",
                      src=tuple(src), dst=tuple(dst), gate=flat,
-                     sign=sign, rule=rule, piece=piece, window=window)
+                     rule=rule, piece="hop", window=window)
 
 
 # ---------------------------------------------------------------------------
 # The four families
 # ---------------------------------------------------------------------------
 
-def build_h_in(n: int, m: int, R: int) -> list[LocalTerm]:
+def build_h_in(n: int, m: int) -> list[LocalTerm]:
     """Ancilla penalties: gate content |1> at site 1, qubit content |1>
     at odd sites 3..2(n-m)-1 of the first block."""
     if not 1 <= m <= n:
@@ -300,7 +299,7 @@ def build_pieces(circ: LayeredCircuit,
     to :func:`build_h_pen` (fault injection only)."""
     n, R = circ.n, circ.R
     return {
-        "in": build_h_in(n, circ.m, R),
+        "in": build_h_in(n, circ.m),
         "prop": build_h_prop(circ),
         "pen": build_h_pen(n, R, drop_family=drop_pen_family),
         "out": build_h_out(n, R),
@@ -351,7 +350,7 @@ def choose_couplings(n: int, R: int, circ: LayeredCircuit) -> Couplings:
     """
     K = chain.step_count(n, R)
     b_out = float(len(build_h_out(n, R)))
-    b_in = float(len(build_h_in(n, circ.m, R)))
+    b_in = float(len(build_h_in(n, circ.m)))
     b_prop = float(len(build_h_prop(circ)))
     j_in = _next_pow2(4.0 * (K + 1) * b_out)
     j_prop = _next_pow2(8.0 * (K + 1) ** 2 * (b_out + j_in * b_in))

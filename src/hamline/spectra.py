@@ -203,9 +203,9 @@ class FullOperator:
     """Matrix-free application of a term list on the full chain space.
 
     Diag terms are summed into one weighted block per (site, width)
-    window, hop terms into one Hermitian 64x64 table per site, weight *
-    sign * (T + T^dagger) summed over the window's terms and kept as
-    float64 when it is exactly real.  ``hops`` keeps each table's
+    window, hop terms into one Hermitian 64x64 table per site, -weight *
+    (T + T^dagger) summed over the window's terms and kept as float64
+    when it is exactly real.  ``hops`` keeps each table's
     nonzeros as (site, [(d64, s64, value), ...]); ``dtype`` is float64
     when every table is real (the circuit's gates are) and complex128
     otherwise.  With ``shape`` and ``dtype`` the operator serves
@@ -314,10 +314,10 @@ def full_sparse_matrix(terms, n: int, R: int) -> sp.csr_matrix:
                sp.csr_matrix((full_dimension(n, R),) * 2, dtype=complex))
 
 
-def export_coo(spec: HamiltonianSpec, threshold: float = 0.0) -> str:
-    """Coordinate-list export of the full matrix: "row col re im" lines,
-    0-based, sorted by (row, col).  Only permitted while the full
-    dimension stays at or below 2**24."""
+def export_coo(spec: HamiltonianSpec) -> str:
+    """Coordinate-list export of the full matrix: a "row col re im" line
+    per nonzero entry, 0-based, sorted by (row, col).  Only permitted
+    while the full dimension stays at or below 2**24."""
     if full_dimension(spec.n, spec.R) > 2 ** 24:
         raise ValueError("coordinate export limited to 8^(2nR) <= 2^24")
     mat = full_sparse_matrix(spec.terms, spec.n, spec.R).tocoo()
@@ -326,7 +326,7 @@ def export_coo(spec: HamiltonianSpec, threshold: float = 0.0) -> str:
              f"basis={basis_convention_hash()}"]
     for k in order:
         v = mat.data[k]
-        if abs(v) > threshold:
+        if abs(v) > 0.0:
             lines.append(f"{mat.row[k]} {mat.col[k]} "
                          f"{v.real:.17g} {v.imag:.17g}")
     return "\n".join(lines) + "\n"
@@ -359,8 +359,8 @@ def _term_entries(terms, pk: chain._Packed):
 
     A diag term gives its diagonal (rows == cols), each site's factor
     read from a symbol x content-bit table.  A hop term gives its
-    transfer part T only, weight * sign times the rule-1 gate entry (or
-    1), from each source configuration to its destination where that is
+    transfer part T only, -weight times the rule-1 gate entry (or 1),
+    from each source configuration to its destination where that is
     packed too; the term's other half is T^dagger.  Each term matches its
     window by a column mask and emits all its entries at once.
     """
@@ -382,7 +382,7 @@ def _term_entries(terms, pk: chain._Packed):
         src, dst, found, _ = pk.hop(i, t.src, t.dst)
         cfg, idx, content = pk.expand(src[found])
         dst_off = np.repeat(pk.offsets[dst[found]], pk.cdim[src[found]])
-        w = t.weight * t.sign
+        w = -t.weight
         u = t.gate_matrix()
         if u is None:
             yield t, dst_off + content, idx, np.full(len(idx), w, dtype=complex)
@@ -478,9 +478,8 @@ class EigResult:
     floor: float | None = None
 
 
-def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
-             maxiter: int = 2000, tol: float = 1e-10,
-             sigma: float | None = None, ncv: int | None = None) -> EigResult:
+def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, maxiter: int = 2000,
+             tol: float = 1e-10, sigma: float | None = None) -> EigResult:
     """k smallest eigenvalues of a Hermitian operator.
 
     An explicit matrix, a dense array or a sparse matrix of any dimension,
@@ -498,9 +497,9 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
     iteration on that factorization and Rayleigh-Ritz on their span.
     Only a request for k >= dim - 1 eigenvalues, which ARPACK cannot
     serve, takes LAPACK ``eigh`` for the k lowest pairs instead, with no
-    shift.  Either way the result carries
-    the shift (``sigma``, None for ``eigh``) and the precision floor
-    eps * ||A||_1 (``floor``), and ``converged`` holds only when
+    shift.  Either way the result carries the shift (``sigma``, None for
+    ``eigh``) and the precision floor eps * ||A||_1 (``floor``), and
+    ``converged`` holds only when
 
     * a count finds no eigenvalue below theta_1 - max(r_1, floor), so
       that theta_1 is the smallest eigenvalue to within max(r_1, floor);
@@ -515,24 +514,24 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
 
     Any other operator, a LinearOperator or a :class:`FullOperator`, is
     read through its ``shape``, ``dtype`` and ``matvec`` by a
-    thick-restart Lanczos (:func:`_lanczos`) with ``ncv`` basis vectors
-    from a seeded (or given) start vector in the operator's dtype; a real
-    operator stays real unless ``v0`` has an imaginary part.  ``maxiter``
-    counts the restarts after the first cycle, so a run makes at most
-    ncv + maxiter*(ncv - k) operator applications, plus one per returned
-    value for its residual.  Whether the run converged or was cut short,
-    the values are the k lowest Ritz values of the last Krylov space,
-    each the Rayleigh quotient of its Ritz vector and so an upper bound
-    on the k-th eigenvalue; ``iterations`` is the number of restarts.
-    ``converged`` holds when each residual ||H y - theta y|| is at most
-    tol * max(|theta|, eps^(2/3)) (ARPACK's test).  A single start
-    vector sees a degenerate eigenvalue's further copies only through
-    rounding, so a run may converge with one copy missing.  These
-    results carry no ``floor``: the operator's norm is not formed.
+    thick-restart Lanczos (:func:`_lanczos`) with ncv = 10 basis vectors
+    (6 past 4,000,000 dimensions, at most dim) from a seeded start vector
+    in the operator's dtype.  ``maxiter`` counts the restarts after the
+    first cycle, so a run makes at most ncv + maxiter*(ncv - k) operator
+    applications, plus one per returned value for its residual.  The
+    values are the k lowest Ritz values of the last Krylov space, each
+    the Rayleigh quotient of its Ritz vector and so an upper bound on its
+    eigenvalue; ``iterations`` counts restarts.  ``converged`` holds when
+    each residual ||H y - theta y|| is at most tol * max(|theta|,
+    eps^(2/3)) (ARPACK's test); a single start vector sees a degenerate
+    eigenvalue's further copies only through rounding, so a run may
+    converge with one copy missing.  These results carry no ``floor``:
+    the operator's norm is not formed.
 
     Non-convergence is reported, not raised: the result carries the
-    values and residuals achieved.  A request for k < 1 values, or for
-    maxiter < 0 restarts of the Lanczos branch, is a ValueError.
+    values and residuals achieved.  A request for k < 1 values is a
+    ValueError, and so, in the Lanczos branch, are k >= ncv values and
+    maxiter < 0 restarts.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
@@ -540,23 +539,16 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, v0=None,
         return _shift_invert(sp.csc_matrix(op), k, seed, tol,
                              -1.0 if sigma is None else float(sigma))
     dim = op.shape[0]
-    if ncv is None:
-        # keep the Krylov basis small: full-space vectors are 268 MB each
-        ncv = min(dim, 6 if dim > 4_000_000 else 10)
-    if not k < ncv <= dim or maxiter < 0:
-        raise ValueError(f"need k < ncv <= dim and maxiter >= 0, got k={k}, "
-                         f"ncv={ncv}, dim={dim}, maxiter={maxiter}")
-    if v0 is not None:
-        v0 = _exact_real(np.asarray(v0))
-    basis = np.empty((ncv + 1, dim), dtype=op.dtype if v0 is None
-                     else np.result_type(op.dtype, v0.dtype))
-    if v0 is None:
-        rng = np.random.default_rng(seed)
-        basis[0].real = rng.standard_normal(dim)
-        if basis.dtype.kind == "c":
-            basis[0].imag = rng.standard_normal(dim)
-    else:
-        basis[0] = v0
+    # keep the Krylov basis small: full-space vectors are 268 MB each
+    ncv = min(dim, 6 if dim > 4_000_000 else 10)
+    if not k < ncv or maxiter < 0:
+        raise ValueError(f"need k < ncv and maxiter >= 0, got k={k}, "
+                         f"ncv={ncv}, maxiter={maxiter}")
+    basis = np.empty((ncv + 1, dim), dtype=op.dtype)
+    rng = np.random.default_rng(seed)
+    basis[0].real = rng.standard_normal(dim)
+    if basis.dtype.kind == "c":
+        basis[0].imag = rng.standard_normal(dim)
     return _lanczos(op.matvec, basis, k, maxiter, tol)
 
 
@@ -710,14 +702,18 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
-def _rotate(V: np.ndarray, S: np.ndarray, chunk: int = 1 << 16):
+#: Columns per product in :func:`_rotate`.
+_ROTATE_CHUNK = 1 << 16
+
+
+def _rotate(V: np.ndarray, S: np.ndarray):
     """V[:k] <- S^T V[:m] in place for S of shape (m, k): the rows of V
     are basis vectors, and the product runs over column chunks so no
     full-length temporary is made."""
     m, k = S.shape
     St = S.T.astype(V.dtype)
-    for a in range(0, V.shape[1], chunk):
-        V[:k, a:a + chunk] = St @ V[:m, a:a + chunk]
+    for a in range(0, V.shape[1], _ROTATE_CHUNK):
+        V[:k, a:a + _ROTATE_CHUNK] = St @ V[:m, a:a + _ROTATE_CHUNK]
 
 
 def _lanczos(matvec, V: np.ndarray, k: int, maxiter: int,

@@ -195,9 +195,8 @@ def check_facts(n: int, R: int, rules=chain.RULES,
 # History suite
 # ---------------------------------------------------------------------------
 
-def check_history(circ: LayeredCircuit, witness: np.ndarray,
-                  couplings: hm.Couplings | None = None) -> Report:
-    """Energy decomposition of the history state."""
+def check_history(circ: LayeredCircuit, witness: np.ndarray) -> Report:
+    """Energy decomposition of the history state at the derived couplings."""
     rep = Report(f"history(n={circ.n},R={circ.R})")
     K = chain.step_count(circ.n, circ.R)
     eta = spectra.history_state(circ, witness)
@@ -214,8 +213,7 @@ def check_history(circ: LayeredCircuit, witness: np.ndarray,
     rep.add("output energy equals p0/(K+1) from dense simulation",
             abs(e["out"] - p0 / (K + 1)) <= 1e-12,
             measured=e["out"], bound=p0 / (K + 1))
-    if couplings is None:
-        couplings = hm.choose_couplings(circ.n, circ.R, circ)
+    couplings = hm.choose_couplings(circ.n, circ.R, circ)
     total = (couplings.j_in * e["in"] + couplings.j_prop * e["prop"]
              + couplings.j_pen * e["pen"] + e["out"])
     spec = hm.assemble(pieces, couplings, circ.n, circ.m, circ.R)
@@ -261,31 +259,12 @@ def _witness_subspace_min(circ: LayeredCircuit, terms) -> float:
 _BLOCK_LIMIT = 200_000
 
 
-def _pen_free_blocks(spec: hm.HamiltonianSpec):
-    """(blocks, c): the exchange-closed configuration sets that hold a
-    pen-free configuration, each once, and a floor c that no other
-    set's block reaches below.
-
-    Every term maps a configuration's content space into itself or, for
-    a hop, into an exchange neighbour's, so H is block diagonal over the
-    exchange-closed sets and lambda_min(H) is the least block minimum.
-    Take a set with no pen-free configuration.  Each of its basis vectors
-    lies in a configuration with a local violation, where a pen
-    projector of weight j_pen reads 1; every diag term is a projector
-    with a non-negative weight, so the diag part of the block is at least
-    j_pen times the identity.  The hop part of the block is a compression
-    of the hop part V of H, so its norm is at most ||V||, and ||V|| is at
-    most the sum of w ||T + T^dagger||_2 over the hop terms.  The block's
-    minimum is therefore at least
-
-        c = j_pen - sum over hop terms of w ||T + T^dagger||_2,
-
-    and the least pen-free block minimum, when it lies below c, is
-    lambda_min(H) exactly.  A set of more than :data:`_BLOCK_LIMIT`
-    content dimensions is a ValueError, raised before any solve.
-    """
+def _pen_free_blocks(n: int, R: int) -> list[frozenset]:
+    """The exchange-closed configuration sets that hold a pen-free
+    configuration, each once.  A set of more than :data:`_BLOCK_LIMIT`
+    content dimensions is a ValueError, raised before any solve."""
     blocks, seen = [], set()
-    for c in chain.allowed_configurations(spec.n, spec.R):
+    for c in chain.allowed_configurations(n, R):
         if c in seen:
             continue
         inv = chain.invariant_set(c, cap=_BLOCK_LIMIT)
@@ -295,26 +274,43 @@ def _pen_free_blocks(spec: hm.HamiltonianSpec):
                              f"{_BLOCK_LIMIT} dimensions")
         blocks.append(inv.configs)
         seen |= inv.configs
+    return blocks
+
+
+def _block_floor(spec: hm.HamiltonianSpec) -> float:
+    """c = j_pen - sum over hop terms of w ||T + T^dagger||_2: no
+    eigenvalue of H lies below c outside the blocks of
+    :func:`_pen_free_blocks`.
+
+    Every term maps a configuration's content space into itself or, for
+    a hop, into an exchange neighbour's, so H is block diagonal over the
+    exchange-closed sets.  Take a set with no pen-free configuration.
+    Each of its basis vectors lies in a configuration with a local
+    violation, where a pen projector of weight j_pen reads 1; every diag
+    term is a projector with a non-negative weight, so the diag part of
+    the block is at least j_pen times the identity.  The hop part of the
+    block is a compression of the hop part V of H, so its norm is at most
+    ||V||, and ||V|| is at most the sum above.  So the least pen-free
+    block minimum, when it lies below c, is lambda_min(H) exactly.
+    """
     hops = math.fsum(t.weight * np.linalg.norm(t.matrix(), 2)
                      for t in spec.terms if t.kind == "hop")
-    return blocks, spec.couplings.j_pen - hops
+    return spec.couplings.j_pen - hops
 
 
-def soundness_probe(accepting: LayeredCircuit | None = None,
-                    rejecting: LayeredCircuit | None = None) -> Report:
-    """Spectral probes of the assembled Hamiltonian (defaults: the n=2,
-    R=2 reference circuits).
+def soundness_probe() -> Report:
+    """Spectral probes of the assembled Hamiltonian of the n=2, R=2
+    reference circuits, both at the accepting circuit's couplings.
 
-    Each full-space ground energy is exact, the least minimum over the
-    blocks of :func:`_pen_free_blocks` (12, of dimension 64 to 14,848, at
-    n=2, R=2).  The type-1 block holds the initial configuration; on
-    every other (type-3) block the pen+prop minimum meets the walk-matrix
-    bound.  The legal span is positive, and mixing it with its
-    one-exchange fringe certifies (variationally) that the assembled
-    operator is *not* positive semidefinite.
+    Each full-space ground energy is exact: the least minimum over the
+    12 blocks of :func:`_pen_free_blocks` (of dimension 64 to 14,848),
+    below the circuit's :func:`_block_floor`.  The type-1 block holds the
+    initial configuration; on every other (type-3) block the pen+prop
+    minimum meets the walk-matrix bound.  The legal span is positive, and
+    mixing it with its one-exchange fringe certifies (variationally) that
+    the assembled operator is *not* positive semidefinite.
     """
-    accepting = accepting or accepting_circuit()
-    rejecting = rejecting or rejecting_circuit()
+    accepting, rejecting = accepting_circuit(), rejecting_circuit()
     n, R = accepting.n, accepting.R
     K = chain.step_count(n, R)
     rep = Report(f"soundness(n={n},R={R})")
@@ -324,10 +320,10 @@ def soundness_probe(accepting: LayeredCircuit | None = None,
     specs = {name: hm.build_hamiltonian(circ, couplings=couplings)
              for name, circ in (("accepting", accepting),
                                 ("rejecting", rejecting))}
+    blocks = _pen_free_blocks(n, R)
     ground, solves = {}, {}
     for name, spec in specs.items():
-        # the blocks depend on (n, R) only; the floor on the couplings
-        blocks, floor = _pen_free_blocks(spec)
+        floor = _block_floor(spec)
         solves[name] = [spectra.min_eigs(spectra.restrict(spec, b)[0], k=1)
                         for b in blocks]
         low = min(solves[name], key=lambda r: r.values[0])
@@ -420,13 +416,12 @@ def census_suite(n: int = 2, m: int = 1, R: int = 2,
     expected = hm.expected_census(n, m, R)
     rep.add("term counts match the closed-form census",
             actual == expected, measured=actual, bound=expected)
-    seq = chain.legal_sequence(n, R)
-    worst = 0.0
-    for c in seq:
-        e = spectra.expectation(pieces["pen"], spectra.RestrictedState(
-            n, R, {c: np.ones(1 << c.holder_count(), dtype=complex)
-                   / np.sqrt(1 << c.holder_count())}))
-        worst = max(worst, abs(e))
+    # pen is a sum of projectors with non-negative weights: it vanishes on
+    # the legal span exactly when no term has a nonzero entry there
+    legal = chain._Packed.of(chain.legal_sequence(n, R))
+    worst = max((float(np.abs(v).max())
+                 for *_, v in spectra._term_entries(pieces["pen"], legal)
+                 if len(v)), default=0.0)
     rep.add("pair penalty vanishes on every legal configuration",
             worst <= 1e-12, measured=worst, bound=1e-12)
     bad = chain.Configuration(n, R, bytes(

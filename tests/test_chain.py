@@ -17,9 +17,9 @@ def cfg(text, n, R):
 # ---------------------------------------------------------------------------
 
 def test_initial_configuration_examples():
-    assert chain.initial_configuration(2, 2).to_string(False) == "giq....."
-    assert chain.initial_configuration(3, 2).to_string(False) == "giqiq." + "." * 6
-    assert chain.initial_configuration(2, 1).to_string(False) == "giq."
+    assert chain.initial_configuration(2, 2).to_string() == "giq.|...."
+    assert chain.initial_configuration(3, 2).to_string() == "giqiq.|......"
+    assert chain.initial_configuration(2, 1).to_string() == "giq."
     with pytest.raises(ValueError):
         chain.initial_configuration(1, 2)
 
@@ -485,7 +485,8 @@ def test_configuration_rejects_invalid_symbols_and_lengths():
 def test_configuration_text_round_trip():
     c = chain.legal_sequence(3, 2)[17]
     assert Configuration.from_string(c.to_string(), 3, 2) == c
-    assert Configuration.from_string(c.to_string(False), 3, 2) == c
+    assert Configuration.from_string(c.to_string().replace("|", ""),
+                                     3, 2) == c
     with pytest.raises(ValueError):
         Configuration.from_string("abc!", 2, 1)
 

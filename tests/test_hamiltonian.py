@@ -25,16 +25,16 @@ def basis_state(c: Configuration, content: int = 0):
 # ---------------------------------------------------------------------------
 
 def test_h_in_sites():
-    assert [t.sites for t in hm.build_h_in(3, 1, 2)] == [(1,), (3,)]
-    assert [t.sites for t in hm.build_h_in(3, 3, 2)] == [(1,)]
-    assert [t.sites for t in hm.build_h_in(5, 1, 1)] == [(1,), (3,), (5,), (7,)]
+    assert [t.sites for t in hm.build_h_in(3, 1)] == [(1,), (3,)]
+    assert [t.sites for t in hm.build_h_in(3, 3)] == [(1,)]
+    assert [t.sites for t in hm.build_h_in(5, 1)] == [(1,), (3,), (5,), (7,)]
     with pytest.raises(ValueError):
-        hm.build_h_in(3, 4, 2)
+        hm.build_h_in(3, 4)
 
 
 def test_h_in_vanishes_on_history():
     eta = spectra.history_state(identity_circuit(3, 1, 2), np.array([1, 0]))
-    assert spectra.expectation(hm.build_h_in(3, 1, 2), eta) == 0.0
+    assert spectra.expectation(hm.build_h_in(3, 1), eta) == 0.0
 
 
 def test_h_out_site_and_slot():
@@ -97,7 +97,7 @@ def test_all_blocks_hermitian_and_projectors_idempotent():
 
 
 def test_hop_adjoint_pairs_present():
-    # every hop block contains the transfer and its adjoint
+    # every hop block contains minus the transfer and minus its adjoint
     for t in hm.build_h_prop(cnot_circuit()):
         if t.kind != "hop":
             continue
@@ -105,8 +105,8 @@ def test_hop_adjoint_pairs_present():
         entries = t.hop_entries()
         assert entries
         for d64, s64, val in entries:
-            assert m[d64, s64] == t.sign * val
-            assert m[s64, d64] == t.sign * np.conj(val)
+            assert m[d64, s64] == -val
+            assert m[s64, d64] == -np.conj(val)
 
 
 def test_rule1_hop_carries_gate():

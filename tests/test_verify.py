@@ -110,7 +110,7 @@ def test_pen_free_blocks_give_the_full_space_minimum():
         replace(t, gate=gate) if t.gate is not None else t
         for t in spec.terms))
     assert sum(t.gate == gate for t in spec.terms) == 1
-    blocks, floor = verify._pen_free_blocks(spec)
+    blocks, floor = verify._pen_free_blocks(2, 1), verify._block_floor(spec)
     assert len(blocks) == 3
     low = min((spectra.min_eigs(spectra.restrict(spec, b)[0], k=1)
                for b in blocks), key=lambda r: r.values[0])
@@ -132,7 +132,7 @@ def test_pen_free_blocks_partition_at_2_2():
     holds a pen-free configuration and together they hold all 54; the
     floor is j_pen less 31 hop terms of norm 1 at j_prop."""
     spec = hm.build_hamiltonian(verify.rejecting_circuit())
-    blocks, floor = verify._pen_free_blocks(spec)
+    blocks, floor = verify._pen_free_blocks(2, 2), verify._block_floor(spec)
     pen_free = set(chain.allowed_configurations(2, 2))
     union = frozenset().union(*blocks)
     assert len(blocks) == 12 and len(pen_free) == 54
