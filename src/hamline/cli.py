@@ -205,19 +205,21 @@ def cmd_spectrum(args) -> int:
     couplings = hm.UNIT_COUPLINGS if args.couplings == "unit" else None
     spec = hm.build_hamiltonian(circ, couplings=couplings)
     n, R = circ.n, circ.R
-    if args.method == "dense":
-        if 2 * n * R > 4:
-            print("validation error: dense method limited to 4 sites",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
-        mat = spectra.full_sparse_matrix(spec.terms, n, R)
-    else:
-        if args.subspace == "legal":
-            configs = spectra.legal_basis(n, R)
+    if args.method == "dense" and 2 * n * R > 4:
+        print("validation error: dense method limited to 4 sites",
+              file=sys.stderr)
+        return EXIT_VALIDATION
+    try:
+        if args.method == "dense":
+            mat = spectra.full_sparse_matrix(spec.terms, n, R)
+        elif args.subspace == "legal":
+            mat, _ = spectra.restrict(spec, spectra.legal_basis(n, R))
         else:
-            configs = verify.legal_fringe(n, R)
-        mat, _ = spectra.restrict(spec, configs)
-    res = spectra.min_eigs(mat, k=args.eigs, seed=args.seed)
+            mat, _ = spectra.restrict(spec, verify.legal_fringe(n, R))
+        res = spectra.min_eigs(mat, k=args.eigs, seed=args.seed)
+    except ValueError as exc:  # a block or a dense solve over its size cap
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     out = "\n".join([f"method={args.method} K={spec.K} "
                      f"converged={res.converged}"] + eigenvalue_lines(res))
     print(out)
@@ -246,7 +248,7 @@ def cmd_verify(args) -> int:
     def run(name):
         try:
             if name == "census":
-                return verify.census_suite(args.n, 1, args.R,
+                return verify.census_suite(args.n, args.R,
                                            drop_pen_family=drop_pen)
             if name == "facts":
                 return verify.check_facts(args.n, args.R, rules=rules)

@@ -8,7 +8,13 @@ single-site basis states are ordered
 (indices 0..7, frozen; all matrix exports use this ordering).  The two
 qubit-holding symbols occupy two slots each; symbol-level projectors sum
 over the content slots, and transition ("hop") terms move the content
-between sites, pairing slots in left-to-right order.
+between sites, pairing slots in left-to-right order.  :data:`SLOT` maps
+each (symbol, content bit) to its slot.
+
+One term kernel, :func:`_term_entries`, applies terms to packed
+configurations and their content spaces: :mod:`hamline.spectra` runs it
+on configuration sets, :meth:`LocalTerm.matrix` on every symbol
+assignment of a term's window.
 
 Four term families are built here:
 
@@ -33,6 +39,8 @@ spectra of interest live on restricted subspaces (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import product
 from math import ceil, log2
 
 import numpy as np
@@ -43,7 +51,7 @@ from .chain import (BLANK, DEAD, GATE, INSI, PUSHER, QUBIT,
 from .circuit import LayeredCircuit, gate_at_location
 
 __all__ = [
-    "BASIS_LABELS", "SYMBOL_SLOTS", "LocalTerm", "Couplings",
+    "BASIS_LABELS", "SYMBOL_SLOTS", "SLOT", "LocalTerm", "Couplings",
     "HamiltonianSpec", "build_h_in", "build_h_out", "build_h_pen",
     "build_h_prop", "build_pieces", "choose_couplings", "assemble",
     "build_hamiltonian", "expected_census", "census", "export_terms",
@@ -90,71 +98,26 @@ class LocalTerm:
     window: int | None = None      # originating hop window, for prop terms
     weight: float = 1.0
 
-    # -- structured accessors ------------------------------------------------
-
     def gate_matrix(self) -> np.ndarray | None:
         if self.gate is None:
             return None
         return np.array(self.gate, dtype=complex).reshape(4, 4)
 
-    def site_diag(self, k: int) -> np.ndarray:
-        """Indicator vector (length 8) of the k-th site's projector factor."""
-        v = np.zeros(8)
-        v[sorted(self.diag_slots[k])] = 1.0
-        return v
-
-    def hop_entries(self) -> list[tuple[int, int, complex]]:
-        """(dst64, src64, value) triples of the bare transfer operator.
-
-        The full block is -(T + T^dagger); only T is listed here.
-        Content bits travel with the qubit-holding symbols, paired in
-        left-to-right order.
-        """
-        (x, y), (p, q) = self.src, self.dst
-        u = self.gate_matrix()
-        out = []
-        for sx in SYMBOL_SLOTS[x]:
-            for sy in SYMBOL_SLOTS[y]:
-                bits = []
-                if x in chain.QUBIT_HOLDING:
-                    bits.append(sx - SYMBOL_SLOTS[x][0])
-                if y in chain.QUBIT_HOLDING:
-                    bits.append(sy - SYMBOL_SLOTS[y][0])
-                src64 = 8 * sx + sy
-                if u is None:
-                    k = 0
-                    sp = SYMBOL_SLOTS[p][bits[k]] if p in chain.QUBIT_HOLDING \
-                        else SYMBOL_SLOTS[p][0]
-                    k += 1 if p in chain.QUBIT_HOLDING else 0
-                    sq = SYMBOL_SLOTS[q][bits[k]] if q in chain.QUBIT_HOLDING \
-                        else SYMBOL_SLOTS[q][0]
-                    out.append((8 * sp + sq, src64, 1.0 + 0j))
-                else:
-                    s, t = bits  # gate hop: both window sites hold content
-                    for sp_bit in (0, 1):
-                        for sq_bit in (0, 1):
-                            val = u[2 * sp_bit + sq_bit, 2 * s + t]
-                            if val != 0:
-                                d64 = 8 * SYMBOL_SLOTS[p][sp_bit] \
-                                    + SYMBOL_SLOTS[q][sq_bit]
-                                out.append((d64, src64, complex(val)))
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        """Unweighted diagonal of a diag term's block (length 8 or 64)."""
-        d = self.site_diag(0)
-        if len(self.sites) == 2:
-            d = np.kron(d, self.site_diag(1))
-        return d
-
     def matrix(self) -> np.ndarray:
-        """Dense unweighted block, 8x8 for 1 site or 64x64 for 2 sites."""
-        dim = 8 ** len(self.sites)
+        """Dense unweighted block, 8x8 for 1 site or 64x64 for 2 sites:
+        the term kernel (:func:`_term_entries`) run on every symbol
+        assignment of the window, its entries scattered at their
+        :func:`_site_index`.  A hop block is built from T itself and
+        returned as -(T + T^dagger)."""
+        w = len(self.sites)
+        pk, index = _window(w)
+        local = replace(self, sites=tuple(range(1, w + 1)),
+                        weight=1.0 if self.kind == "diag" else -1.0)
+        ((_, rows, cols, vals),) = _term_entries([local], pk)
+        m = np.zeros((8 ** w, 8 ** w), dtype=complex)
+        m[index[rows], index[cols]] += vals
         if self.kind == "diag":
-            return np.diag(self.diagonal()).astype(complex)
-        m = np.zeros((dim, dim), dtype=complex)
-        for d64, s64, val in self.hop_entries():
-            m[d64, s64] += val
+            return m
         # a product: unary minus would export -0.0 imaginary parts
         return -1.0 * (m + m.conj().T)
 
@@ -170,6 +133,89 @@ def _hop_term(family, sites, src, dst, gate=None, rule=None, window=None):
     return LocalTerm(family=family, sites=tuple(sites), kind="hop",
                      src=tuple(src), dst=tuple(dst), gate=flat,
                      rule=rule, piece="hop", window=window)
+
+
+# ---------------------------------------------------------------------------
+# The term kernel
+# ---------------------------------------------------------------------------
+
+#: Site state of each (symbol, content bit); a symbol without content
+#: reads its one slot for either bit.
+SLOT = np.array([[slots[min(b, len(slots) - 1)] for b in (0, 1)]
+                 for _, slots in sorted(SYMBOL_SLOTS.items())])
+
+
+def _site_index(pk: chain._Packed) -> np.ndarray:
+    """The base-8 index (first site most significant) of every basis
+    vector of the packed rows, in row order: each site's digit is the
+    :data:`SLOT` of its symbol and its holder's content bit."""
+    cfg, _, content = pk.expand(np.arange(len(pk.S)))
+    index = np.zeros(len(cfg), dtype=np.int64)
+    for site in range(pk.S.shape[1]):
+        bit = (content >> pk.ranks[cfg, site]) & 1
+        index = 8 * index + SLOT[pk.S[cfg, site], bit]
+    return index
+
+
+@lru_cache(maxsize=None)
+def _window(w: int) -> tuple[chain._Packed, np.ndarray]:
+    """Every symbol assignment of a w-site window, packed, with its
+    :func:`_site_index`."""
+    pk = chain._Packed(np.array(list(product(range(len(SLOT)), repeat=w)),
+                                dtype=np.uint8))
+    return pk, _site_index(pk)
+
+
+def _term_entries(terms, pk: chain._Packed):
+    """The term kernel: each term's weighted entries on the packed
+    configurations' content spaces, as (term, rows, cols, values) in
+    global basis indices, one term at a time.
+
+    A diag term gives its diagonal (rows == cols), each site's factor
+    read from :data:`SLOT`.  A hop term gives its transfer part T only,
+    -weight times the rule-1 gate entry (or 1), from each source
+    configuration to its destination where that is packed too; the
+    term's other half is T^dagger.  Each term matches its window by a
+    column mask and emits all its entries at once.
+    """
+    S, ranks = pk.S, pk.ranks
+    for t in terms:
+        i = t.sites[0]
+        if t.kind == "diag":
+            # (symbol, content bit) -> whether its site state lies in s
+            tables = [np.bincount(tuple(s), minlength=8)[SLOT] > 0
+                      for s in t.diag_slots]
+            hit = np.ones(len(S), dtype=bool)
+            for k, tab in enumerate(tables):
+                hit &= tab.any(axis=1)[S[:, i - 1 + k]]
+            cfg, idx, content = pk.expand(np.flatnonzero(hit))
+            f = np.full(len(idx), t.weight)
+            for k, tab in enumerate(tables):
+                site = i - 1 + k
+                f *= tab[S[cfg, site], (content >> ranks[cfg, site]) & 1]
+            yield t, idx, idx, f
+            continue
+        src, dst, found, _ = pk.hop(i, t.src, t.dst)
+        cfg, idx, content = pk.expand(src[found])
+        dst_off = np.repeat(pk.offsets[dst[found]], pk.cdim[src[found]])
+        w = -t.weight
+        u = t.gate_matrix()
+        if u is None:
+            yield t, dst_off + content, idx, np.full(len(idx), w, dtype=complex)
+            continue
+        # rule-1 gate on content bits (a, a+1): the holders at i, i+1
+        a = ranks[cfg, i - 1]
+        bits_in = 2 * ((content >> a) & 1) + ((content >> (a + 1)) & 1)
+        cleared = content & ~(3 << a)
+        out_idx, col_idx, val = [], [], []
+        for j in range(4):
+            g = u[j, bits_in]
+            nz = g != 0
+            out = dst_off + (cleared | ((j >> 1) << a) | ((j & 1) << (a + 1)))
+            out_idx.append(out[nz])
+            col_idx.append(idx[nz])
+            val.append(w * g[nz])
+        yield t, *map(np.concatenate, (out_idx, col_idx, val))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Two state representations are used:
 
 * Full vectors on the 8^(2nR)-dimensional chain space.  Basis index:
   site 1 is the most significant base-8 digit, and each site digit is
-  the single-site slot from :mod:`hamline.hamiltonian`.
+  the single-site slot (:func:`hamline.hamiltonian._site_index`).
 * Restricted states: a map from configurations to content vectors of
   dimension 2^q, q the number of qubit-holding sites.  Content bit k
   belongs to the k-th holder from the left (k = 0 is the lowest bit);
@@ -14,7 +14,9 @@ Two state representations are used:
 Configuration sets are handled in the automaton's packed form
 (:class:`hamline.chain._Packed`, one row of symbol codes per
 configuration); restrictions, expectations and hop images read their
-rows, content offsets and holder ranks from it.
+rows, content offsets and holder ranks from it.  Term entries come from
+the term kernel in :mod:`hamline.hamiltonian`; full-space blocks are its
+window blocks (:meth:`~hamline.hamiltonian.LocalTerm.matrix`).
 
 The quantum-walk matrices (tridiagonal with -1/2 off-diagonals, interior
 diagonal 1, end diagonals f and g) and their closed-form spectra live
@@ -51,28 +53,18 @@ __all__ = [
 
 DEFAULT_SEED = 0
 FULL_SPACE_SITE_LIMIT = 8  # 8^8 ~ 1.7e7 amplitudes
+#: The largest dense array, in bytes, that :func:`min_eigs` forms for a
+#: LAPACK solve (a 4-site complex operator is 256 MiB).
+DENSE_BYTE_LIMIT = 1 << 29
 
 
 def full_dimension(n: int, R: int) -> int:
     return 8 ** (2 * n * R)
 
 
-def _site_digits(c: Configuration) -> np.ndarray:
-    """Base-8 digit of every site for content index 0 (holders get bit 0)."""
-    return np.array([hm.SYMBOL_SLOTS[s][0] for s in c.sites], dtype=np.int64)
-
-
 def config_indices(c: Configuration) -> np.ndarray:
     """Full-space basis indices of (c, content) for content = 0..2^q-1."""
-    L = c.length
-    weights = 8 ** np.arange(L - 1, -1, -1, dtype=np.int64)
-    base = int(np.dot(_site_digits(c), weights))
-    holders = c.holders()
-    idx = np.full(1 << len(holders), base, dtype=np.int64)
-    content = np.arange(1 << len(holders), dtype=np.int64)
-    for k, site in enumerate(holders):
-        idx += ((content >> k) & 1) * weights[site - 1]
-    return idx
+    return hm._site_index(chain._Packed.of([c]))
 
 
 def basis_convention_hash() -> str:
@@ -106,8 +98,8 @@ class RestrictedState:
         parts = [_exact_real(np.asarray(v)) for v in self.amplitudes.values()]
         dtype = complex if any(np.iscomplexobj(v) for v in parts) else float
         out = np.zeros(full_dimension(self.n, self.R), dtype=dtype)
-        for c, v in zip(self.amplitudes, parts):
-            out[config_indices(c)] = v
+        out[hm._site_index(chain._Packed.of(self.amplitudes))] = \
+            np.concatenate(parts)
         return out
 
 
@@ -171,7 +163,7 @@ def energy_parts(terms, state: RestrictedState) -> np.ndarray:
     x = np.concatenate([np.asarray(v, dtype=complex)
                         for v in state.amplitudes.values()])
     parts = [np.zeros(0)]
-    for t, rows, cols, vals in _term_entries(
+    for t, rows, cols, vals in hm._term_entries(
             _term_list(terms), chain._Packed.of(state.amplitudes)):
         p = (x[rows].conj() * (vals * x[cols])).real
         parts.append(p if t.kind == "diag" else 2.0 * p)
@@ -244,7 +236,8 @@ class FullOperator:
             i = t.sites[0]
             if t.kind == "diag":
                 key = (i, len(t.sites))
-                blocks[key] = blocks.get(key, 0.0) + t.weight * t.diagonal()
+                blocks[key] = blocks.get(key, 0.0) \
+                    + t.weight * t.matrix().diagonal().real
             else:
                 tables[i] = tables.get(i, 0.0) + t.weight * t.matrix()
         tables = {i: _exact_real(tables[i]) for i in sorted(tables)}
@@ -342,66 +335,6 @@ def _ordered_configs(configs) -> list[Configuration]:
     return sorted(configs, key=lambda c: c.sites)
 
 
-def _slot_table(slots: frozenset) -> np.ndarray:
-    """(symbol, content bit) -> 1.0 where that site state lies in ``slots``;
-    symbols without content read the same slot for either bit."""
-    table = np.zeros((len(hm.SYMBOL_SLOTS), 2))
-    for sym, own in hm.SYMBOL_SLOTS.items():
-        for b in (0, 1):
-            table[sym, b] = own[min(b, len(own) - 1)] in slots
-    return table
-
-
-def _term_entries(terms, pk: chain._Packed):
-    """The term kernel: each term's weighted entries on the packed
-    configurations' content spaces, as (term, rows, cols, values) in
-    global basis indices, one term at a time.
-
-    A diag term gives its diagonal (rows == cols), each site's factor
-    read from a symbol x content-bit table.  A hop term gives its
-    transfer part T only, -weight times the rule-1 gate entry (or 1),
-    from each source configuration to its destination where that is
-    packed too; the term's other half is T^dagger.  Each term matches its
-    window by a column mask and emits all its entries at once.
-    """
-    S, ranks = pk.S, pk.ranks
-    for t in terms:
-        i = t.sites[0]
-        if t.kind == "diag":
-            tables = [_slot_table(s) for s in t.diag_slots]
-            hit = np.ones(len(S), dtype=bool)
-            for k, tab in enumerate(tables):
-                hit &= tab.any(axis=1)[S[:, i - 1 + k]]
-            cfg, idx, content = pk.expand(np.flatnonzero(hit))
-            f = np.full(len(idx), t.weight)
-            for k, tab in enumerate(tables):
-                site = i - 1 + k
-                f *= tab[S[cfg, site], (content >> ranks[cfg, site]) & 1]
-            yield t, idx, idx, f
-            continue
-        src, dst, found, _ = pk.hop(i, t.src, t.dst)
-        cfg, idx, content = pk.expand(src[found])
-        dst_off = np.repeat(pk.offsets[dst[found]], pk.cdim[src[found]])
-        w = -t.weight
-        u = t.gate_matrix()
-        if u is None:
-            yield t, dst_off + content, idx, np.full(len(idx), w, dtype=complex)
-            continue
-        # rule-1 gate on content bits (a, a+1): the holders at i, i+1
-        a = ranks[cfg, i - 1]
-        bits_in = 2 * ((content >> a) & 1) + ((content >> (a + 1)) & 1)
-        cleared = content & ~(3 << a)
-        out_idx, col_idx, val = [], [], []
-        for j in range(4):
-            g = u[j, bits_in]
-            nz = g != 0
-            out = dst_off + (cleared | ((j >> 1) << a) | ((j & 1) << (a + 1)))
-            out_idx.append(out[nz])
-            col_idx.append(idx[nz])
-            val.append(w * g[nz])
-        yield t, *map(np.concatenate, (out_idx, col_idx, val))
-
-
 def _hop_images(terms, configs: list[Configuration]) -> list[Configuration]:
     """Configurations outside ``configs`` that one hop term maps one of
     them to, in either direction."""
@@ -423,7 +356,8 @@ def restrict(terms, configs, max_dim: int = 200_000):
     (sets are sorted lexicographically).  Basis ordering within a
     configuration is by content index.  A configuration listed twice is
     an error.  The entries come from the term kernel
-    (:func:`_term_entries`); each hop entry is added with its adjoint.
+    (:func:`hamline.hamiltonian._term_entries`); each hop entry is added
+    with its adjoint.
     The matrix is float64 when no assembled entry has an imaginary part
     (the circuit's gates are real) and complex128 otherwise.
     """
@@ -443,7 +377,7 @@ def restrict(terms, configs, max_dim: int = 200_000):
              for c, off, cd in zip(configs, pk.offsets[:-1], pk.cdim)]
     diag = np.zeros(dim)
     rows, cols, vals = [], [], []
-    for t, r, c, v in _term_entries(terms, pk):
+    for t, r, c, v in hm._term_entries(terms, pk):
         if t.kind == "diag":
             diag[r] += v
         else:
@@ -530,8 +464,9 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, maxiter: int = 2000,
 
     Non-convergence is reported, not raised: the result carries the
     values and residuals achieved.  A request for k < 1 values is a
-    ValueError, and so, in the Lanczos branch, are k >= ncv values and
-    maxiter < 0 restarts.
+    ValueError, and so are a dense solve over :data:`DENSE_BYTE_LIMIT`
+    bytes and, in the Lanczos branch, k >= ncv values and maxiter < 0
+    restarts.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
@@ -560,6 +495,10 @@ def _shift_invert(A: sp.csc_matrix, k: int, seed: int, tol: float,
     floor = _floor(A)
     k = min(k, A.shape[0])
     if k >= A.shape[0] - 1:
+        size = A.shape[0] ** 2 * A.dtype.itemsize
+        if size > DENSE_BYTE_LIMIT:
+            raise ValueError(f"a dense solve of dimension {A.shape[0]} needs "
+                             f"{size} bytes, over {DENSE_BYTE_LIMIT}")
         vals, vecs = sla.eigh(A.toarray(), subset_by_index=[0, k - 1])
         x, lu, converged = None, None, True
     else:

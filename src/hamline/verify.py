@@ -400,9 +400,10 @@ def soundness_probe() -> Report:
 # Census suite
 # ---------------------------------------------------------------------------
 
-def census_suite(n: int = 2, m: int = 1, R: int = 2,
-                 drop_pen_family=None) -> Report:
-    """Pair-table and term-count checks against their closed forms."""
+def census_suite(n: int = 2, R: int = 2, drop_pen_family=None) -> Report:
+    """Pair-table and term-count checks against their closed forms, for
+    circuits with one witness qubit."""
+    m = 1
     rep = Report(f"census(n={n},m={m},R={R})")
     rep.add("allowed (pair, location-type) combinations number 56",
             chain.allowed_pair_count() == 56,
@@ -420,7 +421,7 @@ def census_suite(n: int = 2, m: int = 1, R: int = 2,
     # the legal span exactly when no term has a nonzero entry there
     legal = chain._Packed.of(chain.legal_sequence(n, R))
     worst = max((float(np.abs(v).max())
-                 for *_, v in spectra._term_entries(pieces["pen"], legal)
+                 for *_, v in hm._term_entries(pieces["pen"], legal)
                  if len(v)), default=0.0)
     rep.add("pair penalty vanishes on every legal configuration",
             worst <= 1e-12, measured=worst, bound=1e-12)

@@ -254,6 +254,22 @@ def test_spectrum_count_validation_exit_two(tmp_path, method, flag, value):
     assert out.stderr == "validation error: need --eigs >= 1\n"
 
 
+@pytest.mark.parametrize("n, R, eigs, message", [
+    # the legal+fringe block has 271,744 dimensions: refused by restrict
+    (6, 4, "4", "restricted dimension 271744 exceeds 200000"),
+    # 53,824 dimensions: a dense solve would need a 23 GB array
+    (5, 3, "53823", "a dense solve of dimension 53824 needs 23176183808 "
+                    "bytes, over 536870912"),
+])
+def test_spectrum_size_caps_exit_two(tmp_path, n, R, eigs, message):
+    circ = write_circuit(tmp_path, {
+        "n": n, "m": 1, "rounds": [[{"kind": "I"}] * (n - 1)] * R})
+    out = run("spectrum", "--circuit", circ, "--set", "fringe",
+              "--eigs", eigs)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stderr == f"validation error: {message}\n"
+
+
 @pytest.mark.parametrize("command", [
     ("sequence", "--n", "1000", "--R", "10"),
     ("verify", "--suite", "facts", "--n", "1000", "--R", "10"),

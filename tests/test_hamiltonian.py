@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -96,17 +97,53 @@ def test_all_blocks_hermitian_and_projectors_idempotent():
                 assert np.max(np.abs(m @ m - m)) < 1e-14
 
 
+def transport(t) -> np.ndarray:
+    """The 64x64 transfer T of a hop term, from SYMBOL_SLOTS alone: each
+    source slot pair's content bits move left to right onto the
+    destination symbols' holders, through the gate on rule 1."""
+    slots = hm.SYMBOL_SLOTS
+    (x, y), (p, q) = t.src, t.dst
+    u = t.gate_matrix()
+    T = np.zeros((64, 64), dtype=complex)
+    for sx in slots[x]:
+        for sy in slots[y]:
+            bits = [s - slots[a][0] for a, s in ((x, sx), (y, sy))
+                    if len(slots[a]) == 2]
+            if u is None:
+                outs = [(bits, 1.0)]
+            else:
+                outs = [([j >> 1, j & 1], u[j, 2 * bits[0] + bits[1]])
+                        for j in range(4)]
+            for out, amp in outs:
+                dp = slots[p][out.pop(0)] if len(slots[p]) == 2 \
+                    else slots[p][0]
+                dq = slots[q][out.pop(0)] if len(slots[q]) == 2 \
+                    else slots[q][0]
+                T[8 * dp + dq, 8 * sx + sy] += amp
+    return T
+
+
 def test_hop_adjoint_pairs_present():
-    # every hop block contains minus the transfer and minus its adjoint
-    for t in hm.build_h_prop(cnot_circuit()):
-        if t.kind != "hop":
-            continue
-        m = t.matrix()
-        entries = t.hop_entries()
-        assert entries
-        for d64, s64, val in entries:
-            assert m[d64, s64] == -val
-            assert m[s64, d64] == -np.conj(val)
+    # every hop block is minus the transfer plus its adjoint; round 2
+    # carries a complex random gate
+    z = np.random.default_rng(5).standard_normal((4, 8)).view(complex)
+    circ = LayeredCircuit(2, 1, (identity_round(2),
+                                 (Gate2Q(np.linalg.qr(z)[0], 1),)))
+    hops = [t for t in hm.build_h_prop(circ) if t.kind == "hop"]
+    assert {t.rule for t in hops} == {"1", "2", "3", "4", "5", "6"}
+    for t in hops:
+        T = transport(t)
+        assert np.any(T)
+        assert np.array_equal(t.matrix(), -(T + T.conj().T))
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_site_index_permutes_window_basis(w):
+    # the (symbol, content) basis of all w-site windows is the 8^w basis
+    rows = np.array(list(itertools.product(range(6), repeat=w)),
+                    dtype=np.uint8)
+    idx = hm._site_index(chain._Packed(rows))
+    assert np.array_equal(np.sort(idx), np.arange(8 ** w))
 
 
 def test_rule1_hop_carries_gate():

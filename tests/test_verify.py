@@ -69,8 +69,8 @@ def test_check_history_haar_within_precision_floor():
 
 
 def test_census_suite_and_negative_control():
-    assert verify.census_suite(3, 1, 2).passed
-    rep = verify.census_suite(3, 1, 2,
+    assert verify.census_suite(3, 2).passed
+    rep = verify.census_suite(3, 2,
                               drop_pen_family=(chain.DEAD, chain.BLANK, "B"))
     assert not rep.passed
 
