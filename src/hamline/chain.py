@@ -101,11 +101,6 @@ class Configuration:
     def length(self) -> int:
         return 2 * self.n * self.R
 
-    def holders(self) -> tuple[int, ...]:
-        """1-based positions of qubit-holding sites, left to right."""
-        return tuple(i + 1 for i, s in enumerate(self.sites)
-                     if s in QUBIT_HOLDING)
-
     def holder_count(self) -> int:
         return sum(1 for s in self.sites if s in QUBIT_HOLDING)
 

@@ -237,32 +237,33 @@ def gate_at_location(circ: LayeredCircuit, i: int) -> Gate2Q:
 
 def apply_gate_to_state(state: np.ndarray, matrix: np.ndarray,
                         a: int, n: int) -> np.ndarray:
-    """Apply a 4x4 gate to qubits (a, a+1) of a dense 2^n state vector."""
-    t = state.reshape((2,) * n)
+    """Apply a 4x4 gate to qubits (a, a+1) of a dense 2^n state vector, or
+    of each column of a (2^n, k) array."""
+    t = state.reshape((2,) * n + state.shape[1:])
     # qubit k is bit k-1; numpy axis j holds bit n-1-j
     ax_left, ax_right = n - a, n - a - 1
     t = np.moveaxis(t, (ax_left, ax_right), (0, 1))
     shape = t.shape
     t = np.tensordot(matrix.reshape(2, 2, 2, 2), t, axes=([2, 3], [0, 1]))
     t = np.moveaxis(t.reshape(shape), (0, 1), (ax_left, ax_right))
-    return t.reshape(-1)
+    return t.reshape(state.shape)
+
+
+def _run(circ: LayeredCircuit, state: np.ndarray) -> np.ndarray:
+    """A state vector or (2^n, k) columns after the whole circuit, gates
+    applied slot by slot, round by round."""
+    for rnd in circ.rounds:
+        for gate in rnd:
+            state = apply_gate_to_state(state, gate.matrix, gate.target,
+                                        circ.n)
+    return state
 
 
 def circuit_unitary(circ: LayeredCircuit) -> np.ndarray:
     """Dense 2^n unitary of the whole circuit (gates applied slot by slot)."""
-    n = circ.n
-    dim = 1 << n
-    if n > 12:
+    if circ.n > 12:
         raise ValueError("dense unitary limited to n <= 12")
-    u = np.eye(dim, dtype=complex)
-    for rnd in circ.rounds:
-        for gate in rnd:
-            cols = np.empty_like(u)
-            for c in range(dim):
-                cols[:, c] = apply_gate_to_state(u[:, c], gate.matrix,
-                                                 gate.target, n)
-            u = cols
-    return u
+    return _run(circ, np.eye(1 << circ.n, dtype=complex))
 
 
 def input_state(circ: LayeredCircuit, witness: np.ndarray) -> np.ndarray:
@@ -279,11 +280,7 @@ def input_state(circ: LayeredCircuit, witness: np.ndarray) -> np.ndarray:
 def output_zero_probability(circ: LayeredCircuit,
                             witness: np.ndarray) -> float:
     """p0: probability that the output qubit n reads 0 after the circuit."""
-    state = input_state(circ, witness)
-    for rnd in circ.rounds:
-        for gate in rnd:
-            state = apply_gate_to_state(state, gate.matrix, gate.target,
-                                        circ.n)
+    state = _run(circ, input_state(circ, witness))
     probs = np.abs(state) ** 2
     mask = (np.arange(1 << circ.n) >> (circ.n - 1)) & 1
     return float(np.sum(probs[mask == 0]))

@@ -7,14 +7,12 @@ verify (named verification suites).
 Exit codes: 0 success, 1 usage or parse error, 2 validation error,
 3 suite failure or a spectrum solve that has not converged.  All
 randomness flows from --seed; equal invocations produce identical
-output.  HAMLINE_THREADS caps BLAS/OpenMP threads (read before the
-numeric modules load).
+output.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 EXIT_OK = 0
@@ -43,14 +41,6 @@ def _bad_shape(n: int, R: int) -> bool:
                  f"symbols, over {_MAX_SEQUENCE_SITES}")
     print(f"validation error: {error}", file=sys.stderr)
     return True
-
-
-def _cap_threads():
-    cap = os.environ.get("HAMLINE_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -277,7 +267,6 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,8 +13,9 @@ each (symbol, content bit) to its slot.
 
 One term kernel, :func:`_term_entries`, applies terms to packed
 configurations and their content spaces: :mod:`hamline.spectra` runs it
-on configuration sets, :meth:`LocalTerm.matrix` on every symbol
-assignment of a term's window.
+on configuration sets and on every symbol assignment of a chain
+(:func:`_window`), :meth:`LocalTerm.matrix` on every symbol assignment
+of a term's window.
 
 Four term families are built here:
 

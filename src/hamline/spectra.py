@@ -15,8 +15,10 @@ Configuration sets are handled in the automaton's packed form
 (:class:`hamline.chain._Packed`, one row of symbol codes per
 configuration); restrictions, expectations and hop images read their
 rows, content offsets and holder ranks from it.  Term entries come from
-the term kernel in :mod:`hamline.hamiltonian`; full-space blocks are its
-window blocks (:meth:`~hamline.hamiltonian.LocalTerm.matrix`).
+the term kernel in :mod:`hamline.hamiltonian`, and one assembly
+(:func:`_assemble`) sums them into every matrix: a restriction, and a
+full-space matrix as the restriction to every symbol assignment of its
+sites, permuted into the full-space index (:func:`_chain_matrix`).
 
 The quantum-walk matrices (tridiagonal with -1/2 off-diagonals, interior
 diagonal 1, end diagonals f and g) and their closed-form spectra live
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -44,7 +46,7 @@ from .hamiltonian import HamiltonianSpec, LocalTerm
 
 __all__ = [
     "RestrictedState", "FullOperator", "WalkMatrix", "EigResult",
-    "full_dimension", "config_indices", "history_state", "expectation",
+    "full_dimension", "history_state", "expectation",
     "energy_parts", "apply_restricted", "restrict", "min_eigs",
     "walk_matrix", "walk_eigs_analytic",
     "rotate_out_gates", "legal_basis", "basis_convention_hash",
@@ -53,6 +55,9 @@ __all__ = [
 
 DEFAULT_SEED = 0
 FULL_SPACE_SITE_LIMIT = 8  # 8^8 ~ 1.7e7 amplitudes
+#: The coordinate export writes a line per nonzero: 663,553 lines at 6
+#: sites, 49,283,073 at 8.
+COO_SITE_LIMIT = 6
 #: The largest dense array, in bytes, that :func:`min_eigs` forms for a
 #: LAPACK solve (a 4-site complex operator is 256 MiB).
 DENSE_BYTE_LIMIT = 1 << 29
@@ -60,11 +65,6 @@ DENSE_BYTE_LIMIT = 1 << 29
 
 def full_dimension(n: int, R: int) -> int:
     return 8 ** (2 * n * R)
-
-
-def config_indices(c: Configuration) -> np.ndarray:
-    """Full-space basis indices of (c, content) for content = 0..2^q-1."""
-    return hm._site_index(chain._Packed.of([c]))
 
 
 def basis_convention_hash() -> str:
@@ -111,16 +111,25 @@ def history_state(circ: LayeredCircuit, witness: np.ndarray) -> RestrictedState:
     content = input_state(circ, witness)
     if abs(np.vdot(content, content).real - 1.0) > 1e-10:
         raise ValueError("witness must be normalized")
-    n, R = circ.n, circ.R
-    seq, applied = chain.annotated_sequence(n, R)
+    seq, contents = _evolved(circ, content)
     amp = 1.0 / np.sqrt(len(seq))
-    states = {seq[0]: amp * content}
-    for nxt, inst in zip(seq[1:], applied):
+    return RestrictedState(circ.n, circ.R,
+                           {c: amp * v for c, v in zip(seq, contents)})
+
+
+def _evolved(circ: LayeredCircuit, content: np.ndarray):
+    """(legal sequence, contents): the content vector or (2^n, k) columns
+    at each step of the legal sequence, evolved by the rule-1 gates in
+    firing order."""
+    seq, applied = chain.annotated_sequence(circ.n, circ.R)
+    contents = [content]
+    for inst in applied[:-1]:
         if inst.rule == "1":
             gate = gate_at_location(circ, inst.position)
-            content = apply_gate_to_state(content, gate.matrix, gate.target, n)
-        states[nxt] = amp * content
-    return RestrictedState(n, R, states)
+            content = apply_gate_to_state(content, gate.matrix, gate.target,
+                                          circ.n)
+        contents.append(content)
+    return seq, contents
 
 
 # ---------------------------------------------------------------------------
@@ -194,30 +203,28 @@ def expectation(terms, state) -> float:
 class FullOperator:
     """Matrix-free application of a term list on the full chain space.
 
-    Diag terms are summed into one weighted block per (site, width)
-    window, hop terms into one Hermitian 64x64 table per site, -weight *
-    (T + T^dagger) summed over the window's terms and kept as float64
-    when it is exactly real.  ``hops`` keeps each table's
-    nonzeros as (site, [(d64, s64, value), ...]); ``dtype`` is float64
-    when every table is real (the circuit's gates are) and complex128
-    otherwise.  With ``shape`` and ``dtype`` the operator serves
-    :func:`min_eigs` as a LinearOperator does.  Matches
-    :func:`full_sparse_matrix` exactly on small instances (tested).
+    One fixed rule splits the windows between two CSR blocks, each the
+    assembly of that half's hop terms over every symbol assignment of its
+    sites (:func:`_chain_matrix`): the head block holds windows 1..h-1 on
+    the first h = L - floor(L/2) + 1 sites, the tail block windows h..L-1
+    on the last floor(L/2) sites; they share site h.  At 8 sites they are
+    32,768 and 4,096 square with 34,816 and 3,584 nonzeros.  ``diag`` is
+    the broadcast sum of a head and a tail diagonal, assembled from the
+    diag terms split the same way.  ``dtype`` is float64 when both blocks
+    are exactly real (the circuit's gates are) and complex128 otherwise.
+    With ``shape`` and ``dtype`` the operator serves :func:`min_eigs` as a
+    LinearOperator does.  ``hops`` keeps each window's nonzeros of
+    -weight * (T + T^dagger), summed from the terms' blocks
+    (:meth:`~hamline.hamiltonian.LocalTerm.matrix`), as (site, [(d64,
+    s64, value), ...]).
 
-    One fixed rule splits the windows between two CSR blocks, each a sum
-    of Kronecker products with identities (:func:`_window_kron`): the head
-    block holds windows 1..h-1 on the first h = L - floor(L/2) + 1 sites,
-    the tail block windows h..L-1 on the last floor(L/2) sites; they
-    share site h.  At 8 sites they are 32,768 and 4,096 square with 34,816
-    and 3,584 nonzeros.  ``diag`` is the broadcast sum of a head and a
-    tail diagonal, split the same way.  ``matvec`` multiplies the head
-    block into the vector read as an (8^h, 8^(L-h)) matrix, which
-    allocates the output, then adds the diagonal and tail products slab
-    by slab of 8^floor(L/2) amplitudes, while each slab is in cache.  A
-    real operator reads a complex vector through its float64 view, two
-    columns per amplitude, so the blocks are never upcast and the real
-    and imaginary parts get the same real arithmetic (the complex
-    diagonal product adds an exact zero to each).
+    ``matvec`` multiplies the head block into the vector read as an
+    (8^h, 8^(L-h)) matrix, which allocates the output, then adds the
+    diagonal and tail products slab by slab of 8^floor(L/2) amplitudes,
+    while each slab is in cache.  A real operator reads a complex vector
+    through its float64 view, two columns per amplitude, so the blocks are
+    never upcast and the real and imaginary parts get the same real
+    arithmetic (the complex diagonal product adds an exact zero to each).
     """
 
     def __init__(self, terms, nR: tuple[int, int]):
@@ -230,20 +237,15 @@ class FullOperator:
         self.n, self.R, self.L = n, R, L
         self.dim = 8 ** L
         self.shape = (self.dim, self.dim)
-        blocks: dict[tuple[int, int], np.ndarray] = {}
+        terms = _term_list(terms)
         tables: dict[int, np.ndarray] = {}
-        for t in _term_list(terms):
-            i = t.sites[0]
-            if t.kind == "diag":
-                key = (i, len(t.sites))
-                blocks[key] = blocks.get(key, 0.0) \
-                    + t.weight * t.matrix().diagonal().real
-            else:
+        for t in terms:
+            if t.kind == "hop":
+                i = t.sites[0]
                 tables[i] = tables.get(i, 0.0) + t.weight * t.matrix()
-        tables = {i: _exact_real(tables[i]) for i in sorted(tables)}
-        self.dtype = np.result_type(np.float64, *tables.values())
         self.hops = []
-        for i, table in tables.items():
+        for i in sorted(tables):
+            table = _exact_real(tables[i])
             d64, s64 = np.nonzero(table)
             self.hops.append((i, list(zip(d64.tolist(), s64.tolist(),
                                           table[d64, s64].tolist()))))
@@ -251,16 +253,14 @@ class FullOperator:
         halves = []
         for first, sites, starts in ((1, h, range(1, h)),
                                      (h, L - h + 1, range(h, L + 1))):
-            diag = np.zeros(8 ** sites)
-            for (i, _), block in blocks.items():
-                if i in starts:
-                    diag.reshape(8 ** (i - first), len(block), -1)[:] += \
-                        block[None, :, None]
-            hop = sum((_window_kron(table, i - first + 1, sites)
-                       for i, table in tables.items() if i in starts),
-                      sp.csr_matrix((len(diag), len(diag)), dtype=self.dtype))
-            halves.append((hop, diag))
-        (self.head, head_diag), (self.tail, tail_diag) = halves
+            half = [t for t in terms if t.sites[0] in starts]
+            hop, diag = (_chain_matrix([t for t in half if t.kind == kind],
+                                       first, sites)
+                         for kind in ("hop", "diag"))
+            halves.append((hop, diag.diagonal()))
+        (head, head_diag), (tail, tail_diag) = halves
+        self.dtype = np.result_type(head.dtype, tail.dtype)
+        self.head, self.tail = head.astype(self.dtype), tail.astype(self.dtype)
         self.diag = np.add(head_diag.reshape(-1, 8, 1),
                            tail_diag.reshape(1, 8, -1)).reshape(self.dim)
 
@@ -282,37 +282,33 @@ class FullOperator:
         return flat
 
 
-def _window_kron(block: np.ndarray, i: int, L: int) -> sp.csr_matrix:
-    """I (x) block (x) I on an L-site chain, for a block on the window
-    that starts at site i, in the block's dtype."""
-    left = 8 ** (i - 1)
-    right = 8 ** L // (left * len(block))
-    return sp.kron(
-        sp.kron(sp.identity(left, format="csr", dtype=block.dtype),
-                sp.csr_matrix(block)),
-        sp.identity(right, format="csr", dtype=block.dtype), format="csr")
+def _chain_matrix(terms, first: int, L: int) -> sp.csr_matrix:
+    """The terms, all on sites first..first+L-1, as an operator on those
+    L sites in the full-space index (site ``first`` most significant):
+    their assembly (:func:`_assemble`) over every symbol assignment of
+    the sites, permuted by its :func:`~hamline.hamiltonian._site_index`."""
+    pk, index = hm._window(L)
+    shifted = [replace(t, sites=tuple(s - first + 1 for s in t.sites))
+               for t in terms]
+    mat = _assemble(shifted, pk).tocoo()
+    return sp.csr_matrix((mat.data, (index[mat.row], index[mat.col])),
+                         shape=mat.shape)
 
 
 def full_sparse_matrix(terms, n: int, R: int) -> sp.csr_matrix:
-    """The assembled operator as a sparse matrix: the weighted blocks of
-    each (site, width) window are summed, then expanded with one
-    Kronecker product per window (:func:`_window_kron`).  Used by oracle
+    """The assembled operator on the whole chain as a sparse matrix
+    (:func:`_chain_matrix`), float64 when exactly real.  Used by oracle
     tests, the coordinate export and ``hamline spectrum --method dense``."""
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for t in _term_list(terms):
-        key = (t.sites[0], len(t.sites))
-        blocks[key] = blocks.get(key, 0.0) + t.weight * t.matrix()
-    return sum((_window_kron(blk, i, 2 * n * R)
-                for (i, _), blk in blocks.items()),
-               sp.csr_matrix((full_dimension(n, R),) * 2, dtype=complex))
+    return _chain_matrix(_term_list(terms), 1, 2 * n * R)
 
 
 def export_coo(spec: HamiltonianSpec) -> str:
     """Coordinate-list export of the full matrix: a "row col re im" line
-    per nonzero entry, 0-based, sorted by (row, col).  Only permitted
-    while the full dimension stays at or below 2**24."""
-    if full_dimension(spec.n, spec.R) > 2 ** 24:
-        raise ValueError("coordinate export limited to 8^(2nR) <= 2^24")
+    per nonzero entry, 0-based, sorted by (row, col).  Only permitted up
+    to :data:`COO_SITE_LIMIT` sites, checked before the matrix is built."""
+    if 2 * spec.n * spec.R > COO_SITE_LIMIT:
+        raise ValueError(
+            f"coordinate export limited to {COO_SITE_LIMIT} sites")
     mat = full_sparse_matrix(spec.terms, spec.n, spec.R).tocoo()
     order = np.lexsort((mat.col, mat.row))
     lines = [f"# hamline-coo-v1 n={spec.n} R={spec.R} dim={mat.shape[0]} "
@@ -355,11 +351,9 @@ def restrict(terms, configs, max_dim: int = 200_000):
     (configuration, offset, content_dim) records in the given order
     (sets are sorted lexicographically).  Basis ordering within a
     configuration is by content index.  A configuration listed twice is
-    an error.  The entries come from the term kernel
-    (:func:`hamline.hamiltonian._term_entries`); each hop entry is added
-    with its adjoint.
-    The matrix is float64 when no assembled entry has an imaginary part
-    (the circuit's gates are real) and complex128 otherwise.
+    an error.  The matrix is :func:`_assemble`'s: float64 when no
+    assembled entry has an imaginary part (the circuit's gates are real)
+    and complex128 otherwise.
     """
     terms = _term_list(terms)
     configs = _ordered_configs(configs)
@@ -375,6 +369,16 @@ def restrict(terms, configs, max_dim: int = 200_000):
                          f"{configs[pk.order[repeats[0]]]}")
     basis = [(c, int(off), int(cd))
              for c, off, cd in zip(configs, pk.offsets[:-1], pk.cdim)]
+    return _assemble(terms, pk), basis
+
+
+def _assemble(terms, pk: chain._Packed) -> sp.csr_matrix:
+    """The terms' sum on the packed configurations' content spaces, in
+    packed basis order: the term kernel's
+    (:func:`hamline.hamiltonian._term_entries`) diagonal entries summed,
+    each hop entry added with its adjoint, float64 when no entry has an
+    imaginary part (:func:`_exact_real`)."""
+    dim = int(pk.offsets[-1])
     diag = np.zeros(dim)
     rows, cols, vals = [], [], []
     for t, r, c, v in hm._term_entries(terms, pk):
@@ -385,11 +389,10 @@ def restrict(terms, configs, max_dim: int = 200_000):
             cols += [c, r]
             vals += [v, v.conj()]
     nz = np.flatnonzero(diag)
-    mat = sp.csr_matrix(
+    return sp.csr_matrix(
         (_exact_real(np.concatenate([diag[nz]] + vals)),
          (np.concatenate([nz] + rows), np.concatenate([nz] + cols))),
         shape=(dim, dim))
-    return mat, basis
 
 
 def legal_basis(n: int, R: int):
@@ -801,21 +804,7 @@ def walk_eigvector_analytic(f: float, g: float, L: int, m: int) -> np.ndarray:
 
 def step_unitaries(circ: LayeredCircuit) -> list[np.ndarray]:
     """Cumulative content unitaries V_t (2^n x 2^n), t = 0..K."""
-    n = circ.n
-    dim = 1 << n
-    seq, applied = chain.annotated_sequence(n, circ.R)
-    v = np.eye(dim, dtype=complex)
-    out = [v]
-    for inst in applied[:-1]:
-        if inst.rule == "1":
-            gate = gate_at_location(circ, inst.position)
-            cols = np.empty_like(v)
-            for c in range(dim):
-                cols[:, c] = apply_gate_to_state(v[:, c], gate.matrix,
-                                                 gate.target, n)
-            v = cols
-        out.append(v)
-    return out
+    return _evolved(circ, np.eye(1 << circ.n, dtype=complex))[1]
 
 
 def rotate_out_gates(h_legal: np.ndarray, circ: LayeredCircuit) -> np.ndarray:

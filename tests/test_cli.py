@@ -16,9 +16,9 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
-def run(*args):
+def run(*args, timeout=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=ENV)
+                          env=ENV, timeout=timeout)
 
 
 def write_circuit(tmp_path, doc, name="c.json"):
@@ -63,6 +63,19 @@ def test_compile_writes_terms(tmp_path):
     out_path2 = str(tmp_path / "h2.txt")
     run("compile", "--circuit", circ, "--out", out_path2)
     assert open(out_path).read() == open(out_path2).read()
+
+
+def test_compile_coo_refuses_eight_sites(tmp_path):
+    """The coordinate export stops at 6 sites: each of the 49,283,072
+    nonzeros of an 8-site chain would be a line of text.  The size is
+    checked before the matrix is built, so the refusal comes at once."""
+    circ = write_circuit(tmp_path, ACCEPT_DOC)
+    coo = tmp_path / "h.coo"
+    out = run("compile", "--circuit", circ, "--out", str(tmp_path / "h.txt"),
+              "--coo", str(coo), timeout=60)
+    assert out.returncode == 2
+    assert "limited to 6 sites" in out.stderr
+    assert not coo.exists()
 
 
 def test_compile_parse_and_validation_errors(tmp_path):
@@ -145,7 +158,7 @@ def test_spectrum_dense_guard(tmp_path):
 
 @pytest.mark.parametrize("couplings", ["auto", "unit"])
 def test_spectrum_dense_certified(tmp_path, couplings):
-    """The dense method solves the Kronecker-route matrix through the
+    """The dense method solves the whole-chain matrix through the
     certified route.  Each value lies within its residual plus floor of
     the LAPACK value for the same matrix, give or take the LAPACK pair's
     own residual: at auto couplings that reaches 1.1e-9, about the floor,

@@ -28,7 +28,7 @@ def identity_circuit(n, m, R):
 
 def test_config_indices_small():
     c = Configuration.from_string("giq.", 2, 1)
-    idx = spectra.config_indices(c)
+    idx = hm._site_index(chain._Packed.of([c]))
     # site 1 most significant; digits: gate0=6, insi=0, qubit0=4, blank=2
     base = ((6 * 8 + 0) * 8 + 4) * 8 + 2
     assert idx[0] == base
@@ -114,13 +114,13 @@ def test_forbidden_pair_pen_expectation():
 
 @pytest.fixture(scope="module")
 def dense_21():
-    """The unit-coupling one-round n=2 operator with its matrix from the
-    Kronecker route, which is exactly real for this real circuit."""
+    """The unit-coupling one-round n=2 operator with its whole-chain
+    matrix, which is float64 for this real circuit."""
     spec = hm.build_hamiltonian(identity_circuit(2, 1, 1),
                                 couplings=hm.UNIT_COUPLINGS)
     H = spectra.full_sparse_matrix(spec.terms, 2, 1).toarray()
-    assert not np.any(H.imag)
-    return spec, spectra.FullOperator.from_spec(spec), H.real
+    assert H.dtype == np.float64
+    return spec, spectra.FullOperator.from_spec(spec), H
 
 
 def test_apply_full_zero_and_linearity(dense_21):
@@ -241,8 +241,8 @@ def test_full_operator_exact_on_sampled_unit_vectors():
     """On a unit vector each output entry is one product, so the head and
     tail blocks must reproduce the per-window loop exactly: on a seeded
     sample of 6-site unit vectors, for the real and the Haar-gate
-    operator (every 4-site unit vector is checked with the Kronecker
-    route below)."""
+    operator (every 4-site unit vector is checked against the whole-chain
+    matrix below)."""
     rng = np.random.default_rng(23)
     for op in (spectra.FullOperator.from_spec(
                    hm.build_hamiltonian(identity_circuit(3, 1, 1))),
@@ -371,12 +371,12 @@ def haar_gate(seed):
 
 def embedding(basis):
     """Full-space index of every restricted basis vector, in basis order."""
-    return np.concatenate([spectra.config_indices(c) for c, _, _ in basis])
+    return hm._site_index(chain._Packed.of([c for c, _, _ in basis]))
 
 
 def test_restrict_equals_full_operator_on_all_configurations():
-    """Over all 6^4 configurations of n=2, R=1 the restriction is the whole
-    Kronecker-route matrix, permuted, for a Haar gate and a real gate
+    """Over all 6^4 configurations of n=2, R=1 the restriction is the
+    whole-chain matrix, permuted, for a Haar gate and a real gate
     (CNOT).  Round 1 must be identity, so the gate is put on the rule-1
     hop term directly; the restriction and FullOperator are complex for
     the Haar gate and real for CNOT."""
@@ -415,21 +415,44 @@ def test_restrict_dtype_follows_gates():
     assert np.any(mat.data.imag)
 
 
-def test_restrict_matches_full_operator_with_d_windows():
-    """Hops at D windows (rules 4, 5 and 6) exist only for R >= 2: compare
-    on the legal+fringe configurations of a random-gate n=2, R=2 circuit."""
+def per_term_matvec(terms, basis, x):
+    """P H P x on the restricted basis, one term at a time: each term's
+    weighted block (LocalTerm.matrix) applied to the window digits of
+    every basis vector's full-space index, its images outside the basis
+    dropped.  A reference that shares no code with the assembly."""
+    idx = embedding(basis)
+    order = np.argsort(idx)
+    L = basis[0][0].length
+    y = np.zeros(len(idx), dtype=complex)
+    for t in terms:
+        m = t.weight * t.matrix()
+        scale = 8 ** (L - t.sites[-1])
+        local = idx // scale % len(m)
+        rest = idx - local * scale
+        for r in np.flatnonzero(m.any(axis=1)):
+            v = m[r, local] * x
+            hit = np.flatnonzero(v)
+            target = rest[hit] + r * scale
+            pos = np.minimum(np.searchsorted(idx, target, sorter=order),
+                             len(idx) - 1)
+            found = idx[order[pos]] == target
+            np.add.at(y, order[pos[found]], v[hit[found]])
+    return y
+
+
+def test_restrict_matches_per_term_blocks_with_d_windows():
+    """Hops at D windows (rules 4, 5 and 6) exist only for R >= 2: on the
+    legal+fringe configurations of a random-gate n=2, R=2 circuit the
+    restriction applies as the terms' own blocks do."""
     circ = LayeredCircuit(2, 1, (identity_round(2),
                                  (Gate2Q(haar_gate(12), 1),)))
     spec = hm.build_hamiltonian(circ)
     mat, basis = spectra.restrict(spec, verify.legal_fringe(2, 2))
-    idx = embedding(basis)
-    op = spectra.FullOperator.from_spec(spec)
     rng = np.random.default_rng(13)
     for _ in range(2):
-        x = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
-        full = np.zeros(op.dim, dtype=complex)
-        full[idx] = x
-        want = op.matvec(full)[idx]
+        x = rng.standard_normal(mat.shape[0]) \
+            + 1j * rng.standard_normal(mat.shape[0])
+        want = per_term_matvec(spec.terms, basis, x)
         assert np.max(np.abs(mat @ x - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -870,7 +893,7 @@ def test_rotation_quadratic_form_consistency():
 
 
 def test_full_sparse_matrix_matches_operator(dense_21):
-    """FullOperator.matvec on every unit vector gives the Kronecker-route
+    """FullOperator.matvec on every unit vector gives the whole-chain
     matrix and the per-window loop exactly: each output entry is one
     product."""
     _, op, H = dense_21
@@ -897,8 +920,7 @@ def test_export_coo_round_trip(dense_21):
 
 
 def test_export_coo_bytes_pinned(dense_21):
-    # the export bytes are frozen; this digest comes from one Kronecker
-    # product per term
+    # the export bytes are frozen
     text = spectra.export_coo(dense_21[0])
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "50a5c07368a6a18f58992742580f8db2f96f40dc7ec1f3e1539b77b6b633b3cf"
@@ -934,9 +956,11 @@ def test_full_diagonal_eight_sites():
 
 
 def test_export_coo_dimension_guard():
-    # 8^8 = 2^24 exactly, so an 8-site chain is still permitted (if
-    # enormous); a 12-site chain is past the limit and must be refused
-    spec = hm.build_hamiltonian(identity_circuit(3, 1, 2),
-                                couplings=hm.UNIT_COUPLINGS)
-    with pytest.raises(ValueError):
-        spectra.export_coo(spec)
+    # the text holds one line per nonzero, so the export stops at 6
+    # sites: the 8-site chain (49,283,072 nonzeros) and a 12-site chain
+    # are refused
+    for n, R in ((2, 2), (3, 2)):
+        spec = hm.build_hamiltonian(identity_circuit(n, 1, R),
+                                    couplings=hm.UNIT_COUPLINGS)
+        with pytest.raises(ValueError, match="limited to 6 sites"):
+            spectra.export_coo(spec)

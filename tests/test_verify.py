@@ -101,8 +101,8 @@ def test_soundness_probe_subspace_parts(soundness_run):
 def test_pen_free_blocks_give_the_full_space_minimum():
     """n=2, R=1 with a Haar gate on the rule-1 hop (round 1 must be
     identity, so the gate goes on the term directly): the least minimum
-    over the pen-free blocks is the certified minimum of the whole
-    Kronecker-route matrix, and every other configuration spans a block
+    over the pen-free blocks is the certified minimum of the whole-chain
+    matrix, and every other configuration spans a block
     that lies above the floor."""
     spec = hm.build_hamiltonian(LayeredCircuit(2, 1, (identity_round(2),)))
     gate = tuple(haar_round(np.random.default_rng(11), 2)[0].matrix.ravel())
