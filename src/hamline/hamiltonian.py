@@ -504,10 +504,14 @@ def export_terms(spec: HamiltonianSpec) -> str:
     """Structured text export: one JSON header line, one JSON line per
     term with the dense block in basis order, row-major, re/im pairs.
 
-    A block holds few distinct values, so each distinct entry (by the
-    bit patterns of its two parts, grouped by one lexsort, which keeps
-    -0.0 apart from 0.0) is JSON-encoded once, with a cache shared across
-    terms, and the pieces are spliced into the term's line in entry order.
+    Many terms share one block (a family repeats at every window of its
+    location type), so each distinct block, by the fields that determine
+    :meth:`LocalTerm.matrix` (kind, width, slot sets, src, dst, gate), is
+    encoded once.  A block holds few distinct values, so each distinct
+    entry (by the bit patterns of its two parts, grouped by one lexsort,
+    which keeps -0.0 apart from 0.0) is JSON-encoded once, with a cache
+    shared across blocks, and the pieces are spliced into the block's
+    text in entry order.
     """
     import json
 
@@ -521,23 +525,29 @@ def export_terms(spec: HamiltonianSpec) -> str:
         "terms": len(spec.terms),
     }, sort_keys=True)]
     encoded: dict[tuple[int, int], str] = {}
+    blocks: dict[tuple, str] = {}
     splice = json.dumps(_MATRIX_SPLICE)
     for t in spec.terms:
-        bits = t.matrix().ravel().view(np.uint64).reshape(-1, 2)
-        order = np.lexsort(bits.T[::-1])
-        re, im = bits[order].T
-        first = np.r_[True, (re[1:] != re[:-1]) | (im[1:] != im[:-1])]
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(first) - 1
-        pieces = []
-        for key in zip(re[first].tolist(), im[first].tolist()):
-            text = encoded.get(key)
-            if text is None:
-                v = np.array(key, dtype=np.uint64).view(complex)[0]
-                text = encoded[key] = json.dumps([v.real, v.imag])
-            pieces.append(text)
-        matrix = "[" + ", ".join(
-            np.array(pieces, dtype=object)[inverse].tolist()) + "]"
+        # gates equal as numbers give equal blocks: matrix() sums every
+        # entry onto +0.0, which drops the signs of zero parts
+        block = (t.kind, len(t.sites), t.diag_slots, t.src, t.dst, t.gate)
+        matrix = blocks.get(block)
+        if matrix is None:
+            bits = t.matrix().ravel().view(np.uint64).reshape(-1, 2)
+            order = np.lexsort(bits.T[::-1])
+            re, im = bits[order].T
+            first = np.r_[True, (re[1:] != re[:-1]) | (im[1:] != im[:-1])]
+            inverse = np.empty_like(order)
+            inverse[order] = np.cumsum(first) - 1
+            pieces = []
+            for key in zip(re[first].tolist(), im[first].tolist()):
+                text = encoded.get(key)
+                if text is None:
+                    v = np.array(key, dtype=np.uint64).view(complex)[0]
+                    text = encoded[key] = json.dumps([v.real, v.imag])
+                pieces.append(text)
+            matrix = blocks[block] = "[" + ", ".join(
+                np.array(pieces, dtype=object)[inverse].tolist()) + "]"
         lines.append(json.dumps({
             "family": t.family, "rule": t.rule, "piece": t.piece,
             "sites": list(t.sites), "weight": t.weight,

@@ -212,7 +212,7 @@ class FullOperator:
     the broadcast sum of a head and a tail diagonal, assembled from the
     diag terms split the same way.  ``dtype`` is float64 when both blocks
     are exactly real (the circuit's gates are) and complex128 otherwise.
-    With ``shape`` and ``dtype`` the operator serves :func:`min_eigs` as a
+    With ``shape`` and ``matvec`` the operator serves :func:`min_eigs` as a
     LinearOperator does.  ``hops`` keeps each window's nonzeros of
     -weight * (T + T^dagger), summed from the terms' blocks
     (:meth:`~hamline.hamiltonian.LocalTerm.matrix`), as (site, [(d64,
@@ -450,12 +450,18 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, maxiter: int = 2000,
       certify less, so near theta = 0 no relative test applies.
 
     Any other operator, a LinearOperator or a :class:`FullOperator`, is
-    read through its ``shape``, ``dtype`` and ``matvec`` by a
-    thick-restart Lanczos (:func:`_lanczos`) with ncv = 10 basis vectors
-    (6 past 4,000,000 dimensions, at most dim) from a seeded start vector
-    in the operator's dtype.  ``maxiter`` counts the restarts after the
-    first cycle, so a run makes at most ncv + maxiter*(ncv - k) operator
-    applications, plus one per returned value for its residual.  The
+    read through its ``shape`` and ``matvec`` (its declared ``dtype`` is
+    not read) by a thick-restart Lanczos (:func:`_lanczos`) with ncv = 10
+    basis vectors (6 past 4,000,000 dimensions, at most dim) from a
+    seeded real start vector.  The operator's output on that vector, the
+    run's first product, sets the arithmetic: the basis is float64 when
+    the output has no nonzero imaginary part (an exact test, no
+    tolerance) and complex128 otherwise.  A float64 run then requires
+    every later output to be exactly real as well and raises ValueError
+    on one that is not; it never switches to complex arithmetic.
+    ``maxiter`` counts the restarts after the first cycle, so a run makes
+    at most ncv + maxiter*(ncv - k) operator applications, the first
+    product included, plus one per returned value for its residual.  The
     values are the k lowest Ritz values of the last Krylov space, each
     the Rayleigh quotient of its Ritz vector and so an upper bound on its
     eigenvalue; ``iterations`` counts restarts.  ``converged`` holds when
@@ -469,7 +475,7 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, maxiter: int = 2000,
     values and residuals achieved.  A request for k < 1 values is a
     ValueError, and so are a dense solve over :data:`DENSE_BYTE_LIMIT`
     bytes and, in the Lanczos branch, k >= ncv values and maxiter < 0
-    restarts.
+    restarts; each is refused before the operator is applied.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
@@ -477,17 +483,13 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, maxiter: int = 2000,
         return _shift_invert(sp.csc_matrix(op), k, seed, tol,
                              -1.0 if sigma is None else float(sigma))
     dim = op.shape[0]
-    # keep the Krylov basis small: full-space vectors are 268 MB each
+    # keep the Krylov basis small: a full-space vector is 134 MB real,
+    # 268 MB complex
     ncv = min(dim, 6 if dim > 4_000_000 else 10)
     if not k < ncv or maxiter < 0:
         raise ValueError(f"need k < ncv and maxiter >= 0, got k={k}, "
                          f"ncv={ncv}, maxiter={maxiter}")
-    basis = np.empty((ncv + 1, dim), dtype=op.dtype)
-    rng = np.random.default_rng(seed)
-    basis[0].real = rng.standard_normal(dim)
-    if basis.dtype.kind == "c":
-        basis[0].imag = rng.standard_normal(dim)
-    return _lanczos(op.matvec, basis, k, maxiter, tol)
+    return _lanczos(op.matvec, dim, ncv, seed, k, maxiter, tol)
 
 
 def _shift_invert(A: sp.csc_matrix, k: int, seed: int, tol: float,
@@ -658,38 +660,59 @@ def _rotate(V: np.ndarray, S: np.ndarray):
         V[:k, a:a + _ROTATE_CHUNK] = St @ V[:m, a:a + _ROTATE_CHUNK]
 
 
-def _lanczos(matvec, V: np.ndarray, k: int, maxiter: int,
+def _lanczos(matvec, dim: int, ncv: int, seed: int, k: int, maxiter: int,
              tol: float) -> EigResult:
     """Thick-restart Lanczos (Wu & Simon) for the k lowest eigenpairs.
 
-    ``V`` is the preallocated (ncv+1, dim) basis with the start vector in
-    row 0.  A cycle extends the basis to ncv vectors; each step is a
-    three-term (after a restart, arrow) update by ``axpy`` and one
-    classical Gram-Schmidt pass against the whole basis as two ``gemv``
-    calls, all in place on the operator's output.  A restart keeps the
-    k lowest Ritz vectors and the residual vector, with the Ritz values
-    on the diagonal of the projected matrix and their couplings to the
-    residual in its row k.  ``maxiter`` restarts at most follow the
+    The run starts from the seeded real unit vector, and the operator's
+    output on it, the first step's product, sets the dtype of the
+    (ncv+1, dim) basis: float64 when that output is exactly real
+    (:func:`_exact_real`), complex128 otherwise.  In a float64 basis
+    every later output must be exactly real too (a nonzero imaginary part
+    is a ValueError).  A cycle extends the basis to ncv vectors; each
+    step is a three-term (after a restart, arrow) update by ``axpy`` and
+    one classical Gram-Schmidt pass against the whole basis as two
+    ``gemv`` calls, all in place on the operator's output.  A restart
+    keeps the k lowest Ritz vectors and the residual vector, with the
+    Ritz values on the diagonal of the projected matrix and their
+    couplings to the residual in its row k.  ``maxiter`` restarts at most follow the
     first cycle; a zero residual (an invariant subspace) ends the run.
     The result holds the k lowest Ritz pairs of the last Krylov space,
     each value recomputed as the Rayleigh quotient of its Ritz vector
     and each residual from one explicit matvec.
     """
-    ncv = V.shape[0] - 1
+    v0 = np.random.default_rng(seed).standard_normal(dim)
+    v0 /= _norm(v0)
+    w = _exact_real(np.asarray(matvec(v0)))
+    real = not np.iscomplexobj(w)
+    # rows of np.empty take no memory until the run writes them
+    V = np.empty((ncv + 1, dim), dtype=float if real else complex)
+    V[0] = v0
+    del v0
+    w = np.asarray(w, dtype=V.dtype)
     axpy, gemv = sla.get_blas_funcs(("axpy", "gemv"), (V,))
-    adjoint = 2 if V.dtype.kind == "c" else 1
+    adjoint = 1 if real else 2
     floor = np.finfo(float).eps ** (2 / 3)
+
+    def apply(x):
+        y = np.asarray(matvec(x))
+        if real:
+            y = _exact_real(y)
+            if np.iscomplexobj(y):
+                raise ValueError("the operator gave a complex output after "
+                                 "an exactly real first output")
+        return np.asarray(y, dtype=V.dtype)
 
     def small(res, theta):
         return bool(np.all(res <= tol * np.maximum(np.abs(theta), floor)))
 
     T = np.zeros((ncv + 1, ncv + 1))
-    V[0] /= _norm(V[0])
     start, restarts = 0, 0
     while True:
         m = ncv
         for j in range(start, ncv):
-            w = np.asarray(matvec(V[j]), dtype=V.dtype)
+            if w is None:
+                w = apply(V[j])
             T[j, j] = np.vdot(V[j], w).real
             for i in np.flatnonzero(T[j, :j + 1]):
                 w = axpy(V[i], w, a=-T[j, i])
@@ -703,7 +726,7 @@ def _lanczos(matvec, V: np.ndarray, k: int, maxiter: int,
                 m = j + 1
                 break
             np.multiply(w, 1.0 / beta, out=V[j + 1])
-            del w  # free the output before the operator makes the next
+            w = None  # free the output before the operator makes the next
         theta, S = sla.eigh(T[:m, :m])
         kk = min(k, m)
         beta = T[m, m - 1]
@@ -720,7 +743,7 @@ def _lanczos(matvec, V: np.ndarray, k: int, maxiter: int,
     _rotate(V, S[:, :kk])
     vals, res = np.empty(kk), np.empty(kk)
     for i in range(kk):
-        hy = np.asarray(matvec(V[i]), dtype=V.dtype)
+        hy = apply(V[i])
         vals[i] = np.vdot(V[i], hy).real / np.vdot(V[i], V[i]).real
         res[i] = _norm(axpy(V[i], hy, a=-vals[i]))
         del hy

@@ -228,13 +228,14 @@ def row_nonzeros(op):
                    for _, entries in op.hops)
 
 
-def haar_hop_terms(n, R):
+def haar_hop_terms(n, R, couplings=None):
     """Round 1 must be identity, so a Haar gate is put on the rule-1 hop
     terms directly: their tables are complex and Hermitian, not
     symmetric."""
     gate = tuple(haar_gate(12).ravel())
     return [replace(t, gate=gate) if t.gate is not None else t
-            for t in hm.build_hamiltonian(identity_circuit(n, 1, R)).terms]
+            for t in hm.build_hamiltonian(identity_circuit(n, 1, R),
+                                          couplings=couplings).terms]
 
 
 def test_full_operator_exact_on_sampled_unit_vectors():
@@ -685,20 +686,103 @@ def test_full_operator_real_matvec_on_complex_input(dense_21):
     assert np.max(np.abs(re - H @ v.real)) < 1e-12
 
 
-def test_min_eigs_complex_start_on_real_operator(dense_21):
-    """A complex-dtype LinearOperator over the real operator starts from a
-    complex vector and runs in complex arithmetic (as the benchmark's
-    counting wrapper does); it reaches the real run's minimum, which the
-    next test checks against dense."""
+class CountingOperator(spla.LinearOperator):
+    """Counts the operator's applications; ``dtype`` declares another
+    dtype than the operator's, and ``out`` transforms each output."""
+
+    def __init__(self, op, dtype=None, out=None):
+        super().__init__(dtype=op.dtype if dtype is None else dtype,
+                         shape=op.shape)
+        self.op, self.out = op, out or (lambda y: y)
+        self.matvecs = 0
+
+    def _matvec(self, v):
+        self.matvecs += 1
+        return self.out(self.op.matvec(v))
+
+
+def test_min_eigs_complex_declared_real_operator_runs_real(dense_21):
+    """A complex-declared wrapper over the real operator (as the
+    benchmark's counting wrapper is) gives exactly real outputs on the
+    real start, as float64 or as complex128 with zero imaginary parts, so
+    its run is the real run to the bit: the same values, residuals and
+    restarts from as many operator applications."""
     _, op, _ = dense_21
     assert op.dtype == np.float64
-    as_complex = spla.LinearOperator((op.dim, op.dim), matvec=op.matvec,
-                                     dtype=complex)
     run = dict(k=1, maxiter=5000, tol=1e-12)
-    real = spectra.min_eigs(op, **run)
-    res = spectra.min_eigs(as_complex, **run)
-    assert real.converged and res.converged
-    assert abs(res.values[0] - real.values[0]) < 1e-10
+    real = CountingOperator(op)
+    want = spectra.min_eigs(real, **run)
+    assert want.converged
+    for out in (None, lambda y: y.astype(complex)):
+        wrapper = CountingOperator(op, dtype=complex, out=out)
+        got = spectra.min_eigs(wrapper, **run)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.residuals, want.residuals)
+        assert got.iterations == want.iterations
+        assert wrapper.matvecs == real.matvecs
+
+
+def test_min_eigs_complex_operator_from_real_start():
+    """A Haar-gate operator's output on the real start is complex, so the
+    run is complex; it reaches the lowest eigenvalue of the whole-chain
+    matrix, from eigvalsh on each connected block (the spectrum is the
+    union of theirs; one dense complex eigvalsh at 4,096 takes minutes
+    on two cores).  Unit couplings: at the derived ones (norm 5e6) 5,000
+    restarts do not converge."""
+    terms = haar_hop_terms(2, 1, hm.UNIT_COUPLINGS)
+    op = spectra.FullOperator(terms, (2, 1))
+    assert op.dtype == np.complex128
+    H = spectra.full_sparse_matrix(terms, 2, 1)
+    count, label = sp.csgraph.connected_components(abs(H), directed=False)
+    lowest = min(np.linalg.eigvalsh(H[idx][:, idx].toarray())[0]
+                 for idx in (np.flatnonzero(label == c) for c in range(count)))
+    res = spectra.min_eigs(op, k=1, seed=0, maxiter=5000, tol=1e-12)
+    assert res.converged
+    assert abs(res.values[0] - lowest) < 1e-8
+
+
+def test_min_eigs_real_run_refuses_a_later_complex_output(dense_21):
+    """An exactly real first output fixes float64 arithmetic; a later
+    output with a nonzero imaginary part is a ValueError, not rounded."""
+    op = dense_21[1]
+    calls = []
+
+    def matvec(v):
+        calls.append(v)
+        y = op.matvec(v)
+        return y if len(calls) == 1 else (1.0 + 1e-3j) * y
+
+    shifty = spla.LinearOperator(op.shape, matvec=matvec, dtype=complex)
+    with pytest.raises(ValueError, match="complex output"):
+        spectra.min_eigs(shifty, k=1)
+    assert len(calls) == 2
+
+
+def test_min_eigs_refusals_apply_nothing(dense_21):
+    """k < 1, k >= ncv (10 here) and maxiter < 0 are refused before the
+    operator is applied once."""
+    counted = CountingOperator(dense_21[1], dtype=complex)
+    for kw in (dict(k=0), dict(k=-1), dict(k=10), dict(k=11),
+               dict(k=1, maxiter=-1)):
+        with pytest.raises(ValueError):
+            spectra.min_eigs(counted, **kw)
+    assert counted.matvecs == 0
+
+
+def test_min_eigs_complex_declared_basis_is_float64(dense_21):
+    """The complex-declared wrapper over the real 4-site operator keeps a
+    float64 basis: the whole call peaks below the bytes of one complex
+    (ncv + 1) x dim basis (tracemalloc)."""
+    op = dense_21[1]
+    ncv = 10
+    wrapper = CountingOperator(op, dtype=complex)
+    tracemalloc.start()
+    try:
+        spectra.min_eigs(wrapper, k=1, maxiter=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (ncv + 1) * op.dim * np.dtype(complex).itemsize, peak
 
 
 @pytest.fixture(scope="module")
@@ -747,17 +831,6 @@ def test_min_eigs_lanczos_invariant_start():
     res = spectra.min_eigs(op, k=1)
     assert res.converged and res.iterations == 0
     assert res.values[0] == 0.0 and res.residuals[0] == 0.0
-
-
-class CountingOperator(spla.LinearOperator):
-    def __init__(self, op):
-        super().__init__(dtype=op.dtype, shape=(op.dim, op.dim))
-        self.op = op
-        self.matvecs = 0
-
-    def _matvec(self, v):
-        self.matvecs += 1
-        return self.op.matvec(v)
 
 
 @pytest.mark.parametrize("k,maxiter", [(1, 1), (1, 3), (3, 2)])
