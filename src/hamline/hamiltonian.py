@@ -123,6 +123,22 @@ class LocalTerm:
         return -1.0 * (m + m.conj().T)
 
 
+def _per_block(terms, f) -> list:
+    """f(t.matrix()) for each term, with f and the block built once per
+    distinct block: by the fields that determine :meth:`LocalTerm.matrix`
+    (kind, width, slot sets, src, dst, gate).  Gates are keyed by value,
+    as numbers: matrix() sums every entry onto +0.0, which drops the signs
+    of zero parts.  The memo lives for this call only."""
+    memo: dict[tuple, object] = {}
+    out = []
+    for t in terms:
+        key = (t.kind, len(t.sites), t.diag_slots, t.src, t.dst, t.gate)
+        if key not in memo:
+            memo[key] = f(t.matrix())
+        out.append(memo[key])
+    return out
+
+
 def _diag_term(family, sites, slot_sets, rule=None, piece=None, window=None):
     return LocalTerm(family=family, sites=tuple(sites), kind="diag",
                      diag_slots=tuple(frozenset(s) for s in slot_sets),
@@ -505,9 +521,8 @@ def export_terms(spec: HamiltonianSpec) -> str:
     term with the dense block in basis order, row-major, re/im pairs.
 
     Many terms share one block (a family repeats at every window of its
-    location type), so each distinct block, by the fields that determine
-    :meth:`LocalTerm.matrix` (kind, width, slot sets, src, dst, gate), is
-    encoded once.  A block holds few distinct values, so each distinct
+    location type), so each distinct block is built and encoded once
+    (:func:`_per_block`).  A block holds few distinct values, so each distinct
     entry (by the bit patterns of its two parts, grouped by one lexsort,
     which keeps -0.0 apart from 0.0) is JSON-encoded once, with a cache
     shared across blocks, and the pieces are spliced into the block's
@@ -525,29 +540,26 @@ def export_terms(spec: HamiltonianSpec) -> str:
         "terms": len(spec.terms),
     }, sort_keys=True)]
     encoded: dict[tuple[int, int], str] = {}
-    blocks: dict[tuple, str] = {}
     splice = json.dumps(_MATRIX_SPLICE)
-    for t in spec.terms:
-        # gates equal as numbers give equal blocks: matrix() sums every
-        # entry onto +0.0, which drops the signs of zero parts
-        block = (t.kind, len(t.sites), t.diag_slots, t.src, t.dst, t.gate)
-        matrix = blocks.get(block)
-        if matrix is None:
-            bits = t.matrix().ravel().view(np.uint64).reshape(-1, 2)
-            order = np.lexsort(bits.T[::-1])
-            re, im = bits[order].T
-            first = np.r_[True, (re[1:] != re[:-1]) | (im[1:] != im[:-1])]
-            inverse = np.empty_like(order)
-            inverse[order] = np.cumsum(first) - 1
-            pieces = []
-            for key in zip(re[first].tolist(), im[first].tolist()):
-                text = encoded.get(key)
-                if text is None:
-                    v = np.array(key, dtype=np.uint64).view(complex)[0]
-                    text = encoded[key] = json.dumps([v.real, v.imag])
-                pieces.append(text)
-            matrix = blocks[block] = "[" + ", ".join(
-                np.array(pieces, dtype=object)[inverse].tolist()) + "]"
+
+    def encode(block: np.ndarray) -> str:
+        bits = block.ravel().view(np.uint64).reshape(-1, 2)
+        order = np.lexsort(bits.T[::-1])
+        re, im = bits[order].T
+        first = np.r_[True, (re[1:] != re[:-1]) | (im[1:] != im[:-1])]
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(first) - 1
+        pieces = []
+        for key in zip(re[first].tolist(), im[first].tolist()):
+            text = encoded.get(key)
+            if text is None:
+                v = np.array(key, dtype=np.uint64).view(complex)[0]
+                text = encoded[key] = json.dumps([v.real, v.imag])
+            pieces.append(text)
+        return "[" + ", ".join(
+            np.array(pieces, dtype=object)[inverse].tolist()) + "]"
+
+    for t, matrix in zip(spec.terms, _per_block(spec.terms, encode)):
         lines.append(json.dumps({
             "family": t.family, "rule": t.rule, "piece": t.piece,
             "sites": list(t.sites), "weight": t.weight,

@@ -58,6 +58,8 @@ FULL_SPACE_SITE_LIMIT = 8  # 8^8 ~ 1.7e7 amplitudes
 #: The coordinate export writes a line per nonzero: 663,553 lines at 6
 #: sites, 49,283,073 at 8.
 COO_SITE_LIMIT = 6
+#: Entries formatted per pass in :func:`export_coo`.
+_COO_CHUNK = 1 << 16
 #: The largest dense array, in bytes, that :func:`min_eigs` forms for a
 #: LAPACK solve (a 4-site complex operator is 256 MiB).
 DENSE_BYTE_LIMIT = 1 << 29
@@ -203,28 +205,28 @@ def expectation(terms, state) -> float:
 class FullOperator:
     """Matrix-free application of a term list on the full chain space.
 
-    One fixed rule splits the windows between two CSR blocks, each the
-    assembly of that half's hop terms over every symbol assignment of its
-    sites (:func:`_chain_matrix`): the head block holds windows 1..h-1 on
-    the first h = L - floor(L/2) + 1 sites, the tail block windows h..L-1
-    on the last floor(L/2) sites; they share site h.  At 8 sites they are
-    32,768 and 4,096 square with 34,816 and 3,584 nonzeros.  ``diag`` is
-    the broadcast sum of a head and a tail diagonal, assembled from the
-    diag terms split the same way.  ``dtype`` is float64 when both blocks
-    are exactly real (the circuit's gates are) and complex128 otherwise.
-    With ``shape`` and ``matvec`` the operator serves :func:`min_eigs` as a
-    LinearOperator does.  ``hops`` keeps each window's nonzeros of
+    One fixed rule splits the chain at site h = floor(L/2) into two CSR
+    blocks, each the assembly of all of that half's terms, hop and diag,
+    over every symbol assignment of its sites (:func:`_chain_matrix`): the
+    head block holds the terms that start on sites 1..h-1 (windows
+    1..h-1), on sites 1..h; the tail block those that start on sites
+    h..L, on sites h..L; they share site h.  At 8 sites (the (2,2)
+    reference circuits) they are 4,096 and 32,768 square with 7,673 and
+    67,577 nonzeros, diagonals included.  No 8^L array is kept:
+    :attr:`diag` is formed from the two blocks' diagonals when read.
+    ``dtype`` is float64 when both blocks are exactly real (the circuit's
+    gates are) and complex128 otherwise.  With ``shape`` and ``matvec``
+    the operator serves :func:`min_eigs` as a LinearOperator does.  ``hops`` keeps each window's nonzeros of
     -weight * (T + T^dagger), summed from the terms' blocks
     (:meth:`~hamline.hamiltonian.LocalTerm.matrix`), as (site, [(d64,
     s64, value), ...]).
 
     ``matvec`` multiplies the head block into the vector read as an
-    (8^h, 8^(L-h)) matrix, which allocates the output, then adds the
-    diagonal and tail products slab by slab of 8^floor(L/2) amplitudes,
-    while each slab is in cache.  A real operator reads a complex vector
-    through its float64 view, two columns per amplitude, so the blocks are
-    never upcast and the real and imaginary parts get the same real
-    arithmetic (the complex diagonal product adds an exact zero to each).
+    (8^h, 8^(L-h)) matrix, which allocates the output, then adds the tail
+    product slab by slab of 8^(L-h+1) amplitudes, 8^(h-1) calls in all.
+    A real operator reads a complex vector through its float64 view, two
+    columns per amplitude, so the blocks are never upcast and the real and
+    imaginary parts get the same real arithmetic.
     """
 
     def __init__(self, terms, nR: tuple[int, int]):
@@ -238,48 +240,46 @@ class FullOperator:
         self.dim = 8 ** L
         self.shape = (self.dim, self.dim)
         terms = _term_list(terms)
+        hop_terms = [t for t in terms if t.kind == "hop"]
         tables: dict[int, np.ndarray] = {}
-        for t in terms:
-            if t.kind == "hop":
-                i = t.sites[0]
-                tables[i] = tables.get(i, 0.0) + t.weight * t.matrix()
+        for t, block in zip(hop_terms, hm._per_block(hop_terms,
+                                                     lambda m: m)):
+            i = t.sites[0]
+            tables[i] = tables.get(i, 0.0) + t.weight * block
         self.hops = []
         for i in sorted(tables):
             table = _exact_real(tables[i])
             d64, s64 = np.nonzero(table)
             self.hops.append((i, list(zip(d64.tolist(), s64.tolist(),
                                           table[d64, s64].tolist()))))
-        h = L - L // 2 + 1
-        halves = []
-        for first, sites, starts in ((1, h, range(1, h)),
-                                     (h, L - h + 1, range(h, L + 1))):
-            half = [t for t in terms if t.sites[0] in starts]
-            hop, diag = (_chain_matrix([t for t in half if t.kind == kind],
-                                       first, sites)
-                         for kind in ("hop", "diag"))
-            halves.append((hop, diag.diagonal()))
-        (head, head_diag), (tail, tail_diag) = halves
+        h = L // 2
+        head = _chain_matrix([t for t in terms if t.sites[0] < h], 1, h)
+        tail = _chain_matrix([t for t in terms if t.sites[0] >= h], h,
+                             L - h + 1)
         self.dtype = np.result_type(head.dtype, tail.dtype)
         self.head, self.tail = head.astype(self.dtype), tail.astype(self.dtype)
-        self.diag = np.add(head_diag.reshape(-1, 8, 1),
-                           tail_diag.reshape(1, 8, -1)).reshape(self.dim)
 
     @classmethod
     def from_spec(cls, spec: HamiltonianSpec) -> "FullOperator":
         return cls(spec.terms, (spec.n, spec.R))
+
+    @property
+    def diag(self) -> np.ndarray:
+        """The operator's diagonal, an 8^L float64 array built on each
+        read as the broadcast sum of the head and tail blocks' diagonals."""
+        head, tail = (b.diagonal().real for b in (self.head, self.tail))
+        return np.add(head.reshape(-1, 8, 1),
+                      tail.reshape(1, 8, -1)).reshape(self.dim)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.ascontiguousarray(v).reshape(self.dim)
         v = v.astype(np.result_type(v.dtype, self.dtype), copy=False)
         x = v.view(self.dtype).reshape(self.dim, -1)
         out = (self.head @ x.reshape(self.head.shape[0], -1)).reshape(x.shape)
-        flat = out.view(v.dtype).reshape(self.dim)
         slab = self.tail.shape[0]
         for a in range(0, self.dim, slab):
-            s = slice(a, a + slab)
-            flat[s] += self.diag[s] * v[s]
-            out[s] += self.tail @ x[s]
-        return flat
+            out[a:a + slab] += self.tail @ x[a:a + slab]
+        return out.view(v.dtype).reshape(self.dim)
 
 
 def _chain_matrix(terms, first: int, L: int) -> sp.csr_matrix:
@@ -311,13 +311,15 @@ def export_coo(spec: HamiltonianSpec) -> str:
             f"coordinate export limited to {COO_SITE_LIMIT} sites")
     mat = full_sparse_matrix(spec.terms, spec.n, spec.R).tocoo()
     order = np.lexsort((mat.col, mat.row))
+    order = order[np.abs(mat.data[order]) > 0.0]
     lines = [f"# hamline-coo-v1 n={spec.n} R={spec.R} dim={mat.shape[0]} "
              f"basis={basis_convention_hash()}"]
-    for k in order:
+    # Python numbers for a chunk of entries at a time, not for all of them
+    for a in range(0, len(order), _COO_CHUNK):
+        k = order[a:a + _COO_CHUNK]
         v = mat.data[k]
-        if abs(v) > 0.0:
-            lines.append(f"{mat.row[k]} {mat.col[k]} "
-                         f"{v.real:.17g} {v.imag:.17g}")
+        lines += map("{} {} {:.17g} {:.17g}".format, mat.row[k].tolist(),
+                     mat.col[k].tolist(), v.real.tolist(), v.imag.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -453,12 +455,15 @@ def min_eigs(op, k: int = 1, seed: int = DEFAULT_SEED, maxiter: int = 2000,
     read through its ``shape`` and ``matvec`` (its declared ``dtype`` is
     not read) by a thick-restart Lanczos (:func:`_lanczos`) with ncv = 10
     basis vectors (6 past 4,000,000 dimensions, at most dim) from a
-    seeded real start vector.  The operator's output on that vector, the
-    run's first product, sets the arithmetic: the basis is float64 when
-    the output has no nonzero imaginary part (an exact test, no
-    tolerance) and complex128 otherwise.  A float64 run then requires
-    every later output to be exactly real as well and raises ValueError
-    on one that is not; it never switches to complex arithmetic.
+    seeded real start vector.  The basis is ncv rows; the residual vector
+    of each cycle is held in the operator's last output, so a run holds
+    ncv + 1 full-length vectors besides the operator's own work.  The
+    operator's output on the start vector, the run's first product, sets
+    the arithmetic: the basis is float64 when the output has no nonzero
+    imaginary part (an exact test, no tolerance) and complex128
+    otherwise.  A float64 run then requires every later output to be
+    exactly real as well and raises ValueError on one that is not; it
+    never switches to complex arithmetic.
     ``maxiter`` counts the restarts after the first cycle, so a run makes
     at most ncv + maxiter*(ncv - k) operator applications, the first
     product included, plus one per returned value for its residual.  The
@@ -666,17 +671,20 @@ def _lanczos(matvec, dim: int, ncv: int, seed: int, k: int, maxiter: int,
 
     The run starts from the seeded real unit vector, and the operator's
     output on it, the first step's product, sets the dtype of the
-    (ncv+1, dim) basis: float64 when that output is exactly real
+    (ncv, dim) basis: float64 when that output is exactly real
     (:func:`_exact_real`), complex128 otherwise.  In a float64 basis
     every later output must be exactly real too (a nonzero imaginary part
     is a ValueError).  A cycle extends the basis to ncv vectors; each
     step is a three-term (after a restart, arrow) update by ``axpy`` and
     one classical Gram-Schmidt pass against the whole basis as two
-    ``gemv`` calls, all in place on the operator's output.  A restart
-    keeps the k lowest Ritz vectors and the residual vector, with the
-    Ritz values on the diagonal of the projected matrix and their
-    couplings to the residual in its row k.  ``maxiter`` restarts at most follow the
-    first cycle; a zero residual (an invariant subspace) ends the run.
+    ``gemv`` calls, all in place on the operator's output.  The cycle's
+    last step leaves the normalised residual vector in that output, not
+    in a basis row.  A restart keeps the k lowest Ritz vectors and copies
+    the residual vector into row k, with the Ritz values on the diagonal
+    of the projected matrix and their couplings to the residual in its
+    row k; at the end of the run the residual vector is dropped.
+    ``maxiter`` restarts at most follow the first cycle; a zero residual
+    (an invariant subspace) ends the run.
     The result holds the k lowest Ritz pairs of the last Krylov space,
     each value recomputed as the Rayleigh quotient of its Ritz vector
     and each residual from one explicit matvec.
@@ -686,7 +694,7 @@ def _lanczos(matvec, dim: int, ncv: int, seed: int, k: int, maxiter: int,
     w = _exact_real(np.asarray(matvec(v0)))
     real = not np.iscomplexobj(w)
     # rows of np.empty take no memory until the run writes them
-    V = np.empty((ncv + 1, dim), dtype=float if real else complex)
+    V = np.empty((ncv, dim), dtype=float if real else complex)
     V[0] = v0
     del v0
     w = np.asarray(w, dtype=V.dtype)
@@ -725,8 +733,11 @@ def _lanczos(matvec, dim: int, ncv: int, seed: int, k: int, maxiter: int,
             if beta == 0.0:
                 m = j + 1
                 break
-            np.multiply(w, 1.0 / beta, out=V[j + 1])
-            w = None  # free the output before the operator makes the next
+            if j + 1 < ncv:
+                np.multiply(w, 1.0 / beta, out=V[j + 1])
+                w = None  # free the output before the operator makes the next
+            else:
+                w *= 1.0 / beta  # the residual vector, kept in the output
         theta, S = sla.eigh(T[:m, :m])
         kk = min(k, m)
         beta = T[m, m - 1]
@@ -735,11 +746,13 @@ def _lanczos(matvec, dim: int, ncv: int, seed: int, k: int, maxiter: int,
             break
         restarts += 1
         _rotate(V, S[:, :k])
-        V[k] = V[m]
+        V[k] = w
+        w = None
         T[:] = 0.0
         T[:k, :k] = np.diag(theta[:k])
         T[k, :k] = T[:k, k] = beta * S[m - 1, :k]
         start = k
+    del w
     _rotate(V, S[:, :kk])
     vals, res = np.empty(kk), np.empty(kk)
     for i in range(kk):

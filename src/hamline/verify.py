@@ -293,8 +293,9 @@ def _block_floor(spec: hm.HamiltonianSpec) -> float:
     ||V||, and ||V|| is at most the sum above.  So the least pen-free
     block minimum, when it lies below c, is lambda_min(H) exactly.
     """
-    hops = math.fsum(t.weight * np.linalg.norm(t.matrix(), 2)
-                     for t in spec.terms if t.kind == "hop")
+    terms = [t for t in spec.terms if t.kind == "hop"]
+    norms = hm._per_block(terms, lambda m: np.linalg.norm(m, 2))
+    hops = math.fsum(t.weight * norm for t, norm in zip(terms, norms))
     return spec.couplings.j_pen - hops
 
 

@@ -293,13 +293,13 @@ def assert_within_rounding(op, v):
 
 
 def test_full_operator_matvec_allocates_one_buffer():
-    """One 6-site matvec allocates the output plus O(tail slab): the
-    diagonal and tail products of one slab of 8^3 amplitudes at a time,
-    no full-length temporary."""
+    """One 6-site matvec allocates the output plus O(tail slab): the tail
+    product of one slab of 8^4 amplitudes (sites 3..6) at a time, no
+    full-length temporary."""
     op = spectra.FullOperator.from_spec(
         hm.build_hamiltonian(identity_circuit(3, 1, 1)))
     slab = op.tail.shape[0]
-    assert slab == 8 ** 3
+    assert slab == 8 ** 4
     rng = np.random.default_rng(22)
     v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
     tracemalloc.start()
@@ -309,6 +309,24 @@ def test_full_operator_matvec_allocates_one_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= (op.dim + 4 * slab) * v.itemsize + 64 * 1024
+
+
+def test_full_operator_build_holds_no_full_length_array():
+    """A 6-site build keeps two blocks and the window tables, no 8^L
+    array: it peaks below one float64 full-space vector (tracemalloc).
+    ``diag`` is formed when read."""
+    spec = hm.build_hamiltonian(identity_circuit(3, 1, 1))
+    dim = spectra.full_dimension(3, 1)
+    tracemalloc.start()
+    try:
+        op = spectra.FullOperator.from_spec(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * np.dtype(float).itemsize, peak
+    assert op.head.shape == (8 ** 3, 8 ** 3)
+    assert op.tail.shape == (8 ** 4, 8 ** 4)
+    assert op.diag.shape == (dim,)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +790,10 @@ def test_min_eigs_refusals_apply_nothing(dense_21):
 def test_min_eigs_complex_declared_basis_is_float64(dense_21):
     """The complex-declared wrapper over the real 4-site operator keeps a
     float64 basis: the whole call peaks below the bytes of one complex
-    (ncv + 1) x dim basis (tracemalloc)."""
+    (ncv + 1) x dim basis (tracemalloc).  The basis is ncv rows and the
+    residual vector stays in the operator's output, so the call also
+    peaks below ncv + 2 float64 vectors (the basis, the start vector and
+    the first output) plus 32 KiB."""
     op = dense_21[1]
     ncv = 10
     wrapper = CountingOperator(op, dtype=complex)
@@ -783,6 +804,8 @@ def test_min_eigs_complex_declared_basis_is_float64(dense_21):
     finally:
         tracemalloc.stop()
     assert peak < (ncv + 1) * op.dim * np.dtype(complex).itemsize, peak
+    assert peak < (ncv + 2) * op.dim * np.dtype(float).itemsize + 32 * 1024, \
+        peak
 
 
 @pytest.fixture(scope="module")
