@@ -11,7 +11,8 @@ The module provides
 * the allowed-pair table (56 allowed (pair, type) combinations, 124
   forbidden families),
 * the fourteen rewrite rules that drive the computation, with forward /
-  backward matching and application,
+  backward matching and application; the transition terms are the
+  rules without context,
 * the legal sequence (deterministic run from the initial configuration)
   and an independent closed-form template generator for the same
   sequence,
@@ -32,7 +33,7 @@ rows.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -42,7 +43,7 @@ __all__ = [
     "INSI", "PUSHER", "BLANK", "DEAD", "QUBIT", "GATE",
     "SYMBOL_CHARS", "QUBIT_HOLDING",
     "Configuration", "RuleInstance", "Rule", "RULES", "RULES_BY_PARENT",
-    "TransitionTerm", "TRANSITION_TERMS", "ConfigClass", "InvariantSet",
+    "TRANSITION_TERMS", "ConfigClass", "InvariantSet",
     "location_type", "pair_allowed", "forbidden_families",
     "initial_configuration", "forward_rules", "backward_rules",
     "apply_rule", "legal_sequence", "annotated_sequence",
@@ -296,28 +297,8 @@ class RuleInstance:
 
 def mutated_rules(rid: str, after: tuple[int, int]) -> tuple[Rule, ...]:
     """Copy of RULES with one rule's after-window replaced (fault injection)."""
-    out = []
-    for r in RULES:
-        if r.rid == rid:
-            r = Rule(r.rid, r.types, r.before, tuple(after), r.context)
-        out.append(r)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class TransitionTerm:
-    """A two-site exchange NO <-> PQ with its admissible location types.
-
-    These are exactly the transition pieces of the propagation
-    Hamiltonian; unlike the rules above they carry no context, so they
-    can fire at "wrong" moments and map configurations out of the legal
-    set.
-    """
-
-    rule: str
-    types: frozenset
-    src: tuple[int, int]
-    dst: tuple[int, int]
+    return tuple(replace(r, after=tuple(after)) if r.rid == rid else r
+                 for r in RULES)
 
 
 #: RULES stably sorted by (parent rule, most location types first).  The
@@ -327,13 +308,13 @@ class TransitionTerm:
 RULES_BY_PARENT: tuple[Rule, ...] = tuple(
     sorted(RULES, key=lambda r: (r.rid[0], -len(r.types))))
 
-#: Transition pieces, one per rewrite rule: its window exchange
-#: before -> after without the context sites, keyed by parent rule.
-#: The qubit-move family (rule 3) fires at all odd-type pairs, with two
-#: of its four exchanges restricted to AE / AC.
-TRANSITION_TERMS: tuple[TransitionTerm, ...] = tuple(
-    TransitionTerm(r.rid[0], r.types, r.before, r.after)
-    for r in RULES_BY_PARENT)
+#: Transition pieces, one per rewrite rule: the rule without its context
+#: sites, labelled by its parent rule.  Unlike the rules they can fire at
+#: "wrong" moments and map configurations out of the legal set.  The
+#: qubit-move family (rule 3) fires at all odd-type pairs, with two of
+#: its four exchanges restricted to AE / AC.
+TRANSITION_TERMS: tuple[Rule, ...] = tuple(
+    Rule(r.rid[0], r.types, r.before, r.after) for r in RULES_BY_PARENT)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +322,11 @@ TRANSITION_TERMS: tuple[TransitionTerm, ...] = tuple(
 # ---------------------------------------------------------------------------
 
 class _Move(NamedTuple):
-    """Entry ``rank`` of a table (``label``: rule id or parent rule)
-    writes ``new`` over its window in ``direction`` when each 0-based
-    (site, symbol) of ``context`` matches."""
+    """Entry ``rank`` of a table writes ``new`` over its window in
+    ``direction`` when each 0-based (site, symbol) of ``context``
+    matches."""
 
     rank: int
-    label: str
     direction: str
     new: bytes
     context: tuple[tuple[int, int], ...]
@@ -354,24 +334,20 @@ class _Move(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _move_index(n: int, R: int, table: tuple) -> tuple[dict, ...]:
-    """The move index of a rule or exchange-term table: for each pair
-    (i, i+1), left to right, a dict from the symbol pair there to its
-    moves, in table order with each entry's forward move (a rule's
-    before -> after, a term's src -> dst) before its backward one.  A
-    move with a context site off the chain is left out."""
+    """The move index of a rule table: for each pair (i, i+1), left to
+    right, a dict from the symbol pair there to its moves, in table order
+    with each rule's forward move (before -> after) before its backward
+    one.  A move with a context site off the chain is left out."""
     index = []
     for i, t in enumerate(location_types(n, R), 1):
         at: dict[tuple[int, int], list[_Move]] = {}
         for rank, e in enumerate(table):
-            label, a, b, context = ((e.rid, e.before, e.after, e.context)
-                                    if isinstance(e, Rule)
-                                    else (e.rule, e.src, e.dst, ()))
-            ctx = tuple((i - 1 + off, sym) for off, sym in context)
+            ctx = tuple((i - 1 + off, sym) for off, sym in e.context)
             if t in e.types and all(0 <= j < 2 * n * R for j, _ in ctx):
-                at.setdefault(a, []).append(
-                    _Move(rank, label, "forward", bytes(b), ctx))
-                at.setdefault(b, []).append(
-                    _Move(rank, label, "backward", bytes(a), ctx))
+                at.setdefault(e.before, []).append(
+                    _Move(rank, "forward", bytes(e.after), ctx))
+                at.setdefault(e.after, []).append(
+                    _Move(rank, "backward", bytes(e.before), ctx))
         index.append({pair: tuple(moves) for pair, moves in at.items()})
     return tuple(index)
 
@@ -394,7 +370,7 @@ def _rule_moves(c: Configuration, direction: str,
     """(instance, result) for every rule matching c in ``direction``,
     rule-major: by table order, then by position."""
     fired = _fire(c.sites, _move_index(c.n, c.R, rules), direction)
-    return [(RuleInstance(m.label, i, direction),
+    return [(RuleInstance(rules[m.rank].rid, i, direction),
              Configuration._trusted(c.n, c.R, s))
             for m, i, s in sorted(fired, key=lambda f: f[0].rank)]
 
@@ -421,11 +397,11 @@ def apply_rule(c: Configuration, inst: RuleInstance) -> Configuration:
 
 
 def exchange_neighbours(c: Configuration,
-                        terms: tuple[TransitionTerm, ...] = TRANSITION_TERMS,
-                        ) -> list[tuple[TransitionTerm, int, str, Configuration]]:
+                        terms: tuple[Rule, ...] = TRANSITION_TERMS,
+                        ) -> list[tuple[Rule, int, str, Configuration]]:
     """Every configuration one exchange away, as (term, position,
     direction, result) tuples by position, then term order; direction is
-    "forward" for src->dst and "backward" for dst->src."""
+    "forward" for before->after and "backward" for after->before."""
     return [(terms[m.rank], i, m.direction,
              Configuration._trusted(c.n, c.R, s))
             for m, i, s in _fire(c.sites, _move_index(c.n, c.R, terms))]

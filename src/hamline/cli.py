@@ -130,12 +130,12 @@ def cmd_compile(args) -> int:
     if args.coo:
         from . import spectra
         try:
-            text = spectra.export_coo(spec)
+            chunks = spectra.export_coo(spec)
         except ValueError as exc:
             print(f"validation error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         with open(args.coo, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     counts = hm.census(spec)
     forbidden = len(chain.forbidden_families())
     print(f"n={circ.n} m={circ.m} R={circ.R} K={spec.K}")

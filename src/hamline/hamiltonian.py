@@ -47,8 +47,8 @@ from math import ceil, log2
 import numpy as np
 
 from . import chain
-from .chain import (BLANK, DEAD, GATE, INSI, PUSHER, QUBIT,
-                    TRANSITION_TERMS, TransitionTerm)
+from .chain import (BLANK, DEAD, GATE, INSI, PUSHER, QUBIT, Rule,
+                    TRANSITION_TERMS)
 from .circuit import LayeredCircuit, gate_at_location
 
 __all__ = [
@@ -333,7 +333,7 @@ def projector_layout(n: int, R: int):
 
 
 def build_h_prop(circ: LayeredCircuit,
-                 transitions: tuple[TransitionTerm, ...] = TRANSITION_TERMS
+                 transitions: tuple[Rule, ...] = TRANSITION_TERMS
                  ) -> list[LocalTerm]:
     """Propagation family: projector pieces from :func:`projector_layout`
     plus hop pieces from the chain's transition terms; rule-1 hops carry
@@ -349,10 +349,10 @@ def build_h_prop(circ: LayeredCircuit,
             if t not in tt.types:
                 continue
             gate = None
-            if tt.rule == "1":
+            if tt.rid == "1":
                 gate = gate_at_location(circ, i).matrix
-            terms.append(_hop_term("prop", (i, i + 1), tt.src, tt.dst,
-                                   gate=gate, rule=tt.rule, window=i))
+            terms.append(_hop_term("prop", (i, i + 1), tt.before, tt.after,
+                                   gate=gate, rule=tt.rid, window=i))
     return terms
 
 
@@ -522,11 +522,10 @@ def export_terms(spec: HamiltonianSpec) -> str:
 
     Many terms share one block (a family repeats at every window of its
     location type), so each distinct block is built and encoded once
-    (:func:`_per_block`).  A block holds few distinct values, so each distinct
-    entry (by the bit patterns of its two parts, grouped by one lexsort,
-    which keeps -0.0 apart from 0.0) is JSON-encoded once, with a cache
-    shared across blocks, and the pieces are spliced into the block's
-    text in entry order.
+    (:func:`_per_block`).  A block holds few distinct values, so each of
+    its distinct entries (by the bit patterns of its two parts, grouped
+    by one lexsort, which keeps -0.0 apart from 0.0) is JSON-encoded once
+    and the pieces are spliced into the block's text in entry order.
     """
     import json
 
@@ -539,7 +538,6 @@ def export_terms(spec: HamiltonianSpec) -> str:
         "basis": list(BASIS_LABELS),
         "terms": len(spec.terms),
     }, sort_keys=True)]
-    encoded: dict[tuple[int, int], str] = {}
     splice = json.dumps(_MATRIX_SPLICE)
 
     def encode(block: np.ndarray) -> str:
@@ -549,13 +547,8 @@ def export_terms(spec: HamiltonianSpec) -> str:
         first = np.r_[True, (re[1:] != re[:-1]) | (im[1:] != im[:-1])]
         inverse = np.empty_like(order)
         inverse[order] = np.cumsum(first) - 1
-        pieces = []
-        for key in zip(re[first].tolist(), im[first].tolist()):
-            text = encoded.get(key)
-            if text is None:
-                v = np.array(key, dtype=np.uint64).view(complex)[0]
-                text = encoded[key] = json.dumps([v.real, v.imag])
-            pieces.append(text)
+        pieces = [json.dumps([v.real, v.imag])
+                  for v in block.ravel()[order[first]].tolist()]
         return "[" + ", ".join(
             np.array(pieces, dtype=object)[inverse].tolist()) + "]"
 

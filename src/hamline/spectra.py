@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,6 +61,9 @@ FULL_SPACE_SITE_LIMIT = 8  # 8^8 ~ 1.7e7 amplitudes
 COO_SITE_LIMIT = 6
 #: Entries formatted per pass in :func:`export_coo`.
 _COO_CHUNK = 1 << 16
+#: The most content dimensions of a block that :func:`restrict` builds
+#: by default, and of an exchange-closed set the soundness probe solves.
+BLOCK_DIM_LIMIT = 200_000
 #: The largest dense array, in bytes, that :func:`min_eigs` forms for a
 #: LAPACK solve (a 4-site complex operator is 256 MiB).
 DENSE_BYTE_LIMIT = 1 << 29
@@ -302,25 +306,30 @@ def full_sparse_matrix(terms, n: int, R: int) -> sp.csr_matrix:
     return _chain_matrix(_term_list(terms), 1, 2 * n * R)
 
 
-def export_coo(spec: HamiltonianSpec) -> str:
+def export_coo(spec: HamiltonianSpec) -> Iterator[str]:
     """Coordinate-list export of the full matrix: a "row col re im" line
-    per nonzero entry, 0-based, sorted by (row, col).  Only permitted up
-    to :data:`COO_SITE_LIMIT` sites, checked before the matrix is built."""
+    per nonzero entry, 0-based, sorted by (row, col), after a header
+    line.  Only permitted up to :data:`COO_SITE_LIMIT` sites, checked
+    before the matrix is built.  The text comes as an iterator: the
+    header line, then one string per :data:`_COO_CHUNK` entries."""
     if 2 * spec.n * spec.R > COO_SITE_LIMIT:
         raise ValueError(
             f"coordinate export limited to {COO_SITE_LIMIT} sites")
     mat = full_sparse_matrix(spec.terms, spec.n, spec.R).tocoo()
     order = np.lexsort((mat.col, mat.row))
     order = order[np.abs(mat.data[order]) > 0.0]
-    lines = [f"# hamline-coo-v1 n={spec.n} R={spec.R} dim={mat.shape[0]} "
-             f"basis={basis_convention_hash()}"]
-    # Python numbers for a chunk of entries at a time, not for all of them
-    for a in range(0, len(order), _COO_CHUNK):
-        k = order[a:a + _COO_CHUNK]
-        v = mat.data[k]
-        lines += map("{} {} {:.17g} {:.17g}".format, mat.row[k].tolist(),
-                     mat.col[k].tolist(), v.real.tolist(), v.imag.tolist())
-    return "\n".join(lines) + "\n"
+
+    def chunks():
+        yield (f"# hamline-coo-v1 n={spec.n} R={spec.R} dim={mat.shape[0]} "
+               f"basis={basis_convention_hash()}\n")
+        # Python numbers and text for one chunk of entries at a time
+        for a in range(0, len(order), _COO_CHUNK):
+            k = order[a:a + _COO_CHUNK]
+            v = mat.data[k]
+            yield "".join(map("{} {} {:.17g} {:.17g}\n".format,
+                              mat.row[k].tolist(), mat.col[k].tolist(),
+                              v.real.tolist(), v.imag.tolist()))
+    return chunks()
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +355,7 @@ def _hop_images(terms, configs: list[Configuration]) -> list[Configuration]:
     return list(images)
 
 
-def restrict(terms, configs, max_dim: int = 200_000):
+def restrict(terms, configs, max_dim: int = BLOCK_DIM_LIMIT):
     """P H P on the span of the given configurations' content spaces.
 
     Returns (csr_matrix, basis) where basis is the list of

@@ -255,23 +255,20 @@ def _witness_subspace_min(circ: LayeredCircuit, terms) -> float:
     return float(np.linalg.eigvalsh(V.conj().T @ (mat @ V))[0])
 
 
-#: The most content dimensions of one block, as in :func:`spectra.restrict`.
-_BLOCK_LIMIT = 200_000
-
-
 def _pen_free_blocks(n: int, R: int) -> list[frozenset]:
     """The exchange-closed configuration sets that hold a pen-free
-    configuration, each once.  A set of more than :data:`_BLOCK_LIMIT`
-    content dimensions is a ValueError, raised before any solve."""
+    configuration, each once.  A set of more than
+    :data:`spectra.BLOCK_DIM_LIMIT` content dimensions is a ValueError,
+    raised before any solve."""
     blocks, seen = [], set()
     for c in chain.allowed_configurations(n, R):
         if c in seen:
             continue
-        inv = chain.invariant_set(c, cap=_BLOCK_LIMIT)
+        inv = chain.invariant_set(c, cap=spectra.BLOCK_DIM_LIMIT)
         dim = int(chain._Packed.of(inv.configs).offsets[-1])
-        if inv.capped or dim > _BLOCK_LIMIT:
+        if inv.capped or dim > spectra.BLOCK_DIM_LIMIT:
             raise ValueError(f"the exchange-closed set of {c} exceeds "
-                             f"{_BLOCK_LIMIT} dimensions")
+                             f"{spectra.BLOCK_DIM_LIMIT} dimensions")
         blocks.append(inv.configs)
         seen |= inv.configs
     return blocks

@@ -366,12 +366,12 @@ def test_criterion_10_negative_controls():
     # fault C: one mutated hop -> a worked-example expansion changes
     # (criterion 4)
     terms = list(chain.TRANSITION_TERMS)
-    idx = terms.index(next(t for t in terms if t.rule == "3"
-                           and t.src == (chain.QUBIT, chain.INSI)
-                           and t.dst == (chain.INSI, chain.QUBIT)))
-    terms[idx] = chain.TransitionTerm("3", terms[idx].types,
-                                      (chain.QUBIT, chain.INSI),
-                                      (chain.DEAD, chain.QUBIT))
+    idx = terms.index(next(t for t in terms if t.rid == "3"
+                           and t.before == (chain.QUBIT, chain.INSI)
+                           and t.after == (chain.INSI, chain.QUBIT)))
+    terms[idx] = chain.Rule("3", terms[idx].types,
+                            (chain.QUBIT, chain.INSI),
+                            (chain.DEAD, chain.QUBIT))
     circ = _identity_circuit(3, 1, 2)
     mutated_terms = [t for t in hm.build_h_prop(circ, transitions=tuple(terms))
                      if t.rule == "3" and t.window == 5]

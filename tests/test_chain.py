@@ -221,6 +221,18 @@ def test_mutated_rules_diverge():
         pass  # branching is also an acceptable way to expose the fault
 
 
+def test_transition_terms_are_rules_without_context():
+    # one record: each term is its rule labelled by the parent rule,
+    # with the context sites dropped
+    assert len(chain.TRANSITION_TERMS) == len(chain.RULES_BY_PARENT)
+    for term, rule in zip(chain.TRANSITION_TERMS, chain.RULES_BY_PARENT):
+        assert term == chain.Rule(rule.rid[0], rule.types, rule.before,
+                                  rule.after, context=())
+    found = [term for c in chain.legal_sequence(3, 2)
+             for term, *_ in chain.exchange_neighbours(c)]
+    assert found and all(isinstance(t, chain.Rule) for t in found)
+
+
 def test_branching_mutation_raises_on_every_call():
     # 2c's after-window <g lets rules 4a and 5a both fire; the cached
     # sequence must not turn the second call into a silent result
@@ -420,16 +432,16 @@ def _reference_rules(c, direction):
 
 
 def _reference_exchanges(c):
-    """Exchange neighbours of c by position, then term order, src->dst
-    before dst->src, straight from TRANSITION_TERMS."""
+    """Exchange neighbours of c by position, then term order,
+    before->after ahead of after->before, straight from TRANSITION_TERMS."""
     out = []
     for i in range(1, c.length):
         pair = (c.sites[i - 1], c.sites[i])
         for term in chain.TRANSITION_TERMS:
             if chain.location_type(i, c.n, c.R) not in term.types:
                 continue
-            for direction, a, b in (("forward", term.src, term.dst),
-                                    ("backward", term.dst, term.src)):
+            for direction, a, b in (("forward", term.before, term.after),
+                                    ("backward", term.after, term.before)):
                 if pair == a:
                     s = bytearray(c.sites)
                     s[i - 1:i + 1] = bytes(b)

@@ -1002,7 +1002,7 @@ def test_full_sparse_matrix_matches_operator(dense_21):
 
 def test_export_coo_round_trip(dense_21):
     spec, _, H = dense_21
-    text = spectra.export_coo(spec)
+    text = "".join(spectra.export_coo(spec))
     head, *rows = text.strip().split("\n")
     assert head.startswith("# hamline-coo-v1 n=2 R=1 dim=4096")
     rebuilt = np.zeros(H.shape, dtype=complex)
@@ -1015,11 +1015,27 @@ def test_export_coo_round_trip(dense_21):
     assert rc == sorted(rc)
 
 
+COO_21_SHA256 = \
+    "50a5c07368a6a18f58992742580f8db2f96f40dc7ec1f3e1539b77b6b633b3cf"
+
+
 def test_export_coo_bytes_pinned(dense_21):
     # the export bytes are frozen
-    text = spectra.export_coo(dense_21[0])
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "50a5c07368a6a18f58992742580f8db2f96f40dc7ec1f3e1539b77b6b633b3cf"
+    text = "".join(spectra.export_coo(dense_21[0]))
+    assert hashlib.sha256(text.encode()).hexdigest() == COO_21_SHA256
+
+
+def test_export_coo_streams_chunks(dense_21, monkeypatch):
+    # the text comes as a header line, then one string per chunk of
+    # entries, never the whole export at once
+    monkeypatch.setattr(spectra, "_COO_CHUNK", 1024)
+    head, *chunks = spectra.export_coo(dense_21[0])
+    assert head.startswith("# hamline-coo-v1 ") and head.endswith("\n")
+    assert head.count("\n") == 1
+    assert len(chunks) > 1
+    assert all(c.endswith("\n") and c.count("\n") <= 1024 for c in chunks)
+    text = head + "".join(chunks)
+    assert hashlib.sha256(text.encode()).hexdigest() == COO_21_SHA256
 
 
 def test_full_operator_site_limit():
