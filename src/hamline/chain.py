@@ -633,10 +633,7 @@ class _Packed:
         """The rows carrying pair ``a`` at sites (i, i+1); for each, the
         packed index of its image with ``b`` there, whether that image
         is packed, and the image itself."""
-        src = np.flatnonzero((self.S[:, i - 1] == a[0])
-                             & (self.S[:, i] == a[1]))
-        moved = self.S[src]
-        moved[:, i - 1:i + 1] = b
+        src, moved = _move_rows(self.S, i - 1, a, b)
         pos, found = _lookup(self.sorted_keys, _keys(moved))
         return src, self.order[pos], found, moved
 
@@ -648,6 +645,16 @@ class _Packed:
         content = np.arange(len(cfg)) \
             - np.repeat(np.cumsum(counts) - counts, counts)
         return cfg, self.offsets[cfg] + content, content
+
+
+def _move_rows(S: np.ndarray, j: int, a: tuple, b: tuple):
+    """The indices of the rows of ``S`` that carry pair ``a`` at columns
+    (j, j+1), and copies of those rows with ``b`` written there: one
+    term or exchange applied to every row it fits."""
+    src = np.flatnonzero((S[:, j] == a[0]) & (S[:, j + 1] == a[1]))
+    moved = S[src]
+    moved[:, j:j + 2] = b
+    return src, moved
 
 
 def _keys(S: np.ndarray) -> np.ndarray:
@@ -662,7 +669,7 @@ def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
 
 
 def _configs_of(S: np.ndarray, n: int, R: int) -> list[Configuration]:
-    """The rows of a packed array as configurations, in row order."""
+    """Packed rows, or their keys, as configurations, in row order."""
     buf, L = S.tobytes(), 2 * n * R
     return [Configuration._trusted(n, R, buf[k:k + L])
             for k in range(0, len(buf), L)]
@@ -670,9 +677,9 @@ def _configs_of(S: np.ndarray, n: int, R: int) -> list[Configuration]:
 
 @dataclass(frozen=True)
 class InvariantSet:
-    """BFS closure of a configuration under the exchange terms."""
+    """Exchange closure of a configuration, sorted by ``sites``."""
 
-    configs: frozenset
+    configs: tuple
     capped: bool = False
 
     def __len__(self):
@@ -681,7 +688,7 @@ class InvariantSet:
 
 def invariant_set(c: Configuration, cap: int = 5_000_000) -> InvariantSet:
     """Smallest exchange-closed set containing c, or ``cap`` of its
-    configurations (``capped``) when it has more.
+    configurations (``capped``) when it has more, sorted by ``sites``.
 
     A frontier closure over packed rows: the next layer is every
     exchange image of this layer's rows, deduplicated on sorted keys,
@@ -694,25 +701,20 @@ def invariant_set(c: Configuration, cap: int = 5_000_000) -> InvariantSet:
     index = _move_index(c.n, c.R, TRANSITION_TERMS)
     rows = np.frombuffer(c.sites, dtype=np.uint8).reshape(1, -1)
     prev = cur = _keys(rows)
-    layers, total, capped = [rows], 1, False
+    layers, total, capped = [cur], 1, False
     while len(rows) and not capped:
-        images = []
-        for j, at in enumerate(index):
-            for (x, y), moves in at.items():
-                hit = rows[(rows[:, j] == x) & (rows[:, j + 1] == y)]
-                for m in moves:
-                    image = hit.copy()
-                    image[:, j:j + 2] = tuple(m.new)
-                    images.append(image)
+        images = [_move_rows(rows, j, pair, tuple(m.new))[1]
+                  for j, at in enumerate(index)
+                  for pair, moves in at.items() for m in moves]
         keys = np.unique(_keys(np.concatenate(images)))
         keys = keys[~(_lookup(cur, keys)[1] | _lookup(prev, keys)[1])]
         capped = total + len(keys) > cap
         prev, cur = cur, keys[:cap - total]
         rows = cur.view(np.uint8).reshape(-1, c.length)
-        layers.append(rows)
-        total += len(rows)
-    return InvariantSet(frozenset(_configs_of(np.vstack(layers), c.n, c.R)),
-                        capped)
+        layers.append(cur)
+        total += len(cur)
+    keys = np.sort(np.concatenate(layers))  # key order is sites order
+    return InvariantSet(tuple(_configs_of(keys, c.n, c.R)), capped)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +821,9 @@ def allowed_configurations(n: int, R: int):
 
 
 def undetectable_configurations(n: int, R: int):
-    """Yield every locally undetectable illegal configuration."""
+    """Yield every locally undetectable illegal configuration: the
+    illegal ones among :func:`allowed_configurations`, in its order."""
+    legal = _legal_set(n, R)
     for c in allowed_configurations(n, R):
-        if classify(c).tag == "undetectable":
+        if c.sites not in legal:
             yield c

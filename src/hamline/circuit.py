@@ -120,17 +120,17 @@ def identity_round(n: int) -> tuple[Gate2Q, ...]:
     return tuple(Gate2Q(NAMED_GATES["I"], g, "I") for g in range(1, n))
 
 
-def _gate_from_json(obj, slot: int) -> Gate2Q:
+def _gate_from_json(obj) -> tuple[np.ndarray, str | None]:
+    """The matrix and kind name of one gate entry of a circuit file."""
     if "kind" in obj:
         kind = obj["kind"]
         if kind not in NAMED_GATES:
             raise ValueError(f"unknown gate kind {kind!r}")
-        return Gate2Q(NAMED_GATES[kind], slot, kind)
+        return NAMED_GATES[kind], kind
     if "matrix" in obj:
-        rows = obj["matrix"]
-        m = np.array([[complex(re, im) for re, im in row] for row in rows])
-        return Gate2Q(m, slot)
-    raise ValueError("gate entry needs either 'kind' or 'matrix'")
+        return np.array([[complex(re, im) for re, im in row]
+                         for row in obj["matrix"]]), None
+    raise CircuitFormatError("gate entry needs either 'kind' or 'matrix'")
 
 
 def parse_circuit(text: str) -> LayeredCircuit:
@@ -138,7 +138,9 @@ def parse_circuit(text: str) -> LayeredCircuit:
 
     Two top-level forms are accepted: "rounds" (already layered) and
     "gates" (a flat list with explicit qubit pairs, routed through
-    :func:`layerize`).
+    :func:`layerize`).  A missing key or a wrongly typed section or
+    entry is a :class:`CircuitFormatError`; a well-formed file that
+    describes no valid circuit is a ValueError.
     """
     try:
         doc = json.loads(text)
@@ -146,32 +148,32 @@ def parse_circuit(text: str) -> LayeredCircuit:
         raise CircuitFormatError(f"malformed circuit file: {exc}") from exc
     if not isinstance(doc, dict):
         raise CircuitFormatError("circuit file must contain a JSON object")
+    gates = None
     try:
-        n = int(doc["n"])
-        m = int(doc["m"])
+        n, m = int(doc["n"]), int(doc["m"])
+        if "rounds" in doc:
+            rounds = [[_gate_from_json(g) for g in rnd]
+                      for rnd in doc["rounds"]]
+        elif "gates" in doc:
+            gates = []
+            for entry in doc["gates"]:
+                a, b = entry["qubits"]
+                gates.append((_gate_from_json(entry)[0], int(a), int(b)))
+        else:
+            raise CircuitFormatError(
+                "circuit file needs a 'rounds' or 'gates' section")
     except KeyError as exc:
         raise CircuitFormatError(f"circuit file is missing {exc}") from exc
+    except TypeError as exc:
+        raise CircuitFormatError(
+            f"circuit file has a wrongly typed entry: {exc}") from exc
 
-    if "rounds" in doc:
-        rounds = []
-        for rnd in doc["rounds"]:
-            if len(rnd) != n - 1:
-                raise ValueError(
-                    f"round has {len(rnd)} gates, expected {n - 1}")
-            rounds.append(tuple(_gate_from_json(g, slot)
-                                for slot, g in enumerate(rnd, start=1)))
-        return LayeredCircuit(n, m, tuple(rounds))
-
-    if "gates" in doc:
-        gates = []
-        for entry in doc["gates"]:
-            a, b = entry["qubits"]
-            gate = _gate_from_json(entry, 1)
-            gates.append((gate.matrix, int(a), int(b)))
+    if gates is not None:
         return layerize(n, m, gates)
-
-    raise CircuitFormatError(
-        "circuit file needs a 'rounds' or 'gates' section")
+    return LayeredCircuit(n, m, tuple(
+        tuple(Gate2Q(mat, slot, kind)
+              for slot, (mat, kind) in enumerate(rnd, start=1))
+        for rnd in rounds))
 
 
 def _single_gate_round(n: int, slot: int, matrix: np.ndarray,

@@ -228,6 +228,12 @@ def cmd_verify(args) -> int:
 
     if args.suite in ("census", "facts", "all") and _bad_shape(args.n, args.R):
         return EXIT_VALIDATION
+    if args.max_len < 4 or args.Lmax < 1:
+        # the shortest chain (n=2, R=1) has 4 sites; a suite over no
+        # chain or no walk length would check nothing
+        print("validation error: need --max-len >= 4 and --Lmax >= 1",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     rules = chain.RULES
     drop_pen = None
     if args.inject_fault == "mutate-rule":

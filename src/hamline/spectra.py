@@ -336,38 +336,31 @@ def export_coo(spec: HamiltonianSpec) -> Iterator[str]:
 # Restriction to configuration subsets
 # ---------------------------------------------------------------------------
 
-def _ordered_configs(configs) -> list[Configuration]:
-    if isinstance(configs, (list, tuple)):
-        return list(configs)
-    return sorted(configs, key=lambda c: c.sites)
-
-
 def _hop_images(terms, configs: list[Configuration]) -> list[Configuration]:
     """Configurations outside ``configs`` that one hop term maps one of
-    them to, in either direction."""
+    them to, in either direction, each once and sorted by ``sites``."""
     pk = chain._Packed.of(configs)
-    images: dict[Configuration, None] = {}
+    moved = [pk.S[:0]]  # no rows when no term is a hop
     for t in (t for t in terms if t.kind == "hop"):
         for a, b in ((t.src, t.dst), (t.dst, t.src)):
-            _, _, found, moved = pk.hop(t.sites[0], a, b)
-            images.update(dict.fromkeys(chain._configs_of(
-                moved[~found], configs[0].n, configs[0].R)))
-    return list(images)
+            _, _, found, rows = pk.hop(t.sites[0], a, b)
+            moved.append(rows[~found])
+    keys = np.unique(chain._keys(np.concatenate(moved)))
+    return chain._configs_of(keys, configs[0].n, configs[0].R)
 
 
 def restrict(terms, configs, max_dim: int = BLOCK_DIM_LIMIT):
     """P H P on the span of the given configurations' content spaces.
 
     Returns (csr_matrix, basis) where basis is the list of
-    (configuration, offset, content_dim) records in the given order
-    (sets are sorted lexicographically).  Basis ordering within a
-    configuration is by content index.  A configuration listed twice is
-    an error.  The matrix is :func:`_assemble`'s: float64 when no
-    assembled entry has an imaginary part (the circuit's gates are real)
-    and complex128 otherwise.
+    (configuration, offset, content_dim) records in the order of the
+    sequence ``configs``.  Basis ordering within a configuration is by
+    content index.  A configuration listed twice is an error.  The
+    matrix is :func:`_assemble`'s: float64 when no assembled entry has
+    an imaginary part (the circuit's gates are real) and complex128
+    otherwise.
     """
     terms = _term_list(terms)
-    configs = _ordered_configs(configs)
     if not configs:
         return sp.csr_matrix((0, 0)), []
     pk = chain._Packed.of(configs)

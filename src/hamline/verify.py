@@ -68,7 +68,9 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """All checks passed; a report with no checks has shown nothing
+        and does not pass."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def add(self, claim, passed, measured=None, bound=None, notes=""):
         self.checks.append(Check(claim, bool(passed), measured, bound, notes))
@@ -77,11 +79,14 @@ class Report:
         lines = [f"suite {self.suite}: "
                  f"{'PASS' if self.passed else 'FAIL'} "
                  f"({sum(c.passed for c in self.checks)}/{len(self.checks)})"]
+        def plain(o):  # numpy scalars print as the numbers they hold
+            return o.item() if isinstance(o, (np.floating, np.integer)) else o
         for c in self.checks:
             status = "pass" if c.passed else "FAIL"
-            extra = f" measured={c.measured!r}" if c.measured is not None else ""
+            extra = (f" measured={plain(c.measured)!r}"
+                     if c.measured is not None else "")
             if c.bound is not None:
-                extra += f" bound={c.bound!r}"
+                extra += f" bound={plain(c.bound)!r}"
             if c.notes:
                 extra += f" ({c.notes})"
             lines.append(f"  [{status}] {c.claim}{extra}")
@@ -255,7 +260,7 @@ def _witness_subspace_min(circ: LayeredCircuit, terms) -> float:
     return float(np.linalg.eigvalsh(V.conj().T @ (mat @ V))[0])
 
 
-def _pen_free_blocks(n: int, R: int) -> list[frozenset]:
+def _pen_free_blocks(n: int, R: int) -> list[tuple]:
     """The exchange-closed configuration sets that hold a pen-free
     configuration, each once.  A set of more than
     :data:`spectra.BLOCK_DIM_LIMIT` content dimensions is a ValueError,
@@ -270,7 +275,7 @@ def _pen_free_blocks(n: int, R: int) -> list[frozenset]:
             raise ValueError(f"the exchange-closed set of {c} exceeds "
                              f"{spectra.BLOCK_DIM_LIMIT} dimensions")
         blocks.append(inv.configs)
-        seen |= inv.configs
+        seen.update(inv.configs)
     return blocks
 
 

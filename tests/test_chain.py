@@ -383,12 +383,33 @@ def test_invariant_set_equals_bfs_closure_and_cap_boundary(text, n, R):
     c = cfg(text, n, R)
     closure = _closure_by_bfs(c)
     inv = chain.invariant_set(c)
-    assert not inv.capped and inv.configs == closure
+    assert not inv.capped and set(inv.configs) == closure
     exact = chain.invariant_set(c, cap=len(closure))
-    assert not exact.capped and exact.configs == closure
+    assert not exact.capped and set(exact.configs) == closure
     short = chain.invariant_set(c, cap=len(closure) - 1)
     assert short.capped and len(short) == len(closure) - 1
-    assert c in short.configs and short.configs < closure
+    assert c in short.configs and set(short.configs) < closure
+
+
+@pytest.mark.parametrize("text,n,R", [
+    ("giq.|....", 2, 2),          # the (2,2) initial configuration
+    ("xxxq|iqq.", 2, 2),          # a 1,856-configuration type-3 line
+])
+def test_invariant_set_is_a_tuple_sorted_by_sites(text, n, R):
+    inv = chain.invariant_set(cfg(text, n, R))
+    assert isinstance(inv.configs, tuple)
+    assert [c.sites for c in inv.configs] == sorted(
+        c.sites for c in inv.configs)
+    assert len(set(inv.configs)) == len(inv)
+
+
+def test_undetectable_configurations_are_the_illegal_allowed_ones():
+    # every allowed configuration is pen-free; the illegal ones among
+    # them keep the enumeration order that type-3 picks index into
+    for n, R in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]:
+        undet = list(chain.undetectable_configurations(n, R))
+        assert undet == [c for c in chain.allowed_configurations(n, R)
+                         if chain.classify(c).tag == "undetectable"]
 
 
 #: (detect_horizon, exchange_horizon) -> count over every undetectable

@@ -52,6 +52,16 @@ def test_parse_malformed_raises_format_error():
         parse_circuit(json.dumps({"n": 2, "m": 1}))
     with pytest.raises(CircuitFormatError):
         parse_circuit(json.dumps({"n": 2}))
+    # a missing key or a wrongly typed section or entry
+    for doc in [{"n": 2, "m": 1, "gates": [{"kind": "CNOT"}]},
+                {"n": 2, "m": 1, "gates": 5},
+                {"n": 2, "m": 1, "rounds": [[{"kind": "I"}], 5]},
+                {"n": 2, "m": 1, "rounds": [[{"kind": "I"}], [{}]]},
+                {"n": 2, "m": 1, "rounds": [[{"kind": "I"}], [3]]},
+                {"n": 2, "m": 1, "rounds": [[{"kind": "I"}],
+                                            [{"matrix": np.eye(4).tolist()}]]}]:
+        with pytest.raises(CircuitFormatError):
+            parse_circuit(json.dumps(doc))
 
 
 def test_parse_flat_gates_triggers_layerize():

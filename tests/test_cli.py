@@ -112,6 +112,18 @@ def test_circuit_load_errors_share_exit_codes(tmp_path, command):
     out = run(command, "--circuit", nonunitary, *extra)
     assert out.returncode == 2
     assert out.stderr.startswith("validation error:")
+    # a missing key, a round that is no list, and a matrix row of bare
+    # numbers rather than [re, im] pairs are parse errors
+    for name, doc in [
+            ("nokey.json", {"n": 2, "m": 1, "gates": [{"kind": "CNOT"}]}),
+            ("round.json", {"n": 2, "m": 1, "rounds": [[{"kind": "I"}], 5]}),
+            ("row.json", {"n": 2, "m": 1,
+                          "rounds": [[{"kind": "I"}],
+                                     [{"matrix": np.eye(4).tolist()}]]})]:
+        out = run(command, "--circuit", write_circuit(tmp_path, doc, name),
+                  *extra)
+        assert out.returncode == 1, name
+        assert out.stderr.startswith("parse error:"), out.stderr
 
 
 def test_spectrum_subspace(tmp_path):
@@ -192,6 +204,31 @@ def test_verify_suites_exit_zero():
                ).returncode == 0
     assert run("verify", "--suite", "appendix", "--Lmax", "16"
                ).returncode == 0
+
+
+@pytest.mark.parametrize("args", [("horizon", "--max-len", "3"),
+                                  ("appendix", "--Lmax", "0")])
+def test_verify_refuses_a_suite_that_checks_nothing(args):
+    # no chain has fewer than 4 sites, and no walk fewer than 1 step
+    suite, *extra = args
+    out = run("verify", "--suite", suite, *extra)
+    assert out.returncode == 2
+    assert out.stderr.startswith("validation error:")
+
+
+def test_import_loads_no_submodule_and_light_commands_skip_scipy(tmp_path):
+    circ = write_circuit(tmp_path, ACCEPT_DOC)
+    code = (
+        "import sys, hamline\n"
+        "assert not [m for m in sys.modules if m.startswith('hamline.')]\n"
+        "from hamline import cli\n"
+        "assert cli.main(['sequence', '--n', '2', '--R', '1']) == 0\n"
+        f"assert cli.main(['compile', '--circuit', {circ!r}, '--out', "
+        f"{str(tmp_path / 'h.txt')!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules\n")
+    out = subprocess.run([sys.executable, "-c", code], env=ENV,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_verify_has_no_full_space_flag():

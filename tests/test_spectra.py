@@ -381,6 +381,41 @@ def test_restrict_rejects_repeated_configuration():
         spectra.restrict(hm.build_h_pen(2, 2), legal + [legal[3]])
 
 
+#: sha256 of (indptr, indices as int64; data) of the rejecting (2,2)
+#: circuit restricted to two exchange-closed sets, from ``restrict``
+#: when it still sorted an unordered set by sites
+INVARIANT_BLOCK_SHA256 = {
+    "giq.|....":
+        "c4e5ee368d7a59ceaf3e0ab0fdfc6062077784aa6cefaadf5325fdee05427f5c",
+    "xxxq|iqq.":
+        "dc95245e84c523e442e0ebf79a1c6e2ec5c00b59207363d03a3b9ea9e378817f",
+}
+
+
+@pytest.mark.parametrize("text", sorted(INVARIANT_BLOCK_SHA256))
+def test_restrict_invariant_set_bytes_pinned(text):
+    # the type-1 block and a 1,856-configuration type-3 line, in the
+    # order invariant_set gives them
+    inv = chain.invariant_set(Configuration.from_string(text, 2, 2))
+    mat, basis = spectra.restrict(hm.build_hamiltonian(verify.rejecting_circuit()),
+                                  inv.configs)
+    assert [c for c, _, _ in basis] == list(inv.configs)
+    digest = hashlib.sha256()
+    for a in (mat.indptr.astype(np.int64), mat.indices.astype(np.int64),
+              mat.data):
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == INVARIANT_BLOCK_SHA256[text]
+
+
+def test_hop_images_once_each_sorted_by_sites():
+    spec = hm.build_hamiltonian(verify.rejecting_circuit())
+    legal = spectra.legal_basis(2, 2)
+    images = spectra._hop_images(spec.terms, legal)
+    assert [c.sites for c in images] == sorted({c.sites for c in images})
+    assert set(images) == set(verify.legal_fringe(2, 2)) - set(legal)
+    assert spectra._hop_images([], legal) == []
+
+
 def haar_gate(seed):
     z = np.random.default_rng(seed).standard_normal((4, 8)).view(complex)
     q, r = np.linalg.qr(z)

@@ -138,7 +138,7 @@ def test_pen_free_blocks_partition_at_2_2():
     assert sum(map(len, blocks)) == len(union)
     assert pen_free <= union
     assert all(not pen_free.isdisjoint(b) for b in blocks)
-    for b in blocks:
+    for b in map(frozenset, blocks):
         assert all(out in b for c in b
                    for *_, out in chain.exchange_neighbours(c))
     c = spec.couplings
@@ -153,6 +153,22 @@ def test_report_serialization():
     doc = json.loads(rep.to_json())
     assert doc["passed"] is True
     assert len(doc["checks"]) == len(rep.checks)
+
+
+def test_report_without_checks_does_not_pass():
+    rep = verify.Report("empty")
+    assert not rep.passed
+    assert rep.to_text() == "suite empty: FAIL (0/0)"
+    assert json.loads(rep.to_json())["passed"] is False
+
+
+def test_report_text_prints_numpy_scalars_as_numbers():
+    rep = verify.Report("numbers")
+    rep.add("claim", True, measured=np.float64(0.125), bound=np.int64(3))
+    assert rep.to_text().endswith("[pass] claim measured=0.125 bound=3")
+    doc = json.loads(rep.to_json())
+    assert (doc["checks"][0]["measured"], doc["checks"][0]["bound"]) \
+        == (0.125, 3)
 
 
 def test_soundness_report_reproducible_across_processes(soundness_run):
