@@ -128,9 +128,29 @@ def _gate_from_json(obj) -> tuple[np.ndarray, str | None]:
             raise ValueError(f"unknown gate kind {kind!r}")
         return NAMED_GATES[kind], kind
     if "matrix" in obj:
-        return np.array([[complex(re, im) for re, im in row]
+        return np.array([[complex(*_pair(z, "matrix")) for z in row]
                          for row in obj["matrix"]]), None
     raise CircuitFormatError("gate entry needs either 'kind' or 'matrix'")
+
+
+def _pair(value, field: str) -> list:
+    """A two-entry list of a circuit file, else a CircuitFormatError that
+    names its field."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise CircuitFormatError(
+            f"circuit file field {field!r} needs a pair, got {value!r}")
+    return value
+
+
+def _integer(value, field: str) -> int:
+    """An integer entry of a circuit file, else a CircuitFormatError that
+    names its field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise CircuitFormatError(
+            f"circuit file field {field!r} needs an integer, got {value!r}"
+        ) from exc
 
 
 def parse_circuit(text: str) -> LayeredCircuit:
@@ -138,9 +158,11 @@ def parse_circuit(text: str) -> LayeredCircuit:
 
     Two top-level forms are accepted: "rounds" (already layered) and
     "gates" (a flat list with explicit qubit pairs, routed through
-    :func:`layerize`).  A missing key or a wrongly typed section or
-    entry is a :class:`CircuitFormatError`; a well-formed file that
-    describes no valid circuit is a ValueError.
+    :func:`layerize`).  A missing key, a wrongly typed section or
+    entry, a ``qubits`` list or matrix entry that is not a pair, and a
+    count or qubit that is not an integer are a
+    :class:`CircuitFormatError`; a well-formed file that describes no
+    valid circuit is a ValueError.
     """
     try:
         doc = json.loads(text)
@@ -150,15 +172,16 @@ def parse_circuit(text: str) -> LayeredCircuit:
         raise CircuitFormatError("circuit file must contain a JSON object")
     gates = None
     try:
-        n, m = int(doc["n"]), int(doc["m"])
+        n, m = _integer(doc["n"], "n"), _integer(doc["m"], "m")
         if "rounds" in doc:
             rounds = [[_gate_from_json(g) for g in rnd]
                       for rnd in doc["rounds"]]
         elif "gates" in doc:
             gates = []
             for entry in doc["gates"]:
-                a, b = entry["qubits"]
-                gates.append((_gate_from_json(entry)[0], int(a), int(b)))
+                a, b = (_integer(q, "qubits")
+                        for q in _pair(entry["qubits"], "qubits"))
+                gates.append((_gate_from_json(entry)[0], a, b))
         else:
             raise CircuitFormatError(
                 "circuit file needs a 'rounds' or 'gates' section")

@@ -15,7 +15,9 @@ One term kernel, :func:`_term_entries`, applies terms to packed
 configurations and their content spaces: :mod:`hamline.spectra` runs it
 on configuration sets and on every symbol assignment of a chain
 (:func:`_window`), :meth:`LocalTerm.matrix` on every symbol assignment
-of a term's window.
+of a term's window.  It applies the projector terms one window at a
+time, all terms on a window at once, and tags every entry with the
+term that gave it.
 
 Four term families are built here:
 
@@ -114,7 +116,7 @@ class LocalTerm:
         pk, index = _window(w)
         local = replace(self, sites=tuple(range(1, w + 1)),
                         weight=1.0 if self.kind == "diag" else -1.0)
-        ((_, rows, cols, vals),) = _term_entries([local], pk)
+        ((*_, rows, cols, vals),) = _term_entries([local], pk)
         m = np.zeros((8 ** w, 8 ** w), dtype=complex)
         m[index[rows], index[cols]] += vals
         if self.kind == "diag":
@@ -162,15 +164,20 @@ SLOT = np.array([[slots[min(b, len(slots) - 1)] for b in (0, 1)]
                  for _, slots in sorted(SYMBOL_SLOTS.items())])
 
 
+def _site_codes(pk: chain._Packed) -> np.ndarray:
+    """Each site's digit of :func:`_site_index` for every basis vector of
+    the packed rows, as an (L, dim) array: the :data:`SLOT` of the site's
+    symbol and its holder's content bit."""
+    cfg, _, content = pk.expand(np.arange(len(pk.S)))
+    return SLOT[pk.S[cfg].T, (content >> pk.ranks[cfg].T) & 1]
+
+
 def _site_index(pk: chain._Packed) -> np.ndarray:
     """The base-8 index (first site most significant) of every basis
-    vector of the packed rows, in row order: each site's digit is the
-    :data:`SLOT` of its symbol and its holder's content bit."""
-    cfg, _, content = pk.expand(np.arange(len(pk.S)))
-    index = np.zeros(len(cfg), dtype=np.int64)
-    for site in range(pk.S.shape[1]):
-        bit = (content >> pk.ranks[cfg, site]) & 1
-        index = 8 * index + SLOT[pk.S[cfg, site], bit]
+    vector of the packed rows, in row order."""
+    index = np.zeros(int(pk.offsets[-1]), dtype=np.int64)
+    for digit in _site_codes(pk):
+        index = 8 * index + digit
     return index
 
 
@@ -183,56 +190,74 @@ def _window(w: int) -> tuple[chain._Packed, np.ndarray]:
     return pk, _site_index(pk)
 
 
-def _term_entries(terms, pk: chain._Packed):
-    """The term kernel: each term's weighted entries on the packed
-    configurations' content spaces, as (term, rows, cols, values) in
-    global basis indices, one term at a time.
+@lru_cache(maxsize=None)
+def _diag_mask(slot_sets: tuple[frozenset, ...]) -> np.ndarray:
+    """A diag term's unweighted diagonal on its window, indexed by the
+    window's base-8 code (first site most significant): whether every
+    site's digit lies in that site's slot set."""
+    mask = np.ones(1, dtype=bool)
+    for s in slot_sets:
+        mask = np.logical_and.outer(mask, np.isin(np.arange(8), tuple(s)))
+    return mask.ravel()
 
-    A diag term gives its diagonal (rows == cols), each site's factor
-    read from :data:`SLOT`.  A hop term gives its transfer part T only,
-    -weight times the rule-1 gate entry (or 1), from each source
-    configuration to its destination where that is packed too; the
-    term's other half is T^dagger.  Each term matches its window by a
-    column mask and emits all its entries at once.
+
+def _term_entries(terms, pk: chain._Packed):
+    """The term kernel: the terms' weighted entries on the packed
+    configurations' content spaces, as (kind, term, rows, cols, values)
+    in global basis indices, ``term`` each entry's index in ``terms``.
+
+    Diag terms run by window: those with the same first site and width
+    give their diagonals (rows == cols) together, from each basis
+    vector's window code (its :func:`_site_codes` digits, formed once per
+    call) and one gather of the terms' :func:`_diag_mask` table; only the
+    nonzero entries come out, each term's in basis order.  Hop terms run
+    one at a time, after the diag ones and in term order: each gives its
+    transfer part T only, -weight times the rule-1 gate entry (or 1),
+    from each source configuration to its destination where that is
+    packed too; the term's other half is T^dagger.
     """
-    S, ranks = pk.S, pk.ranks
-    for t in terms:
-        i = t.sites[0]
+    windows: dict[tuple[int, int], list[int]] = {}
+    hops = []
+    for j, t in enumerate(terms):
         if t.kind == "diag":
-            # (symbol, content bit) -> whether its site state lies in s
-            tables = [np.bincount(tuple(s), minlength=8)[SLOT] > 0
-                      for s in t.diag_slots]
-            hit = np.ones(len(S), dtype=bool)
-            for k, tab in enumerate(tables):
-                hit &= tab.any(axis=1)[S[:, i - 1 + k]]
-            cfg, idx, content = pk.expand(np.flatnonzero(hit))
-            f = np.full(len(idx), t.weight)
-            for k, tab in enumerate(tables):
-                site = i - 1 + k
-                f *= tab[S[cfg, site], (content >> ranks[cfg, site]) & 1]
-            yield t, idx, idx, f
-            continue
+            windows.setdefault((t.sites[0], len(t.sites)), []).append(j)
+        else:
+            hops.append((j, t))
+    codes = _site_codes(pk) if windows else None
+    for (i, w), js in windows.items():
+        code = np.zeros(codes.shape[1], dtype=np.intp)
+        for digit in codes[i - 1:i - 1 + w]:
+            code = 8 * code + digit
+        table = np.array([_diag_mask(terms[j].diag_slots) for j in js])
+        k, idx = np.nonzero(table[:, code])
+        weight = np.array([terms[j].weight for j in js], dtype=float)
+        yield "diag", np.asarray(js)[k], idx, idx, weight[k]
+    for j, t in hops:
+        i = t.sites[0]
         src, dst, found, _ = pk.hop(i, t.src, t.dst)
         cfg, idx, content = pk.expand(src[found])
         dst_off = np.repeat(pk.offsets[dst[found]], pk.cdim[src[found]])
         w = -t.weight
         u = t.gate_matrix()
         if u is None:
-            yield t, dst_off + content, idx, np.full(len(idx), w, dtype=complex)
-            continue
-        # rule-1 gate on content bits (a, a+1): the holders at i, i+1
-        a = ranks[cfg, i - 1]
-        bits_in = 2 * ((content >> a) & 1) + ((content >> (a + 1)) & 1)
-        cleared = content & ~(3 << a)
-        out_idx, col_idx, val = [], [], []
-        for j in range(4):
-            g = u[j, bits_in]
-            nz = g != 0
-            out = dst_off + (cleared | ((j >> 1) << a) | ((j & 1) << (a + 1)))
-            out_idx.append(out[nz])
-            col_idx.append(idx[nz])
-            val.append(w * g[nz])
-        yield t, *map(np.concatenate, (out_idx, col_idx, val))
+            rows, cols = dst_off + content, idx
+            vals = np.full(len(idx), w, dtype=complex)
+        else:
+            # rule-1 gate on content bits (a, a+1): the holders at i, i+1
+            a = pk.ranks[cfg, i - 1]
+            bits_in = 2 * ((content >> a) & 1) + ((content >> (a + 1)) & 1)
+            cleared = content & ~(3 << a)
+            out_idx, col_idx, val = [], [], []
+            for b in range(4):
+                g = u[b, bits_in]
+                nz = g != 0
+                out = dst_off + (cleared | ((b >> 1) << a)
+                                 | ((b & 1) << (a + 1)))
+                out_idx.append(out[nz])
+                col_idx.append(idx[nz])
+                val.append(w * g[nz])
+            rows, cols, vals = map(np.concatenate, (out_idx, col_idx, val))
+        yield "hop", np.full(len(rows), j), rows, cols, vals
 
 
 # ---------------------------------------------------------------------------

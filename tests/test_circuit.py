@@ -64,6 +64,20 @@ def test_parse_malformed_raises_format_error():
             parse_circuit(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field,doc", [
+    ("qubits", {"n": 3, "m": 1, "gates": [{"kind": "CNOT",
+                                           "qubits": [1, 2, 3]}]}),
+    ("n", {"n": "three", "m": 1, "gates": []}),
+    ("matrix", {"n": 2, "m": 1, "rounds": [
+        [{"kind": "I"}],
+        [{"matrix": [[[1.0, 0.0, 0.0]] + [[0.0, 0.0]] * 3] * 4}]]}),
+])
+def test_parse_names_the_field_of_a_malformed_entry(field, doc):
+    # a parse error of its own, not Python's unpacking or int() message
+    with pytest.raises(CircuitFormatError, match=f"field '{field}'"):
+        parse_circuit(json.dumps(doc))
+
+
 def test_parse_flat_gates_triggers_layerize():
     doc = json.dumps({"n": 3, "m": 1, "gates": [
         {"kind": "CNOT", "qubits": [1, 3]},

@@ -510,6 +510,26 @@ def test_restrict_matches_per_term_blocks_with_d_windows():
         assert np.max(np.abs(mat @ x - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("state", ["history", "random fringe"])
+def test_energy_parts_attributes_each_entry_to_its_term(state):
+    """The kernel runs diag terms by window, yet every product keeps its
+    term: a Haar (3,2) Hamiltonian's parts are, in term order, the parts
+    of its terms taken one at a time."""
+    circ = haar_circuit(3, 2, 30)
+    spec = hm.build_hamiltonian(circ)
+    if state == "history":
+        x = spectra.history_state(circ, np.array([0.6, 0.8j]))
+    else:
+        rng = np.random.default_rng(31)
+        x = spectra.RestrictedState(3, 2, {
+            c: rng.standard_normal(2 << c.holder_count()).view(complex)
+            for c in verify.legal_fringe(3, 2)})
+    parts = spectra.energy_parts(spec, x)
+    each = np.concatenate([spectra.energy_parts([t], x) for t in spec.terms])
+    assert np.array_equal(np.sort(parts), np.sort(each))
+    assert np.array_equal(parts, each)
+
+
 # ---------------------------------------------------------------------------
 # eigensolvers
 # ---------------------------------------------------------------------------
@@ -616,6 +636,37 @@ def test_min_eigs_sparse_refines_a_loose_pair(monkeypatch):
     res = spectra.min_eigs(mat, k=1)
     assert res.converged and res.values[0] == pytest.approx(1.0, abs=1e-12)
     assert res.residuals[0] <= 1e-10
+
+
+def test_min_eigs_sparse_solves_on_the_certifying_factorization(monkeypatch):
+    """ARPACK runs on the factorization whose inertia count certified its
+    shift, so no shift is factored twice.  With no eigenvalue below
+    ``sigma`` a k=1 solve makes two factorizations: the count at
+    ``sigma``, which is also the solve's, and the certificate below
+    theta_1.  A solve that bisects makes one per bracket point and one
+    for the certificate."""
+    shifts, factor = [], spectra._factor
+
+    def counted(A, x, floor):
+        shifts.append(x)
+        return factor(A, x, floor)
+
+    monkeypatch.setattr(spectra, "_factor", counted)
+    rng = np.random.default_rng(5)
+    e = rng.uniform(-1.0, 1.0, 2499)
+    mat = sp.diags([e, np.arange(1.0, 2501.0), e], [-1, 0, 1], format="csr")
+    res = spectra.min_eigs(mat, k=1)
+    assert res.converged and len(shifts) == 2
+    assert shifts[0] == res.sigma == -1.0 and shifts[1] > res.sigma
+
+    shifts.clear()
+    d = rng.uniform(1.0, 2.0, 2500)
+    d[[300, 1200]] = [-5e5, -2e5]
+    res = spectra.min_eigs(sp.diags([e, d, e], [-1, 0, 1], format="csr"),
+                           k=1)
+    assert res.converged and abs(res.values[0] + 5e5) < 1.0
+    assert len(set(shifts)) == len(shifts) == 11
+    assert shifts.count(res.sigma) == 1
 
 
 def test_min_eigs_sparse_degenerate_bottom_converges_for_every_seed():
