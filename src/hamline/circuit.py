@@ -71,7 +71,6 @@ class Gate2Q:
 
     matrix: np.ndarray
     target: int
-    kind: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix",
@@ -117,19 +116,19 @@ class LayeredCircuit:
 
 
 def identity_round(n: int) -> tuple[Gate2Q, ...]:
-    return tuple(Gate2Q(NAMED_GATES["I"], g, "I") for g in range(1, n))
+    return tuple(Gate2Q(NAMED_GATES["I"], g) for g in range(1, n))
 
 
-def _gate_from_json(obj) -> tuple[np.ndarray, str | None]:
-    """The matrix and kind name of one gate entry of a circuit file."""
+def _gate_from_json(obj) -> np.ndarray:
+    """The matrix of one gate entry of a circuit file."""
     if "kind" in obj:
         kind = obj["kind"]
         if kind not in NAMED_GATES:
             raise ValueError(f"unknown gate kind {kind!r}")
-        return NAMED_GATES[kind], kind
+        return NAMED_GATES[kind]
     if "matrix" in obj:
         return np.array([[complex(*_pair(z, "matrix")) for z in row]
-                         for row in obj["matrix"]]), None
+                         for row in obj["matrix"]])
     raise CircuitFormatError("gate entry needs either 'kind' or 'matrix'")
 
 
@@ -143,14 +142,13 @@ def _pair(value, field: str) -> list:
 
 
 def _integer(value, field: str) -> int:
-    """An integer entry of a circuit file, else a CircuitFormatError that
-    names its field."""
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
+    """A JSON integer entry of a circuit file, else a CircuitFormatError
+    that names its field; floats, strings and booleans, which int()
+    would truncate or convert, are refused too."""
+    if type(value) is not int:
         raise CircuitFormatError(
-            f"circuit file field {field!r} needs an integer, got {value!r}"
-        ) from exc
+            f"circuit file field {field!r} needs an integer, got {value!r}")
+    return value
 
 
 def parse_circuit(text: str) -> LayeredCircuit:
@@ -160,9 +158,9 @@ def parse_circuit(text: str) -> LayeredCircuit:
     "gates" (a flat list with explicit qubit pairs, routed through
     :func:`layerize`).  A missing key, a wrongly typed section or
     entry, a ``qubits`` list or matrix entry that is not a pair, and a
-    count or qubit that is not an integer are a
-    :class:`CircuitFormatError`; a well-formed file that describes no
-    valid circuit is a ValueError.
+    count or qubit that is not a JSON integer (a float, string or
+    boolean) are a :class:`CircuitFormatError`; a well-formed file that
+    describes no valid circuit is a ValueError.
     """
     try:
         doc = json.loads(text)
@@ -181,7 +179,7 @@ def parse_circuit(text: str) -> LayeredCircuit:
             for entry in doc["gates"]:
                 a, b = (_integer(q, "qubits")
                         for q in _pair(entry["qubits"], "qubits"))
-                gates.append((_gate_from_json(entry)[0], a, b))
+                gates.append((_gate_from_json(entry), a, b))
         else:
             raise CircuitFormatError(
                 "circuit file needs a 'rounds' or 'gates' section")
@@ -194,20 +192,14 @@ def parse_circuit(text: str) -> LayeredCircuit:
     if gates is not None:
         return layerize(n, m, gates)
     return LayeredCircuit(n, m, tuple(
-        tuple(Gate2Q(mat, slot, kind)
-              for slot, (mat, kind) in enumerate(rnd, start=1))
+        tuple(Gate2Q(mat, slot) for slot, mat in enumerate(rnd, start=1))
         for rnd in rounds))
 
 
-def _single_gate_round(n: int, slot: int, matrix: np.ndarray,
-                       kind: str | None = None) -> tuple[Gate2Q, ...]:
-    gates = []
-    for g in range(1, n):
-        if g == slot:
-            gates.append(Gate2Q(matrix, g, kind))
-        else:
-            gates.append(Gate2Q(NAMED_GATES["I"], g, "I"))
-    return tuple(gates)
+def _single_gate_round(n: int, slot: int,
+                       matrix: np.ndarray) -> tuple[Gate2Q, ...]:
+    return tuple(Gate2Q(matrix if g == slot else NAMED_GATES["I"], g)
+                 for g in range(1, n))
 
 
 def layerize(n: int, m: int,
@@ -230,10 +222,10 @@ def layerize(n: int, m: int,
             raise ValueError(f"gate qubits ({a},{b}) out of range, need a < b")
         ladder = list(range(b - 1, a, -1))  # swap (s, s+1) moves b leftwards
         for s in ladder:
-            rounds.append(_single_gate_round(n, s, swap, "SWAP"))
+            rounds.append(_single_gate_round(n, s, swap))
         rounds.append(_single_gate_round(n, a, matrix))
         for s in reversed(ladder):
-            rounds.append(_single_gate_round(n, s, swap, "SWAP"))
+            rounds.append(_single_gate_round(n, s, swap))
     return LayeredCircuit(n, m, tuple(rounds))
 
 

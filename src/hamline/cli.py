@@ -70,11 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("spectrum", help="smallest eigenvalues of the "
                                         "assembled Hamiltonian")
     e.add_argument("--circuit", required=True)
-    e.add_argument("--method", choices=["dense", "subspace"],
-                   default="subspace")
-    e.add_argument("--set", dest="subspace", choices=["legal", "fringe"],
-                   default="legal", help="restriction used by --method "
-                                         "subspace")
+    e.add_argument("--set", choices=["legal", "fringe", "chain"],
+                   default="legal", help="the legal span, its one-exchange "
+                                         "fringe, or the whole chain")
     e.add_argument("--eigs", type=int, default=4)
     e.add_argument("--couplings", choices=["auto", "unit"], default="auto")
     e.add_argument("--out", help="write the report to this file")
@@ -83,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", required=True,
                    choices=["census", "facts", "history", "soundness",
                             "appendix", "horizon", "all"])
-    v.add_argument("--n", type=int, help="default 3 (soundness: 2)")
+    v.add_argument("--n", type=int,
+                   help="default 3 (soundness, history: 2)")
     v.add_argument("--R", type=int, default=2)
     v.add_argument("--Lmax", type=int, default=64)
     v.add_argument("--max-len", type=int, default=12)
@@ -195,22 +194,24 @@ def cmd_spectrum(args) -> int:
     couplings = hm.UNIT_COUPLINGS if args.couplings == "unit" else None
     spec = hm.build_hamiltonian(circ, couplings=couplings)
     n, R = circ.n, circ.R
-    if args.method == "dense" and 2 * n * R > 4:
-        print("validation error: dense method limited to 4 sites",
-              file=sys.stderr)
+    dim = spectra.full_dimension(n, R)
+    if args.set == "chain" and dim > spectra.BLOCK_DIM_LIMIT:
+        # the cap restrict applies to a block, checked before the build
+        print(f"validation error: chain dimension {dim} exceeds "
+              f"{spectra.BLOCK_DIM_LIMIT}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        if args.method == "dense":
+        if args.set == "chain":
             mat = spectra.full_sparse_matrix(spec.terms, n, R)
-        elif args.subspace == "legal":
+        elif args.set == "legal":
             mat, _ = spectra.restrict(spec, spectra.legal_basis(n, R))
         else:
             mat, _ = spectra.restrict(spec, verify.legal_fringe(n, R))
         res = spectra.min_eigs(mat, k=args.eigs, seed=args.seed)
-    except ValueError as exc:  # a block or a dense solve over its size cap
+    except ValueError as exc:  # a matrix or a dense solve over its size cap
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    out = "\n".join([f"method={args.method} K={spec.K} "
+    out = "\n".join([f"set={args.set} K={spec.K} "
                      f"converged={res.converged}"] + eigenvalue_lines(res))
     print(out)
     if args.out:
@@ -279,13 +280,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.command == "verify":
-        # soundness_probe runs its n=2, R=2 reference circuits only
-        if args.suite == "soundness" and {args.n, args.R} - {None, 2}:
-            print("validation error: the soundness suite runs n=2, R=2 only",
-                  file=sys.stderr)
+        # these suites run their n=2, R=2 reference circuits only
+        fixed = args.suite in ("soundness", "history")
+        if fixed and {args.n, args.R} - {None, 2}:
+            print(f"validation error: the {args.suite} suite runs n=2, "
+                  f"R=2 only", file=sys.stderr)
             return EXIT_VALIDATION
         if args.n is None:
-            args.n = 2 if args.suite == "soundness" else 3
+            args.n = 2 if fixed else 3
     _log_config(args)
     handler = {"compile": cmd_compile, "sequence": cmd_sequence,
                "spectrum": cmd_spectrum, "verify": cmd_verify}[args.command]

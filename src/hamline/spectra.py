@@ -305,7 +305,7 @@ def _chain_matrix(terms, first: int, L: int) -> sp.csr_matrix:
 def full_sparse_matrix(terms, n: int, R: int) -> sp.csr_matrix:
     """The assembled operator on the whole chain as a sparse matrix
     (:func:`_chain_matrix`), float64 when exactly real.  Used by oracle
-    tests, the coordinate export and ``hamline spectrum --method dense``."""
+    tests, the coordinate export and ``hamline spectrum --set chain``."""
     return _chain_matrix(_term_list(terms), 1, 2 * n * R)
 
 

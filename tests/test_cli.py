@@ -128,8 +128,8 @@ def test_circuit_load_errors_share_exit_codes(tmp_path, command):
 
 def test_spectrum_subspace(tmp_path):
     circ = write_circuit(tmp_path, ACCEPT_DOC)
-    out = run("spectrum", "--circuit", circ, "--method", "subspace",
-              "--set", "legal", "--eigs", "3", "--couplings", "unit")
+    out = run("spectrum", "--circuit", circ, "--set", "legal",
+              "--eigs", "3", "--couplings", "unit")
     assert out.returncode == 0, out.stderr
     assert "eigenvalue" in out.stdout
     first = float(out.stdout.split("eigenvalue")[1].split()[0])
@@ -143,12 +143,58 @@ def test_spectrum_subspace_fringe_reaches_bottom(tmp_path):
         "n": 3, "m": 1,
         "rounds": [[{"kind": "I"}, {"kind": "I"}]] * 3,
     })
-    out = run("spectrum", "--circuit", circ, "--method", "subspace",
-              "--set", "fringe")
+    out = run("spectrum", "--circuit", circ, "--set", "fringe")
     assert out.returncode == 0, out.stdout + out.stderr
     assert "converged=True" in out.stdout
     first = [l for l in out.stdout.splitlines() if l.startswith("eigenvalue")]
     assert first[0].split()[1] == "-2.916093665627e+05"
+
+
+# Eigenvalue lines (value, residual, floor) printed at seed 0 before
+# ``--set`` took over the choice of ``--method``: chain lines by
+# ``--method dense``, legal and fringe lines by ``--method subspace``.
+PINNED_SPECTRA = {
+    ("chain", "auto", "1"): (ONE_ROUND_DOC, 3, [
+        "-7.968901876107e+00 1.650e-12 1.168e-09"]),
+    ("chain", "auto", "4"): (ONE_ROUND_DOC, 3, [
+        "-7.968901876107e+00 1.650e-12 1.168e-09",
+        "-7.718955275401e+00 1.743e-12 1.168e-09",
+        "-3.982547049678e+00 5.966e-12 1.168e-09",
+        "-3.731381525750e+00 3.718e-12 1.168e-09"]),
+    ("chain", "unit", "1"): (ONE_ROUND_DOC, 3, [
+        "-2.822294349830e-01 7.965e-16 2.442e-15"]),
+    ("chain", "unit", "4"): (ONE_ROUND_DOC, 3, [
+        "-2.822294349830e-01 9.646e-16 2.442e-15",
+        "-1.667924971926e-01 2.080e-15 2.442e-15",
+        "-1.667924971926e-01 1.685e-15 2.442e-15",
+        "8.165569549515e-02 4.627e-15 2.442e-15"]),
+    ("legal", "unit", "4"): (ACCEPT_DOC, 18, [
+        "-1.110223024625e-15 1.939e-15 8.882e-16",
+        "6.485383731579e-03 2.222e-15 8.882e-16",
+        "6.485383731579e-03 1.744e-15 8.882e-16",
+        "2.462331880972e-02 2.729e-15 8.882e-16"]),
+    ("fringe", "unit", "4"): (ACCEPT_DOC, 18, [
+        "-8.564567770588e-01 1.344e-15 1.998e-15",
+        "-8.564226875779e-01 1.022e-15 1.998e-15",
+        "-8.564226875779e-01 2.010e-15 1.998e-15",
+        "-8.563885596638e-01 1.890e-15 1.998e-15"]),
+}
+
+
+@pytest.mark.parametrize("subset,couplings,eigs", list(PINNED_SPECTRA))
+def test_spectrum_set_prints_pinned_lines(tmp_path, subset, couplings, eigs):
+    doc, K, values = PINNED_SPECTRA[subset, couplings, eigs]
+    lines = ["eigenvalue {}  residual {}  floor {}".format(*v.split())
+             for v in values]
+    circ = write_circuit(tmp_path, doc)
+    out = run("spectrum", "--circuit", circ, "--set", subset,
+              "--couplings", couplings, "--eigs", eigs)
+    assert out.returncode == 0, out.stdout + out.stderr
+    # the config line lists only options that the run reads
+    assert out.stdout.splitlines() == [
+        f"config: circuit={circ} couplings={couplings} eigs={eigs} "
+        f"seed=0 set={subset}",
+        f"set={subset} K={K} converged=True", *lines]
 
 
 def test_eigenvalue_lines_print_and_flag_the_floor():
@@ -163,27 +209,43 @@ def test_eigenvalue_lines_print_and_flag_the_floor():
 
 
 def test_spectrum_dense_guard(tmp_path):
+    # the whole chain shares the block cap: 8^8 dimensions are refused
     circ = write_circuit(tmp_path, ACCEPT_DOC)
-    out = run("spectrum", "--circuit", circ, "--method", "dense")
+    out = run("spectrum", "--circuit", circ, "--set", "chain")
     assert out.returncode == 2
+    assert out.stderr == ("validation error: chain dimension 16777216 "
+                          "exceeds 200000\n")
+
+
+def test_spectrum_chain_refuses_six_sites_before_building(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    from hamline import cli, spectra
+
+    def build(*args):
+        raise AssertionError("the whole-chain matrix was built")
+
+    monkeypatch.setattr(spectra, "full_sparse_matrix", build)
+    circ = write_circuit(tmp_path, {"n": 3, "m": 1,
+                                    "rounds": [[{"kind": "I"}] * 2]})
+    assert cli.main(["spectrum", "--circuit", circ, "--set", "chain"]) == 2
+    assert capsys.readouterr().err == ("validation error: chain dimension "
+                                       "262144 exceeds 200000\n")
 
 
 @pytest.mark.parametrize("couplings", ["auto", "unit"])
-def test_spectrum_dense_certified(tmp_path, couplings):
-    """The dense method solves the whole-chain matrix through the
+def test_spectrum_dense_certified(tmp_path, couplings, component_eigh):
+    """``--set chain`` solves the whole-chain matrix through the
     certified route.  Each value lies within its residual plus floor of
     the LAPACK value for the same matrix, give or take the LAPACK pair's
     own residual: at auto couplings that reaches 2.0e-9, and
     ``eigvalsh`` alone lies 2.5e-9 above the certified minimum.  The
-    matrix is block diagonal over its 2,423 connected components, so the
-    LAPACK pairs come from ``eigh`` on each component, embedded in the
-    whole space; one dense ``eigh`` of all 4,096 dimensions takes ten
-    times as long, and its four values differ from these by at most
-    6.2e-10 at auto couplings."""
-    import scipy.sparse as sp
+    LAPACK pairs come from the component oracle; one dense ``eigh`` of
+    all 4,096 dimensions takes ten times as long, and its four values
+    differ from these by at most 6.2e-10 at auto couplings."""
     from hamline import circuit, hamiltonian as hm, spectra
     circ = write_circuit(tmp_path, ONE_ROUND_DOC)
-    out = run("spectrum", "--circuit", circ, "--method", "dense",
+    out = run("spectrum", "--circuit", circ, "--set", "chain",
               "--couplings", couplings)
     assert out.returncode == 0, out.stdout + out.stderr
     assert "converged=True" in out.stdout
@@ -193,17 +255,7 @@ def test_spectrum_dense_certified(tmp_path, couplings):
     H = spectra.full_sparse_matrix(spec.terms, 2, 1).tocsr()
     assert not np.any(H.data.imag)
     H = H.real
-    _, label = sp.csgraph.connected_components(abs(H), directed=False)
-    pairs = []
-    for idx in np.split(np.argsort(label, kind="stable"),
-                        np.cumsum(np.bincount(label))[:-1]):
-        vals, vecs = np.linalg.eigh(H[idx][:, idx].toarray())
-        pairs += [(v, idx, y) for v, y in zip(vals, vecs.T)]
-    pairs = sorted(pairs, key=lambda p: p[0])[:4]
-    want = np.array([v for v, _, _ in pairs])
-    vecs = np.zeros((H.shape[0], 4))
-    for j, (_, idx, y) in enumerate(pairs):
-        vecs[idx, j] = y
+    want, vecs = component_eigh(H, 4)
     want_res = np.linalg.norm(H @ vecs - vecs * want, axis=0)
     lines = [l.split() for l in out.stdout.splitlines()
              if l.startswith("eigenvalue")]
@@ -266,13 +318,16 @@ def test_verify_fault_injection_exit_three(tmp_path):
 
 
 def test_unknown_method_usage_error(tmp_path):
+    # --set names what spectrum solves; there is no --method of any value
     circ = write_circuit(tmp_path, ACCEPT_DOC)
-    out = run("spectrum", "--circuit", circ, "--method", "magic")
-    assert out.returncode == 1
+    for method in ("dense", "subspace", "magic"):
+        out = run("spectrum", "--circuit", circ, "--method", method)
+        assert out.returncode == 1
+        assert f"unrecognized arguments: --method {method}" in out.stderr
 
 
 @pytest.mark.parametrize("option,value,message", [
-    ("--method", "lanczos", "argument --method: invalid choice: 'lanczos'"),
+    ("--set", "lanczos", "argument --set: invalid choice: 'lanczos'"),
     ("--maxiter", "5", "unrecognized arguments: --maxiter 5"),
 ])
 def test_spectrum_uncertified_options_usage_error(tmp_path, option, value,
@@ -295,6 +350,24 @@ def test_verify_soundness_refuses_other_shapes(shape):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("shape", [("--n", "4"), ("--R", "3")])
+def test_verify_history_refuses_other_shapes(shape):
+    # the history suite runs the n=2, R=2 accepting circuit only
+    out = run("verify", "--suite", "history", *shape)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stderr == ("validation error: the history suite runs "
+                          "n=2, R=2 only\n")
+    assert out.stdout == ""
+
+
+def test_verify_history_echoes_the_shape_it_runs():
+    out = run("verify", "--suite", "history")
+    assert out.returncode == 0, out.stdout + out.stderr
+    config, suite = out.stdout.splitlines()[:2]
+    assert " R=2 " in config and " n=2 " in config
+    assert suite.startswith("suite history(n=2,R=2): PASS")
+
+
 @pytest.mark.parametrize("command", [
     ("sequence", "--n", "1", "--R", "2"),
     ("verify", "--suite", "facts", "--n", "1", "--R", "2"),
@@ -307,15 +380,15 @@ def test_chain_shape_validation_exit_two(command):
     assert out.stderr == "validation error: need n >= 2 and R >= 1\n"
 
 
-@pytest.mark.parametrize("method,flag,value", [
-    ("subspace", "--eigs", "0"), ("subspace", "--eigs", "-1"),
-    ("dense", "--eigs", "0"), ("dense", "--eigs", "-1"),
+@pytest.mark.parametrize("subset,flag,value", [
+    ("legal", "--eigs", "0"), ("legal", "--eigs", "-1"),
+    ("chain", "--eigs", "0"), ("chain", "--eigs", "-1"),
 ])
-def test_spectrum_count_validation_exit_two(tmp_path, method, flag, value):
+def test_spectrum_count_validation_exit_two(tmp_path, subset, flag, value):
     # a solver count below its least value is refused before any solve,
-    # on the 4-site identity circuit that every method accepts
+    # on the 4-site identity circuit that every set accepts
     circ = write_circuit(tmp_path, ONE_ROUND_DOC)
-    out = run("spectrum", "--circuit", circ, "--method", method, flag, value)
+    out = run("spectrum", "--circuit", circ, "--set", subset, flag, value)
     assert out.returncode == 2, out.stdout + out.stderr
     assert out.stderr == "validation error: need --eigs >= 1\n"
 

@@ -826,20 +826,16 @@ def test_min_eigs_complex_declared_real_operator_runs_real(dense_21):
         assert wrapper.matvecs == real.matvecs
 
 
-def test_min_eigs_complex_operator_from_real_start():
+def test_min_eigs_complex_operator_from_real_start(component_eigh):
     """A Haar-gate operator's output on the real start is complex, so the
     run is complex; it reaches the lowest eigenvalue of the whole-chain
-    matrix, from eigvalsh on each connected block (the spectrum is the
-    union of theirs; one dense complex eigvalsh at 4,096 takes minutes
-    on two cores).  Unit couplings: at the derived ones (norm 5e6) 5,000
-    restarts do not converge."""
+    matrix, from the component oracle (one dense complex eigvalsh at
+    4,096 takes minutes on two cores).  Unit couplings: at the derived
+    ones (norm 5e6) 5,000 restarts do not converge."""
     terms = haar_hop_terms(2, 1, hm.UNIT_COUPLINGS)
     op = spectra.FullOperator(terms, (2, 1))
     assert op.dtype == np.complex128
-    H = spectra.full_sparse_matrix(terms, 2, 1)
-    count, label = sp.csgraph.connected_components(abs(H), directed=False)
-    lowest = min(np.linalg.eigvalsh(H[idx][:, idx].toarray())[0]
-                 for idx in (np.flatnonzero(label == c) for c in range(count)))
+    lowest = component_eigh(spectra.full_sparse_matrix(terms, 2, 1), 1)[0][0]
     res = spectra.min_eigs(op, k=1, seed=0, maxiter=5000, tol=1e-12)
     assert res.converged
     assert abs(res.values[0] - lowest) < 1e-8
@@ -895,8 +891,9 @@ def test_min_eigs_complex_declared_basis_is_float64(dense_21):
 
 
 @pytest.fixture(scope="module")
-def dense_21_spectrum(dense_21):
-    return np.linalg.eigvalsh(dense_21[2])
+def dense_21_spectrum(dense_21, component_eigh):
+    """The three lowest eigenvalues of the whole-chain matrix."""
+    return component_eigh(dense_21[2], 3)[0]
 
 
 def test_min_eigs_lanczos_vs_dense(dense_21, dense_21_spectrum):
