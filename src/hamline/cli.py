@@ -2,23 +2,26 @@
 
 Subcommands: compile (circuit -> Hamiltonian export), sequence (legal
 configuration trace), spectrum (certified smallest eigenvalues),
-verify (named verification suites).
+verify (one subcommand per suite, and ``all``).  Each takes only the
+options it reads.
 
 Exit codes: 0 success, 1 usage or parse error, 2 validation error,
-3 suite failure or a spectrum solve that has not converged.  All
-randomness flows from --seed; equal invocations produce identical
-output.
+3 suite failure or a spectrum solve that has not converged, 141 stdout
+closed early.  Only ``spectrum`` draws random numbers, from its --seed;
+equal invocations produce identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_SUITE = 3
+EXIT_PIPE = 141  # what a shell reports for a writer that SIGPIPE ended
 
 #: The most site symbols, (K+1) * 2nR by the closed form, in a legal
 #: sequence that ``sequence`` or ``verify`` builds: ``hamline sequence
@@ -43,21 +46,37 @@ def _bad_shape(n: int, R: int) -> bool:
     return True
 
 
+#: Verify parameters, all ints, as (default, least): no chain has under 4
+#: sites, no walk under 1 step, and :func:`_bad_shape` checks n and R.
+_PARAMS = {"n": (3, None), "R": (2, None), "Lmax": (64, 1),
+           "max_len": (12, 4)}
+
+#: Each verify suite: its function in :mod:`hamline.verify`, the
+#: parameters it reads, and its negative-control fault as (choice,
+#: keyword, value from :mod:`hamline.chain`).  ``all`` runs them in order.
+SUITES = {
+    "census": ("census_suite", ("n", "R"), ("drop-pen-family",
+               "drop_pen_family", lambda ch: (ch.DEAD, ch.BLANK, "B"))),
+    "facts": ("check_facts", ("n", "R"), ("mutate-rule", "rules",
+              lambda ch: ch.mutated_rules("2a", (ch.DEAD, ch.GATE)))),
+    "history": ("history_suite", (), None),
+    "appendix": ("appendix_suite", ("Lmax",), None),
+    "horizon": ("horizon_suite", ("max_len",), None),
+    "soundness": ("soundness_probe", (), None),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hamline",
         description="8-state chain Hamiltonians from layered circuits: "
                     "compile, trace, diagonalize, verify.")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for all randomized numerics (default 0)")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compile", help="compile a circuit file into a "
                                        "Hamiltonian term export")
     c.add_argument("--circuit", required=True, help="circuit JSON file")
     c.add_argument("--out", required=True, help="output path for the terms")
-    c.add_argument("--couplings", choices=["auto", "unit"], default="auto",
-                   help="derived power-of-two couplings or all-ones")
     c.add_argument("--coo", help="also write a full-matrix coordinate "
                                  "export here (small chains only)")
 
@@ -74,22 +93,25 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="legal", help="the legal span, its one-exchange "
                                          "fringe, or the whole chain")
     e.add_argument("--eigs", type=int, default=4)
-    e.add_argument("--couplings", choices=["auto", "unit"], default="auto")
     e.add_argument("--out", help="write the report to this file")
+    e.add_argument("--seed", type=int, default=0, help="start vector seed")
+    for cmd in (c, e):
+        cmd.add_argument("--couplings", choices=["auto", "unit"],
+                         default="auto", help="derived power-of-two "
+                                              "couplings or all-ones")
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", required=True,
-                   choices=["census", "facts", "history", "soundness",
-                            "appendix", "horizon", "all"])
-    v.add_argument("--n", type=int,
-                   help="default 3 (soundness, history: 2)")
-    v.add_argument("--R", type=int, default=2)
-    v.add_argument("--Lmax", type=int, default=64)
-    v.add_argument("--max-len", type=int, default=12)
-    v.add_argument("--json", help="write a machine-readable report here")
-    v.add_argument("--inject-fault",
-                   choices=["mutate-rule", "drop-pen-family"],
-                   help="negative-control fault injection (testing only)")
+    suites = v.add_subparsers(dest="suite", required=True)
+    for name, (_, params, fault) in {**SUITES,
+                                     "all": (None, _PARAMS, None)}.items():
+        s = suites.add_parser(name)
+        for param in params:
+            s.add_argument("--" + param.replace("_", "-"), type=int,
+                           default=_PARAMS[param][0])
+        s.add_argument("--json", help="write a machine-readable report here")
+        if fault:
+            s.add_argument("--inject-fault", choices=[fault[0]],
+                           help="negative-control fault (testing only)")
     return p
 
 
@@ -99,13 +121,13 @@ def _log_config(args):
                                 if k != "command" and v is not None))
 
 
-def _load_circuit(path):
-    """(circuit, None) or (None, exit code): an unreadable file or a parse
-    error is exit 1, a validation error exit 2."""
-    from . import circuit
+def _load_spec(args):
+    """(spec, None) or (None, exit code): an unreadable circuit file or a
+    parse error is exit 1, a validation error exit 2."""
+    from . import circuit, hamiltonian as hm
     try:
-        with open(path) as fh:
-            return circuit.parse_circuit(fh.read()), None
+        with open(args.circuit) as fh:
+            circ = circuit.parse_circuit(fh.read())
     except (OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
@@ -115,15 +137,15 @@ def _load_circuit(path):
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return None, EXIT_VALIDATION
+    couplings = hm.UNIT_COUPLINGS if args.couplings == "unit" else None
+    return hm.build_hamiltonian(circ, couplings=couplings), None
 
 
 def cmd_compile(args) -> int:
     from . import chain, hamiltonian as hm
-    circ, code = _load_circuit(args.circuit)
-    if circ is None:
+    spec, code = _load_spec(args)
+    if spec is None:
         return code
-    couplings = hm.UNIT_COUPLINGS if args.couplings == "unit" else None
-    spec = hm.build_hamiltonian(circ, couplings=couplings)
     with open(args.out, "w") as fh:
         fh.write(hm.export_terms(spec))
     if args.coo:
@@ -137,7 +159,7 @@ def cmd_compile(args) -> int:
             fh.writelines(chunks)
     counts = hm.census(spec)
     forbidden = len(chain.forbidden_families())
-    print(f"n={circ.n} m={circ.m} R={circ.R} K={spec.K}")
+    print(f"n={spec.n} m={spec.m} R={spec.R} K={spec.K}")
     print("terms: " + " ".join(f"{fam}={counts.get(fam, 0)}"
                                for fam in ("in", "prop", "pen", "out")))
     print(f"pen families: {forbidden}")
@@ -184,16 +206,14 @@ def eigenvalue_lines(res) -> list[str]:
 
 
 def cmd_spectrum(args) -> int:
-    from . import hamiltonian as hm, spectra, verify
+    from . import spectra, verify
     if args.eigs < 1:
         print("validation error: need --eigs >= 1", file=sys.stderr)
         return EXIT_VALIDATION
-    circ, code = _load_circuit(args.circuit)
-    if circ is None:
+    spec, code = _load_spec(args)
+    if spec is None:
         return code
-    couplings = hm.UNIT_COUPLINGS if args.couplings == "unit" else None
-    spec = hm.build_hamiltonian(circ, couplings=couplings)
-    n, R = circ.n, circ.R
+    n, R = spec.n, spec.R
     dim = spectra.full_dimension(n, R)
     if args.set == "chain" and dim > spectra.BLOCK_DIM_LIMIT:
         # the cap restrict applies to a block, checked before the build
@@ -224,47 +244,27 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import numpy as np
     from . import chain, verify
-
-    if args.suite in ("census", "facts", "all") and _bad_shape(args.n, args.R):
+    if hasattr(args, "n") and _bad_shape(args.n, args.R):
         return EXIT_VALIDATION
-    if args.max_len < 4 or args.Lmax < 1:
-        # the shortest chain (n=2, R=1) has 4 sites; a suite over no
-        # chain or no walk length would check nothing
-        print("validation error: need --max-len >= 4 and --Lmax >= 1",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    rules = chain.RULES
-    drop_pen = None
-    if args.inject_fault == "mutate-rule":
-        rules = chain.mutated_rules("2a", (chain.DEAD, chain.GATE))
-    elif args.inject_fault == "drop-pen-family":
-        drop_pen = (chain.DEAD, chain.BLANK, "B")
+    for param, (_, least) in _PARAMS.items():
+        if least is not None and getattr(args, param, least) < least:
+            print(f"validation error: need --{param.replace('_', '-')} "
+                  f">= {least}", file=sys.stderr)
+            return EXIT_VALIDATION
 
-    def run(name):
+    reports = []
+    for name in SUITES if args.suite == "all" else [args.suite]:
+        func, params, fault = SUITES[name]
+        kwargs = {param: getattr(args, param) for param in params}
+        if getattr(args, "inject_fault", None):
+            kwargs[fault[1]] = fault[2](chain)
         try:
-            if name == "census":
-                return verify.census_suite(args.n, args.R,
-                                           drop_pen_family=drop_pen)
-            if name == "facts":
-                return verify.check_facts(args.n, args.R, rules=rules)
-            if name == "history":
-                return verify.check_history(verify.accepting_circuit(),
-                                            np.array([1.0, 0.0]))
-            if name == "soundness":
-                return verify.soundness_probe()
-            if name == "appendix":
-                return verify.appendix_suite(args.Lmax)
-            return verify.horizon_suite(args.max_len)
+            rep = getattr(verify, func)(**kwargs)
         except Exception as exc:  # suites must fail loudly, not crash
             rep = verify.Report(name)
-            rep.add(f"suite ran to completion", False, notes=repr(exc))
-            return rep
-
-    names = (["census", "facts", "history", "appendix", "horizon",
-              "soundness"] if args.suite == "all" else [args.suite])
-    reports = [run(name) for name in names]
+            rep.add("suite ran to completion", False, notes=repr(exc))
+        reports.append(rep)
     for rep in reports:
         print(rep.to_text())
     if args.json:
@@ -279,19 +279,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.command == "verify":
-        # these suites run their n=2, R=2 reference circuits only
-        fixed = args.suite in ("soundness", "history")
-        if fixed and {args.n, args.R} - {None, 2}:
-            print(f"validation error: the {args.suite} suite runs n=2, "
-                  f"R=2 only", file=sys.stderr)
-            return EXIT_VALIDATION
-        if args.n is None:
-            args.n = 2 if fixed else 3
-    _log_config(args)
     handler = {"compile": cmd_compile, "sequence": cmd_sequence,
                "spectrum": cmd_spectrum, "verify": cmd_verify}[args.command]
-    return handler(args)
+    try:
+        _log_config(args)
+        code = handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone (``| head``): send the rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ structural claims the construction rests on:
 * ``check_facts``      -- uniqueness of forward/backward rules and of the
   identifying projectors on legal configurations; every mistimed
   exchange is locally detectable.
-* ``check_history``    -- the history state's energy decomposition.
+* ``check_history``    -- the history state's energy decomposition;
+  ``history_suite`` runs it on the accepting reference circuit.
 * ``soundness_probe``  -- exact full-space ground energies of the
   assembled Hamiltonian from its exchange-closed blocks, spectra on
   restricted subspaces, and the walk-matrix lower bounds for
@@ -17,6 +18,8 @@ structural claims the construction rests on:
   diagonalization, eigenvector residuals, and the gap inequality.
 * ``horizon_suite``    -- every locally undetectable configuration on
   short chains reaches a detectable one in finitely many forward steps.
+* ``census_suite``     -- the allowed-pair table and the term counts
+  per family against their closed forms.
 
 A note on signs: at the couplings from ``choose_couplings`` the
 assembled Hamiltonian has a strictly negative ground energy, even for
@@ -43,8 +46,8 @@ from .circuit import (Gate2Q, LayeredCircuit, NAMED_GATES, identity_round,
 
 __all__ = [
     "Check", "Report", "accepting_circuit", "rejecting_circuit",
-    "cnot_circuit", "check_facts", "check_history", "soundness_probe",
-    "appendix_suite", "horizon_suite", "census_suite",
+    "cnot_circuit", "check_facts", "check_history", "history_suite",
+    "soundness_probe", "appendix_suite", "horizon_suite", "census_suite",
 ]
 
 
@@ -234,6 +237,12 @@ def check_history(circ: LayeredCircuit, witness: np.ndarray) -> Report:
             bound=p0 / (K + 1),
             notes=f"precision floor eps * sum|products| = {floor:.3g}")
     return rep
+
+
+def history_suite() -> Report:
+    """:func:`check_history` on the n=2, R=2 accepting circuit, with the
+    witness |0>."""
+    return check_history(accepting_circuit(), np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -267,19 +267,16 @@ def test_spectrum_dense_certified(tmp_path, couplings, component_eigh):
 
 
 def test_verify_suites_exit_zero():
-    assert run("verify", "--suite", "census").returncode == 0
-    assert run("verify", "--suite", "facts", "--n", "3", "--R", "2"
-               ).returncode == 0
-    assert run("verify", "--suite", "appendix", "--Lmax", "16"
-               ).returncode == 0
+    assert run("verify", "census").returncode == 0
+    assert run("verify", "facts", "--n", "3", "--R", "2").returncode == 0
+    assert run("verify", "appendix", "--Lmax", "16").returncode == 0
 
 
 @pytest.mark.parametrize("args", [("horizon", "--max-len", "3"),
                                   ("appendix", "--Lmax", "0")])
 def test_verify_refuses_a_suite_that_checks_nothing(args):
     # no chain has fewer than 4 sites, and no walk fewer than 1 step
-    suite, *extra = args
-    out = run("verify", "--suite", suite, *extra)
+    out = run("verify", *args)
     assert out.returncode == 2
     assert out.stderr.startswith("validation error:")
 
@@ -301,17 +298,17 @@ def test_import_loads_no_submodule_and_light_commands_skip_scipy(tmp_path):
 
 def test_verify_has_no_full_space_flag():
     # the soundness suite's full-space values come from its exact blocks
-    out = run("verify", "--suite", "soundness", "--full-space")
+    out = run("verify", "soundness", "--full-space")
     assert out.returncode == 1
     assert "unrecognized arguments: --full-space" in out.stderr
 
 
 def test_verify_fault_injection_exit_three(tmp_path):
-    out = run("verify", "--suite", "facts", "--n", "3", "--R", "2",
+    out = run("verify", "facts", "--n", "3", "--R", "2",
               "--inject-fault", "mutate-rule")
     assert out.returncode == 3
-    out = run("verify", "--suite", "census", "--inject-fault",
-              "drop-pen-family", "--json", str(tmp_path / "rep.json"))
+    out = run("verify", "census", "--inject-fault", "drop-pen-family",
+              "--json", str(tmp_path / "rep.json"))
     assert out.returncode == 3
     doc = json.load(open(tmp_path / "rep.json"))
     assert doc[0]["passed"] is False
@@ -342,37 +339,122 @@ def test_spectrum_uncertified_options_usage_error(tmp_path, option, value,
 
 @pytest.mark.parametrize("shape", [("--n", "3"), ("--R", "3")])
 def test_verify_soundness_refuses_other_shapes(shape):
-    # the soundness suite runs the n=2, R=2 reference circuits only
-    out = run("verify", "--suite", "soundness", *shape)
-    assert out.returncode == 2, out.stdout + out.stderr
-    assert out.stderr == ("validation error: the soundness suite runs "
-                          "n=2, R=2 only\n")
+    # the soundness suite runs the n=2, R=2 reference circuits and takes
+    # no shape
+    out = run("verify", "soundness", *shape)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert f"unrecognized arguments: {' '.join(shape)}" in out.stderr
     assert out.stdout == ""
 
 
 @pytest.mark.parametrize("shape", [("--n", "4"), ("--R", "3")])
 def test_verify_history_refuses_other_shapes(shape):
-    # the history suite runs the n=2, R=2 accepting circuit only
-    out = run("verify", "--suite", "history", *shape)
-    assert out.returncode == 2, out.stdout + out.stderr
-    assert out.stderr == ("validation error: the history suite runs "
-                          "n=2, R=2 only\n")
+    # the history suite runs the n=2, R=2 accepting circuit and takes no
+    # shape
+    out = run("verify", "history", *shape)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert f"unrecognized arguments: {' '.join(shape)}" in out.stderr
     assert out.stdout == ""
 
 
 def test_verify_history_echoes_the_shape_it_runs():
-    out = run("verify", "--suite", "history")
+    # the config line holds no shape the run does not read; the report
+    # names the shape it ran
+    out = run("verify", "history")
     assert out.returncode == 0, out.stdout + out.stderr
     config, suite = out.stdout.splitlines()[:2]
-    assert " R=2 " in config and " n=2 " in config
+    assert config == "config: suite=history"
     assert suite.startswith("suite history(n=2,R=2): PASS")
+
+
+# a value for each verify option, none of them its default
+SUITE_OPTIONS = {"n": "2", "R": "1", "Lmax": "8", "max_len": "6"}
+
+
+def test_verify_suite_table_takes_only_what_each_suite_reads(monkeypatch,
+                                                             capsys):
+    """Every suite of the table, and ``all``, echoes exactly the options
+    it reads, passes exactly those to its functions, and refuses every
+    option of another suite (exit 1).  The suite functions are replaced
+    by ones that record their arguments, so no suite runs."""
+    from hamline import cli, verify
+    calls = []
+
+    def recorder(func):
+        def suite(**kwargs):
+            calls.append((func, sorted(kwargs)))
+            rep = verify.Report(func)
+            rep.add("ran", True)
+            return rep
+        return suite
+
+    for func, _, _ in cli.SUITES.values():
+        monkeypatch.setattr(verify, func, recorder(func))
+    # ``all`` reads the union of its suites' options
+    assert set(SUITE_OPTIONS) == {p for _, ps, _ in cli.SUITES.values()
+                                  for p in ps}
+    table = {**cli.SUITES, "all": (None, tuple(SUITE_OPTIONS), None)}
+    every = [(f"--{p.replace('_', '-')}", v) for p, v in SUITE_OPTIONS.items()]
+    every += [("--inject-fault", fault[0])
+              for _, _, fault in cli.SUITES.values() if fault]
+    for name, (func, params, fault) in table.items():
+        own = [(f"--{p.replace('_', '-')}", SUITE_OPTIONS[p]) for p in params]
+        if fault:
+            own.append(("--inject-fault", fault[0]))
+        calls.clear()
+        assert cli.main(["verify", name, *sum(own, ())]) == 0, name
+        config = capsys.readouterr().out.splitlines()[0].split()
+        assert config[0] == "config:"
+        assert sorted(config[1:]) == sorted(
+            [f"suite={name}"] + [f"{p}={SUITE_OPTIONS[p]}" for p in params]
+            + ([f"inject_fault={fault[0]}"] if fault else []))
+        if func:
+            ran = [(func, sorted([*params, *([fault[1]] if fault else [])]))]
+        else:
+            ran = [(f, sorted(ps)) for f, ps, _ in cli.SUITES.values()]
+        assert calls == ran, name
+        for option in every:
+            if option in own:
+                continue
+            assert cli.main(["verify", name, *option]) == 1, (name, option)
+            err = capsys.readouterr().err
+            assert ("unrecognized arguments" in err
+                    or "invalid choice" in err), (name, option)
+
+
+def test_seed_belongs_to_spectrum(capsys):
+    from hamline import cli
+    assert cli.main(["sequence", "--n", "2", "--R", "1"]) == 0
+    assert capsys.readouterr().out.startswith("config: R=1 n=2\n")
+    for argv in (["sequence", "--n", "2", "--R", "1", "--seed", "1"],
+                 ["verify", "census", "--seed", "1"]):
+        assert cli.main(argv) == 1, argv
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    # no global option either
+    assert cli.main(["--seed", "1", "sequence", "--n", "2", "--R", "1"]) == 1
+
+
+@pytest.mark.parametrize("command", [("sequence", "--n", "3", "--R", "2"),
+                                     ("verify", "horizon", "--max-len", "4")])
+def test_closed_stdout_exits_without_traceback(command):
+    # a reader that is gone before anything is written: every write to
+    # stdout fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(CLI + list(command), stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, env=ENV)
+    finally:
+        os.close(write_end)
+    assert out.stderr == ""
+    assert out.returncode == 141
 
 
 @pytest.mark.parametrize("command", [
     ("sequence", "--n", "1", "--R", "2"),
-    ("verify", "--suite", "facts", "--n", "1", "--R", "2"),
-    ("verify", "--suite", "census", "--n", "2", "--R", "0"),
-    ("verify", "--suite", "all", "--n", "2", "--R", "0"),
+    ("verify", "facts", "--n", "1", "--R", "2"),
+    ("verify", "census", "--n", "2", "--R", "0"),
+    ("verify", "all", "--n", "2", "--R", "0"),
 ])
 def test_chain_shape_validation_exit_two(command):
     out = run(*command)
@@ -411,7 +493,7 @@ def test_spectrum_size_caps_exit_two(tmp_path, n, R, eigs, message):
 
 @pytest.mark.parametrize("command", [
     ("sequence", "--n", "1000", "--R", "10"),
-    ("verify", "--suite", "facts", "--n", "1000", "--R", "10"),
+    ("verify", "facts", "--n", "1000", "--R", "10"),
 ])
 def test_automaton_size_guard_exit_two(command):
     # (K+1) * 2nR = 5.4e11 site symbols: refused before anything is built
