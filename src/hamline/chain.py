@@ -725,27 +725,33 @@ def invariant_set(c: Configuration, cap: int = 5_000_000) -> InvariantSet:
 _HORIZON_BUDGET = 100_000
 
 
+def _violation_near(sites: bytes, i: int, n: int, R: int) -> bool:
+    """Whether ``sites`` has a bad chain end or a forbidden pair among
+    pairs i-1..i+1, the only pairs a move at (i, i+1) changes: the whole
+    detectability test of a move from a configuration without one."""
+    allowed = _allowed_at(n, R)
+    return (sites[0] not in LEFT_END_ALLOWED
+            or sites[-1] not in RIGHT_END_ALLOWED
+            or any((sites[j - 1], sites[j]) not in allowed[j - 1]
+                   for j in range(max(i - 1, 1), min(i + 2, len(sites)))))
+
+
 def _horizon(c: Configuration, table: tuple,
              direction: str | None) -> int | None:
     """Breadth-first search shared by both horizons: the fewest moves of
     ``table`` (in ``direction``, or both) from the undetectable c to a
-    configuration with a local violation, or None if none is reachable.
-    Searched configurations have none, so a move at (i, i+1) can only
-    make one at the pairs i-1..i+1 or at a chain end."""
+    configuration with a local violation, or None if none is reachable;
+    searched configurations have none (:func:`_violation_near`)."""
     verdict = classify(c)
     if verdict.tag != "undetectable":
         raise ValueError(f"expected an undetectable configuration, got {verdict.tag}")
-    index, allowed = _move_index(c.n, c.R, table), _allowed_at(c.n, c.R)
+    index = _move_index(c.n, c.R, table)
     seen = {c.sites}
     queue = deque([(c.sites, 0)])
     while queue:
         cur, depth = queue.popleft()
         for _, i, nxt in _fire(cur, index, direction):
-            if (nxt[0] not in LEFT_END_ALLOWED
-                    or nxt[-1] not in RIGHT_END_ALLOWED
-                    or any((nxt[j - 1], nxt[j]) not in allowed[j - 1]
-                           for j in range(max(i - 1, 1),
-                                          min(i + 2, len(nxt))))):
+            if _violation_near(nxt, i, c.n, c.R):
                 return depth + 1
             if nxt not in seen:
                 seen.add(nxt)

@@ -68,26 +68,29 @@ SUITES = {
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="hamline",
+        prog="hamline", allow_abbrev=False,
         description="8-state chain Hamiltonians from layered circuits: "
                     "compile, trace, diagonalize, verify.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("compile", help="compile a circuit file into a "
-                                       "Hamiltonian term export")
+    c = sub.add_parser("compile", allow_abbrev=False,
+                       help="compile a circuit file into a Hamiltonian "
+                            "term export")
     c.add_argument("--circuit", required=True, help="circuit JSON file")
     c.add_argument("--out", required=True, help="output path for the terms")
     c.add_argument("--coo", help="also write a full-matrix coordinate "
                                  "export here (small chains only)")
 
-    s = sub.add_parser("sequence", help="print the legal configuration "
-                                        "sequence with rule annotations")
+    s = sub.add_parser("sequence", allow_abbrev=False,
+                       help="print the legal configuration sequence with "
+                            "rule annotations")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--R", type=int, required=True)
     s.add_argument("--out", help="also write the lines to this file")
 
-    e = sub.add_parser("spectrum", help="smallest eigenvalues of the "
-                                        "assembled Hamiltonian")
+    e = sub.add_parser("spectrum", allow_abbrev=False,
+                       help="smallest eigenvalues of the assembled "
+                            "Hamiltonian")
     e.add_argument("--circuit", required=True)
     e.add_argument("--set", choices=["legal", "fringe", "chain"],
                    default="legal", help="the legal span, its one-exchange "
@@ -100,11 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          default="auto", help="derived power-of-two "
                                               "couplings or all-ones")
 
-    v = sub.add_parser("verify", help="run a verification suite")
+    v = sub.add_parser("verify", allow_abbrev=False,
+                       help="run a verification suite")
     suites = v.add_subparsers(dest="suite", required=True)
     for name, (_, params, fault) in {**SUITES,
                                      "all": (None, _PARAMS, None)}.items():
-        s = suites.add_parser(name)
+        s = suites.add_parser(name, allow_abbrev=False)
         for param in params:
             s.add_argument("--" + param.replace("_", "-"), type=int,
                            default=_PARAMS[param][0])

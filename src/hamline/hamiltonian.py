@@ -41,7 +41,7 @@ spectra of interest live on restricted subspaces (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from math import ceil, log2
@@ -404,18 +404,17 @@ def _next_pow2(x: float) -> float:
 
 @dataclass(frozen=True)
 class Couplings:
-    """The three coupling strengths and the norm bounds they were derived
-    from.  Each single term has operator norm at most 1, so the bound for
-    a family is its term count (triangle inequality; cheap but rigorous)."""
+    """The three coupling strengths.  Each single term has operator norm
+    at most 1, so a family's norm is at most its term count from
+    :func:`expected_census` (triangle inequality; cheap but rigorous)."""
 
     j_in: float
     j_prop: float
     j_pen: float
-    bounds: tuple = field(default=(), compare=False)
 
-    def self_check(self, K: int) -> bool:
+    def self_check(self, n: int, m: int, R: int) -> bool:
         """The three subspace-gap inequalities, each with a factor-2 margin."""
-        b = dict(self.bounds)
+        b, K = expected_census(n, m, R), chain.step_count(n, R)
         ok_in = self.j_in / (K + 1) > 2 * b["out"]
         ok_prop = self.j_prop / (2.0 * (K + 1) ** 2) \
             > 2 * (b["out"] + self.j_in * b["in"])
@@ -424,8 +423,7 @@ class Couplings:
         return ok_in and ok_prop and ok_pen
 
 
-UNIT_COUPLINGS = Couplings(1.0, 1.0, 1.0,
-                           bounds=(("in", 0.0), ("prop", 0.0), ("out", 0.0)))
+UNIT_COUPLINGS = Couplings(1.0, 1.0, 1.0)
 
 
 def choose_couplings(n: int, R: int, circ: LayeredCircuit) -> Couplings:
@@ -436,15 +434,12 @@ def choose_couplings(n: int, R: int, circ: LayeredCircuit) -> Couplings:
     norms are bounded by term counts.  The couplings grow monotonically
     with K.
     """
-    K = chain.step_count(n, R)
-    b_out = float(len(build_h_out(n, R)))
-    b_in = float(len(build_h_in(n, circ.m)))
-    b_prop = float(len(build_h_prop(circ)))
+    K, b = chain.step_count(n, R), expected_census(n, circ.m, R)
+    b_out, b_in, b_prop = b["out"], b["in"], b["prop"]
     j_in = _next_pow2(4.0 * (K + 1) * b_out)
     j_prop = _next_pow2(8.0 * (K + 1) ** 2 * (b_out + j_in * b_in))
     j_pen = _next_pow2(4.0 * (b_out + j_in * b_in + j_prop * b_prop))
-    return Couplings(j_in, j_prop, j_pen,
-                     bounds=(("in", b_in), ("prop", b_prop), ("out", b_out)))
+    return Couplings(j_in, j_prop, j_pen)
 
 
 @dataclass(frozen=True)
@@ -491,10 +486,6 @@ def build_hamiltonian(circ: LayeredCircuit,
 # Census
 # ---------------------------------------------------------------------------
 
-def _pair_counts(n: int, R: int) -> dict[str, int]:
-    return {"A": R * (n - 2), "B": R * (n - 1), "C": R, "D": R - 1, "E": R}
-
-
 def expected_census(n: int, m: int, R: int) -> dict[str, int]:
     """Closed-form term counts per family.
 
@@ -505,7 +496,7 @@ def expected_census(n: int, m: int, R: int) -> dict[str, int]:
           types), 3 projectors + 1 hop for rules 4/6 (at B and D), and
           4 projectors + 3 or 4 hops for rule 3 (4 hops only at type A).
     """
-    pc = _pair_counts(n, R)
+    pc = {"A": R * (n - 2), "B": R * (n - 1), "C": R, "D": R - 1, "E": R}
     forbidden_by_type = {t: 0 for t in "ABCDE"}
     for (_, _, t) in chain.forbidden_families():
         forbidden_by_type[t] += 1

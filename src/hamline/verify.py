@@ -151,7 +151,8 @@ def check_facts(n: int, R: int, rules=chain.RULES,
                 transitions=chain.TRANSITION_TERMS) -> Report:
     """Uniqueness of forward/backward rules and identifying projectors,
     and detectability of every mistimed exchange, over the whole legal
-    sequence."""
+    sequence.  Legal configurations have no local violation, so an exchange
+    is detectable when :func:`chain._violation_near` finds one by it."""
     rep = Report(f"facts(n={n},R={R})")
     seq = chain.legal_sequence(n, R, rules)
     K = len(seq) - 1
@@ -180,7 +181,7 @@ def check_facts(n: int, R: int, rules=chain.RULES,
             if direction == "backward" and t_ > 0 and out == seq[t_ - 1]:
                 bwd_legal += 1
                 continue
-            if chain.classify(out).tag != "detectable":
+            if not chain._violation_near(out.sites, i, n, R):
                 bad_exch += 1
         if t_ < K and fwd_legal != 1:
             bad_exch += 1
@@ -332,12 +333,22 @@ def soundness_probe() -> Report:
     specs = {name: hm.build_hamiltonian(circ, couplings=couplings)
              for name, circ in (("accepting", accepting),
                                 ("rejecting", rejecting))}
+    spec_rej = specs["rejecting"]
+    # the type-1 block holds the legal span and its fringe, so the fringe
+    # minimum neg lies above its minimum: both circuits' type-1 solves
+    # start from 2 * neg - 1, a first guess that min_eigs still counts
+    fr_mat, _ = spectra.restrict(spec_rej, legal_fringe(n, R))
+    neg = float(spectra.min_eigs(fr_mat, k=1).values[0])
     blocks = _pen_free_blocks(n, R)
+    start = chain.initial_configuration(n, R)
+    t1 = next(i for i, b in enumerate(blocks) if start in b)
     ground, solves = {}, {}
     for name, spec in specs.items():
         floor = _block_floor(spec)
-        solves[name] = [spectra.min_eigs(spectra.restrict(spec, b)[0], k=1)
-                        for b in blocks]
+        solves[name] = [spectra.min_eigs(
+            spectra.restrict(spec, b)[0], k=1,
+            sigma=2 * neg - 1 if i == t1 else None)
+            for i, b in enumerate(blocks)]
         low = min(solves[name], key=lambda r: r.values[0])
         ground[name] = float(low.values[0])
         rep.add(f"full-space ground energy ({name})",
@@ -353,7 +364,6 @@ def soundness_probe() -> Report:
             bound=1e-8)
 
     # (b) legal-subspace diagonalizations (the rigorous positives)
-    spec_rej = specs["rejecting"]
     hout_min = _witness_subspace_min(rejecting,
                                      hm.build_pieces(rejecting)["out"])
     rep.add("rejecting circuit: output penalty on ancilla-correct history "
@@ -369,8 +379,6 @@ def soundness_probe() -> Report:
                   f"eps * ||block||_1 = {legal.floor:.3g}")
 
     # negativity certificate: legal span + one-exchange fringe
-    fr_mat, _ = spectra.restrict(spec_rej, legal_fringe(n, R))
-    neg = float(spectra.min_eigs(fr_mat, k=1).values[0])
     rep.add("legal-plus-fringe restriction exhibits the negative ground "
             "energy (variational upper bound on the full spectrum)",
             neg < 0, measured=neg,
@@ -379,8 +387,6 @@ def soundness_probe() -> Report:
                   f"{-2.0 * couplings.j_prop ** 2 / couplings.j_pen:.6g}")
 
     # (c) the type-1 block, from the rejecting circuit's solves
-    start = chain.initial_configuration(n, R)
-    t1 = next(i for i, b in enumerate(blocks) if start in b)
     type1 = solves["rejecting"][t1]
     rep.add("type-1 invariant-set restriction diagonalized",
             type1.converged, measured=float(type1.values[0]),

@@ -1,20 +1,36 @@
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from hamline import verify
+from hamline import spectra, verify
 
 
 @pytest.fixture(scope="session")
-def soundness_run():
+def soundness_factorizations():
+    """Sparse factorizations of the :func:`soundness_run` probe, counted
+    by block dimension."""
+    return Counter()
+
+
+@pytest.fixture(scope="session")
+def soundness_run(soundness_factorizations):
     """One in-process run of the default soundness probe, shared by the
     verify and acceptance tests: (report, seconds)."""
-    t0 = time.perf_counter()
-    rep = verify.soundness_probe()
-    return rep, time.perf_counter() - t0
+    factor = spectra._factor
+
+    def counted(A, x, floor):
+        soundness_factorizations[A.shape[0]] += 1
+        return factor(A, x, floor)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_factor", counted)
+        t0 = time.perf_counter()
+        rep = verify.soundness_probe()
+        return rep, time.perf_counter() - t0
 
 
 def _component_eigh(H, k: int):

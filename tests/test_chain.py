@@ -286,6 +286,17 @@ def test_classify_misaligned():
     assert verdict.reason == "misaligned"
 
 
+def test_violation_near_the_move_is_classify_verdict():
+    # a legal configuration has no local violation, so on its exchange
+    # images the test at the pairs next to the move is the whole one
+    for n in range(2, 13):
+        for R in range(1, 12 // n + 1):
+            for c in chain.legal_sequence(n, R):
+                for _, i, _, out in chain.exchange_neighbours(c):
+                    assert chain._violation_near(out.sites, i, n, R) == (
+                        chain.classify(out).tag == "detectable"), (out, i)
+
+
 # ---------------------------------------------------------------------------
 # invariant sets and horizons
 # ---------------------------------------------------------------------------

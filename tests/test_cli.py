@@ -434,6 +434,17 @@ def test_seed_belongs_to_spectrum(capsys):
     assert cli.main(["--seed", "1", "sequence", "--n", "2", "--R", "1"]) == 1
 
 
+def test_options_take_their_full_names(tmp_path, capsys):
+    # no option answers to a prefix of its name
+    from hamline import cli
+    out = tmp_path / "seq.txt"
+    for argv in (["sequence", "--n", "2", "--R", "1", "--o", str(out)],
+                 ["verify", "horizon", "--max", "4"]):
+        assert cli.main(argv) == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [("sequence", "--n", "3", "--R", "2"),
                                      ("verify", "horizon", "--max-len", "4")])
 def test_closed_stdout_exits_without_traceback(command):

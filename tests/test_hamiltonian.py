@@ -51,11 +51,13 @@ def test_h_out_site_and_slot():
 # ---------------------------------------------------------------------------
 
 def test_pen_family_count_and_census():
-    for n, m, R in [(2, 1, 1), (2, 1, 2), (3, 2, 2), (4, 1, 3)]:
-        circ = identity_circuit(n, m, R)
-        pieces = hm.build_pieces(circ)
-        counts = {fam: len(ts) for fam, ts in pieces.items()}
-        assert counts == hm.expected_census(n, m, R)
+    # every shape with 2 <= n <= 7, 1 <= R <= 5 and 1 <= m <= n: the
+    # couplings read their norm bounds from the closed form
+    for n, R in itertools.product(range(2, 8), range(1, 6)):
+        for m in range(1, n + 1):
+            pieces = hm.build_pieces(identity_circuit(n, m, R))
+            counts = {fam: len(ts) for fam, ts in pieces.items()}
+            assert counts == hm.expected_census(n, m, R), (n, m, R)
 
 
 def test_pen_zero_on_legal_and_positive_on_detectable():
@@ -304,7 +306,7 @@ def test_couplings_satisfy_gates_and_examples():
         circ = identity_circuit(n, 1, R)
         cp = hm.choose_couplings(n, R, circ)
         K = chain.step_count(n, R)
-        assert cp.self_check(K)
+        assert cp.self_check(n, 1, R)
         assert cp.j_in >= 4 * (K + 1) * 1.0  # out-family bound is exactly 1
         for j in (cp.j_in, cp.j_prop, cp.j_pen):
             assert j == 2 ** round(np.log2(j))

@@ -1084,18 +1084,21 @@ def test_full_sparse_matrix_matches_operator(dense_21):
 
 
 def test_export_coo_round_trip(dense_21):
-    spec, _, H = dense_21
+    # sparse on both sides: one dense complex 4,096^2 copy is 256 MiB
+    spec = dense_21[0]
     text = "".join(spectra.export_coo(spec))
     head, *rows = text.strip().split("\n")
     assert head.startswith("# hamline-coo-v1 n=2 R=1 dim=4096")
-    rebuilt = np.zeros(H.shape, dtype=complex)
-    for row in rows:
-        r, c, re, im = row.split()
-        rebuilt[int(r), int(c)] = float(re) + 1j * float(im)
-    assert np.max(np.abs(rebuilt - H)) == 0.0
-    # sorted by (row, col)
-    rc = [(int(r.split()[0]), int(r.split()[1])) for r in rows]
-    assert rc == sorted(rc)
+    r, c, re, im = zip(*(row.split() for row in rows))
+    r, c = np.array(r, dtype=int), np.array(c, dtype=int)
+    rebuilt = sp.csr_matrix((np.array(re, dtype=float)
+                             + 1j * np.array(im, dtype=float), (r, c)),
+                            shape=(4096, 4096))
+    H = spectra.full_sparse_matrix(spec.terms, 2, 1)
+    assert abs(rebuilt - H).max() == 0.0
+    # sorted by (row, col), each entry once
+    rc = list(zip(r.tolist(), c.tolist()))
+    assert rc == sorted(set(rc))
 
 
 COO_21_SHA256 = \

@@ -97,6 +97,16 @@ def test_soundness_probe_subspace_parts(soundness_run):
     assert abs(out.measured - 1.0 / (K + 1)) < 1e-12
 
 
+def test_soundness_probe_warm_starts_the_type1_blocks(
+        soundness_run, soundness_factorizations):
+    # both circuits' 12,800-dimensional type-1 blocks start below the
+    # legal+fringe minimum: one factorization at the first guess and one
+    # certifying count each; bisecting from the Gershgorin bound takes 11
+    rep, _ = soundness_run
+    assert rep.passed, rep.to_text()
+    assert soundness_factorizations[12800] <= 4, soundness_factorizations
+
+
 def test_pen_free_blocks_give_the_full_space_minimum():
     """n=2, R=1 with a Haar gate on the rule-1 hop (round 1 must be
     identity, so the gate goes on the term directly): the least minimum
