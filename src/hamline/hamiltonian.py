@@ -17,7 +17,8 @@ on configuration sets and on every symbol assignment of a chain
 (:func:`_window`), :meth:`LocalTerm.matrix` on every symbol assignment
 of a term's window.  It applies the projector terms one window at a
 time, all terms on a window at once, and tags every entry with the
-term that gave it.
+term that gave it.  Its symbol-level entry, :func:`_symbol_hits`, runs
+the projectors that read no content on one code per configuration.
 
 Four term families are built here:
 
@@ -201,38 +202,44 @@ def _diag_mask(slot_sets: tuple[frozenset, ...]) -> np.ndarray:
     return mask.ravel()
 
 
-def _term_entries(terms, pk: chain._Packed):
-    """The term kernel: the terms' weighted entries on the packed
-    configurations' content spaces, as (kind, term, rows, cols, values)
-    in global basis indices, ``term`` each entry's index in ``terms``.
-
-    Diag terms run by window: those with the same first site and width
-    give their diagonals (rows == cols) together, from each basis
-    vector's window code (its :func:`_site_codes` digits, formed once per
-    call) and one gather of the terms' :func:`_diag_mask` table; only the
-    nonzero entries come out, each term's in basis order.  Hop terms run
-    one at a time, after the diag ones and in term order: each gives its
-    transfer part T only, -weight times the rule-1 gate entry (or 1),
-    from each source configuration to its destination where that is
-    packed too; the term's other half is T^dagger.
-    """
+def _gather(terms, codes: np.ndarray):
+    """(term, column) of every nonzero of the diag terms on columns of
+    site digits ``codes`` (L, columns): per window, each column's code
+    gathers the window's :func:`_diag_mask` table, each term's columns
+    in order.  A term of either kind past the L sites is a ValueError."""
     windows: dict[tuple[int, int], list[int]] = {}
-    hops = []
     for j, t in enumerate(terms):
+        if t.sites[-1] > len(codes):
+            raise ValueError(f"term on sites {t.sites} lies past the chain "
+                             f"of {len(codes)} sites")
         if t.kind == "diag":
             windows.setdefault((t.sites[0], len(t.sites)), []).append(j)
-        else:
-            hops.append((j, t))
-    codes = _site_codes(pk) if windows else None
     for (i, w), js in windows.items():
         code = np.zeros(codes.shape[1], dtype=np.intp)
         for digit in codes[i - 1:i - 1 + w]:
             code = 8 * code + digit
         table = np.array([_diag_mask(terms[j].diag_slots) for j in js])
         k, idx = np.nonzero(table[:, code])
-        weight = np.array([terms[j].weight for j in js], dtype=float)
-        yield "diag", np.asarray(js)[k], idx, idx, weight[k]
-    for j, t in hops:
+        yield np.asarray(js)[k], idx
+
+
+def _term_entries(terms, pk: chain._Packed):
+    """The term kernel: the terms' weighted entries on the packed
+    configurations' content spaces, as (kind, term, rows, cols, values)
+    in global basis indices, ``term`` each entry's index in ``terms``.
+
+    Diag terms give their diagonals (rows == cols), :func:`_gather` on
+    the basis vectors' :func:`_site_codes`.  Hop terms follow in term
+    order: each gives its transfer part T only, -weight times the rule-1
+    gate entry (or 1), from each source configuration to its destination
+    where that is packed too; the term's other half is T^dagger.
+    """
+    weight = np.array([t.weight for t in terms], dtype=float)
+    for term, idx in _gather(terms, _site_codes(pk)):
+        yield "diag", term, idx, idx, weight[term]
+    for j, t in enumerate(terms):
+        if t.kind == "diag":
+            continue
         i = t.sites[0]
         src, dst, found, _ = pk.hop(i, t.src, t.dst)
         cfg, idx, content = pk.expand(src[found])
@@ -258,6 +265,29 @@ def _term_entries(terms, pk: chain._Packed):
                 val.append(w * g[nz])
             rows, cols, vals = map(np.concatenate, (out_idx, col_idx, val))
         yield "hop", np.full(len(rows), j), rows, cols, vals
+
+
+@lru_cache(maxsize=None)
+def _reads_content(slot_sets: tuple[frozenset, ...]) -> bool:
+    """Whether a slot set holds one slot of a holder but not the other."""
+    return any(len(s & {a, b}) == 1 for s in slot_sets
+               for a, b in ((QUBIT0, QUBIT1), (GATE0, GATE1)))
+
+
+def _symbol_hits(terms, configs) -> tuple[np.ndarray, np.ndarray]:
+    """The term kernel at symbol level: (term, row) of every hit on
+    ``configs``, :func:`_gather` on one code per configuration with each
+    holder at content bit 0.  That is exact for diag terms that do not
+    :func:`_reads_content`; any other term is a ValueError."""
+    for t in terms:
+        if t.kind != "diag" or _reads_content(t.diag_slots):
+            raise ValueError(f"the {t.family} term on sites {t.sites} has "
+                             "no symbol-level value")
+    S = np.frombuffer(b"".join(c.sites for c in configs),
+                      dtype=np.uint8).reshape(len(configs), -1)
+    term, row = zip((np.zeros(0, np.intp),) * 2,
+                    *_gather(terms, SLOT[S, 0].T))
+    return np.concatenate(term), np.concatenate(row)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +339,19 @@ def build_h_pen(n: int, R: int,
     return terms
 
 
-def _projector_rows() -> tuple:
-    """(parent rule, window types, piece, offset, symbol pair) of every
-    identifying projector, derived from the rules in the order of
-    :data:`chain.RULES_BY_PARENT`: the forward (xy) projector is (prev,
-    before[0]) at offset -1 when the rule has a ``prev`` context, else
-    ``before`` at 0; the backward (zw) one is (after[1], next2) at +1
-    when it has a ``next2`` context, else ``after`` at 0.  Equal rows of
-    one parent rule are merged, their window types joined."""
+def projector_layout(n: int, R: int) -> list[LocalTerm]:
+    """The propagation family's projector terms, derived from the rules
+    in the order of :data:`chain.RULES_BY_PARENT`: the forward (xy)
+    projector is (prev, before[0]) at offset -1 when the rule has a
+    ``prev`` context, else ``before`` at 0; the backward (zw) one is
+    (after[1], next2) at +1 when it has a ``next2`` context, else
+    ``after`` at 0.  Equal rows of one parent rule are merged, their
+    window types joined.
+
+    At each window i, every row admitting i's location type puts its
+    pair on (i+offset, i+offset+1), less a factor on a site outside the
+    chain (a single-site projector at a chain end).
+    """
     rows: dict[tuple, frozenset] = {}
     for r in chain.RULES_BY_PARENT:
         ctx = dict(r.context)
@@ -325,50 +360,26 @@ def _projector_rows() -> tuple:
         for piece, (off, pair) in (("xy", xy), ("zw", zw)):
             key = (r.rid[0], piece, off, pair)
             rows[key] = rows.get(key, frozenset()) | r.types
-    return tuple((rule, types, piece, off, pair)
-                 for (rule, piece, off, pair), types in rows.items())
-
-
-def projector_layout(n: int, R: int):
-    """Every projector piece of the propagation family, as
-    (rule, piece, sites, symbols, window) with chain-end truncation
-    applied.
-
-    At each window i, every row of :func:`_projector_rows` admitting i's
-    location type puts its pair on (i+offset, i+offset+1).  Truncation
-    drops projector factors whose site falls outside the chain, leaving
-    a single-site projector; hop pieces are never truncated (their window
-    always lies inside the chain).
-    """
-    L = 2 * n * R
-    rows = _projector_rows()
-    out = []
+    L, out = 2 * n * R, []
     for i, t in enumerate(chain.location_types(n, R), 1):
-        for rule, types, piece, off, (a, b) in rows:
-            if t not in types:
-                continue
-            j = i + off
-            if j >= 1 and j + 1 <= L:
-                out.append((rule, piece, (j, j + 1), (a, b), i))
-            elif j == 0:
-                out.append((rule, piece, (1,), (b,), i))
-            else:  # j + 1 == L + 1
-                out.append((rule, piece, (L,), (a,), i))
+        for (rule, piece, off, pair), types in rows.items():
+            if t in types:
+                sites, syms = zip(*((j, s) for j, s in enumerate(
+                    pair, i + off) if 1 <= j <= L))
+                out.append(_diag_term("prop", sites,
+                                      [SYMBOL_SLOTS[s] for s in syms],
+                                      rule=rule, piece=piece, window=i))
     return out
 
 
 def build_h_prop(circ: LayeredCircuit,
                  transitions: tuple[Rule, ...] = TRANSITION_TERMS
                  ) -> list[LocalTerm]:
-    """Propagation family: projector pieces from :func:`projector_layout`
-    plus hop pieces from the chain's transition terms; rule-1 hops carry
-    the gate installed at their location."""
+    """Propagation family: the projector terms of
+    :func:`projector_layout` plus hop pieces from the chain's transition
+    terms; rule-1 hops carry the gate installed at their location."""
     n, R = circ.n, circ.R
-    terms = []
-    for rule, piece, sites, syms, window in projector_layout(n, R):
-        terms.append(_diag_term("prop", sites,
-                                [SYMBOL_SLOTS[s] for s in syms],
-                                rule=rule, piece=piece, window=window))
+    terms = projector_layout(n, R)
     for i, t in enumerate(chain.location_types(n, R), 1):
         for tt in transitions:
             if t not in tt.types:

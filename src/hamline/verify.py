@@ -19,7 +19,11 @@ structural claims the construction rests on:
 * ``horizon_suite``    -- every locally undetectable configuration on
   short chains reaches a detectable one in finitely many forward steps.
 * ``census_suite``     -- the allowed-pair table and the term counts
-  per family against their closed forms.
+  per family against their closed forms, and the pair penalty on legal
+  and dead-blank configurations.
+
+Facts and census evaluate the built projector terms at symbol level
+(:func:`hamiltonian._symbol_hits`), expanding no content space.
 
 A note on signs: at the couplings from ``choose_couplings`` the
 assembled Hamiltonian has a strictly negative ground energy, even for
@@ -139,27 +143,23 @@ def cnot_circuit() -> LayeredCircuit:
 # Facts suite
 # ---------------------------------------------------------------------------
 
-def _projector_hits(by_sites, c: Configuration) -> tuple[int, int]:
-    """How many forward (xy) / backward (zw) identifying projectors fire;
-    ``by_sites`` maps each projector's sites to {symbols: pieces}."""
-    fired = [piece for sites, pieces in by_sites.items()
-             for piece in pieces.get(tuple(c.sites[s - 1] for s in sites), ())]
-    return fired.count("xy"), fired.count("zw")
-
-
 def check_facts(n: int, R: int, rules=chain.RULES,
                 transitions=chain.TRANSITION_TERMS) -> Report:
     """Uniqueness of forward/backward rules and identifying projectors,
     and detectability of every mistimed exchange, over the whole legal
-    sequence.  Legal configurations have no local violation, so an exchange
-    is detectable when :func:`chain._violation_near` finds one by it."""
+    sequence.  Projector hits are the built terms' at symbol level.
+    Legal configurations have no local violation, so an exchange is
+    detectable when :func:`chain._violation_near` finds one by it."""
     rep = Report(f"facts(n={n},R={R})")
     seq = chain.legal_sequence(n, R, rules)
     K = len(seq) - 1
-    by_sites: dict[tuple, dict[tuple, list[str]]] = {}
-    for _, piece, sites, syms, _ in hm.projector_layout(n, R):
-        by_sites.setdefault(sites, {}).setdefault(syms, []).append(piece)
-    bad_fwd = bad_bwd = bad_xy = bad_zw = bad_exch = 0
+    proj = hm.projector_layout(n, R)
+    fired, row = hm._symbol_hits(proj, seq)
+    xy = np.array([t.piece == "xy" for t in proj])[fired]
+    steps = np.arange(K + 1)
+    bad_xy = int(np.sum(np.bincount(row[xy], minlength=K + 1) != (steps < K)))
+    bad_zw = int(np.sum(np.bincount(row[~xy], minlength=K + 1) != (steps > 0)))
+    bad_fwd = bad_bwd = bad_exch = 0
     for t_, c in enumerate(seq):
         nf = len(chain.forward_rules(c, rules))
         nb = len(chain.backward_rules(c, rules))
@@ -167,11 +167,6 @@ def check_facts(n: int, R: int, rules=chain.RULES,
             bad_fwd += 1
         if nb != (1 if t_ > 0 else 0):
             bad_bwd += 1
-        xy, zw = _projector_hits(by_sites, c)
-        if xy != (1 if t_ < K else 0):
-            bad_xy += 1
-        if zw != (1 if t_ > 0 else 0):
-            bad_zw += 1
         fwd_legal = bwd_legal = 0
         for term, i, direction, out in chain.exchange_neighbours(
                 c, transitions):
@@ -420,7 +415,8 @@ def soundness_probe() -> Report:
 
 def census_suite(n: int = 2, R: int = 2, drop_pen_family=None) -> Report:
     """Pair-table and term-count checks against their closed forms, for
-    circuits with one witness qubit."""
+    circuits with one witness qubit, and the built pen terms on legal
+    and dead-blank configurations, at symbol level."""
     m = 1
     rep = Report(f"census(n={n},m={m},R={R})")
     rep.add("allowed (pair, location-type) combinations number 56",
@@ -435,18 +431,16 @@ def census_suite(n: int = 2, R: int = 2, drop_pen_family=None) -> Report:
     expected = hm.expected_census(n, m, R)
     rep.add("term counts match the closed-form census",
             actual == expected, measured=actual, bound=expected)
-    # pen is a sum of projectors with non-negative weights: it vanishes on
-    # the legal span exactly when no term has a nonzero entry there
-    legal = chain._Packed.of(chain.legal_sequence(n, R))
-    worst = max((float(np.abs(v).max())
-                 for *_, v in hm._term_entries(pieces["pen"], legal)
-                 if len(v)), default=0.0)
+    # pen is a sum of content-blind projectors with non-negative weights:
+    # on a configuration it costs the weights of the terms that fire there
+    pen = pieces["pen"]
+    hit, _ = hm._symbol_hits(pen, chain.legal_sequence(n, R))
+    worst = max((pen[j].weight for j in hit), default=0.0)
     rep.add("pair penalty vanishes on every legal configuration",
             worst <= 1e-12, measured=worst, bound=1e-12)
     bad = chain.Configuration(n, R, bytes(
         [chain.DEAD, chain.BLANK] + [chain.BLANK] * (2 * n * R - 2)))
-    e = spectra.expectation(pieces["pen"], spectra.RestrictedState(
-        n, R, {bad: np.ones(1, dtype=complex)}))
+    e = math.fsum(pen[j].weight for j in hm._symbol_hits(pen, [bad])[0])
     rep.add("a dead-blank pair costs at least one unit of pair penalty",
             e >= 1.0, measured=e, bound=1.0)
     return rep

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -270,6 +271,18 @@ def test_verify_suites_exit_zero():
     assert run("verify", "census").returncode == 0
     assert run("verify", "facts", "--n", "3", "--R", "2").returncode == 0
     assert run("verify", "appendix", "--Lmax", "16").returncode == 0
+
+
+def test_verify_census_runs_under_a_three_gigabyte_cap():
+    # census checks the pen terms one code per legal configuration; it
+    # once expanded 2^n content vectors per configuration, and this run
+    # raised MemoryError at a 2.2 GB peak
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+    out = subprocess.run(CLI + ["verify", "census", "--n", "13", "--R", "2"],
+                         capture_output=True, text=True, env=ENV,
+                         preexec_fn=cap)
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 @pytest.mark.parametrize("args", [("horizon", "--max-len", "3"),

@@ -1,11 +1,12 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from hamline import chain, hamiltonian as hm, spectra
+from hamline import chain, hamiltonian as hm, spectra, verify
 from hamline.chain import BLANK, DEAD, Configuration
 from hamline.circuit import Gate2Q, LayeredCircuit, identity_round
 from hamline.verify import accepting_circuit, cnot_circuit
@@ -165,6 +166,48 @@ def test_truncated_projectors_at_chain_ends():
     for t in singles:
         assert t.rule == "3"
         assert t.diag_slots[0] == frozenset({4, 5})  # qubit content summed
+
+
+@pytest.mark.parametrize("n, R", list(verify._chain_shapes(12)))
+def test_symbol_hits_are_the_content_level_entries(n, R):
+    # the legal span, its one-exchange fringe and random configurations:
+    # each pen or prop projector fires, at symbol level, on exactly the
+    # configurations where the content kernel gives it entries, and there
+    # at every content index
+    rng = np.random.default_rng([n, R])
+    configs = list(dict.fromkeys(verify.legal_fringe(n, R) + [
+        Configuration(n, R, bytes(row))
+        for row in rng.integers(0, 6, (300, 2 * n * R), dtype=np.uint8)]))
+    terms = hm.build_h_pen(n, R) + hm.projector_layout(n, R)
+    pk = chain._Packed.of(configs)
+    content = Counter()
+    for kind, term, rows, _, vals in hm._term_entries(terms, pk):
+        assert kind == "diag" and np.all(vals != 0)
+        cfg = np.searchsorted(pk.offsets, rows, side="right") - 1
+        content.update(zip(term.tolist(), cfg.tolist()))
+    term, row = hm._symbol_hits(terms, configs)
+    symbol = Counter(zip(term.tolist(), row.tolist()))
+    assert set(symbol.values()) == {1}
+    assert content == {hit: int(pk.cdim[hit[1]]) for hit in symbol}
+    circ = identity_circuit(n, 1, R)
+    hop = next(t for t in hm.build_h_prop(circ) if t.kind == "hop")
+    for refused in (hm.build_h_in(n, 1), hm.build_h_out(n, R), [hop]):
+        with pytest.raises(ValueError, match="no symbol-level value"):
+            hm._symbol_hits(terms + refused, configs)
+
+
+def test_kernel_refuses_a_term_past_the_chain():
+    # a (3,2) spec has terms on sites 9..12, past the 8 sites of a (2,2)
+    # chain: its diag terms once gave a 76 x 76 legal block with entries
+    # near 4.3e10, and the whole spec an IndexError
+    spec = hm.build_hamiltonian(identity_circuit(3, 1, 2))
+    legal = spectra.legal_basis(2, 2)
+    past = r"term on sites \(\d+(, \d+)?\) lies past the chain of 8 sites"
+    for terms in ([t for t in spec.terms if t.kind == "diag"], spec):
+        with pytest.raises(ValueError, match=past):
+            spectra.restrict(terms, legal)
+    with pytest.raises(ValueError, match=past):
+        hm._symbol_hits(hm.build_h_pen(3, 2), legal)
 
 
 # ---------------------------------------------------------------------------

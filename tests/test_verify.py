@@ -35,6 +35,16 @@ def test_check_facts_catches_mutated_transitions():
     assert not rep.passed
 
 
+def test_check_facts_reads_the_built_projector_terms(monkeypatch):
+    # give the pusher the insertion symbol's slot: the built prop
+    # projectors no longer fire where the layout's symbols say, and both
+    # projector checks must see it
+    monkeypatch.setitem(hm.SYMBOL_SLOTS, chain.PUSHER, (0,))
+    checks = verify.check_facts(3, 2).checks
+    assert [c.passed for c in checks] == [True, True, False, False, True]
+    assert [c.measured for c in checks[2:4]] == [22, 22]
+
+
 def test_check_history_cnot_plus_witness():
     w = np.array([1.0, 1.0]) / np.sqrt(2)
     rep = verify.check_history(verify.cnot_circuit(), w)
