@@ -10,9 +10,10 @@ The module provides
 * the five location types A-E for adjacent site pairs,
 * the allowed-pair table (56 allowed (pair, type) combinations, 124
   forbidden families),
-* the fourteen rewrite rules that drive the computation, with forward /
-  backward matching and application; the transition terms are the
-  rules without context,
+* the one table of the fourteen rewrite rules, :data:`RULES`, read
+  where it is used (a mutant is installed by replacing it), with
+  forward / backward matching and application; the transition terms
+  are the rules without context,
 * the legal sequence (deterministic run from the initial configuration)
   and an independent closed-form template generator for the same
   sequence,
@@ -42,8 +43,8 @@ import numpy as np
 __all__ = [
     "INSI", "PUSHER", "BLANK", "DEAD", "QUBIT", "GATE",
     "SYMBOL_CHARS", "QUBIT_HOLDING",
-    "Configuration", "RuleInstance", "Rule", "RULES", "RULES_BY_PARENT",
-    "TRANSITION_TERMS", "ConfigClass", "InvariantSet",
+    "Configuration", "RuleInstance", "Rule", "RULES", "transition_terms",
+    "ConfigClass", "InvariantSet",
     "location_type", "pair_allowed", "forbidden_families",
     "initial_configuration", "forward_rules", "backward_rules",
     "apply_rule", "legal_sequence", "annotated_sequence",
@@ -223,14 +224,8 @@ def allowed_pair_count() -> int:
 
 def forbidden_families() -> tuple[tuple[int, int, str], ...]:
     """All forbidden (x, y, location-type) families, in a fixed order."""
-    out = []
-    for x in range(6):
-        for y in range(6):
-            allowed = ALLOWED_PAIRS.get((x, y), "")
-            for t in _ALL:
-                if t not in allowed:
-                    out.append((x, y, t))
-    return tuple(out)
+    return tuple((x, y, t) for x in range(6) for y in range(6) for t in _ALL
+                 if t not in ALLOWED_PAIRS.get((x, y), ""))
 
 
 # ---------------------------------------------------------------------------
@@ -296,25 +291,26 @@ class RuleInstance:
 
 
 def mutated_rules(rid: str, after: tuple[int, int]) -> tuple[Rule, ...]:
-    """Copy of RULES with one rule's after-window replaced (fault injection)."""
+    """RULES with one rule's after-window replaced, to install as RULES."""
     return tuple(replace(r, after=tuple(after)) if r.rid == rid else r
                  for r in RULES)
 
 
-#: RULES stably sorted by (parent rule, most location types first).  The
-#: transition terms and the projector layout of the propagation family
-#: are derived in this order; assembly keeps ties between pieces on the
-#: same sites in it, so it fixes the byte order of term exports.
-RULES_BY_PARENT: tuple[Rule, ...] = tuple(
-    sorted(RULES, key=lambda r: (r.rid[0], -len(r.types))))
+@lru_cache(maxsize=None)
+def _by_parent(rules: tuple[Rule, ...], exchanges: bool) -> tuple[Rule, ...]:
+    """A table stably sorted by (parent rule, most location types first),
+    or with ``exchanges`` its rules without context, labelled by parent
+    rule.  This order fixes the byte order of term exports."""
+    ordered = sorted(rules, key=lambda r: (r.rid[0], -len(r.types)))
+    if not exchanges:
+        return tuple(ordered)
+    return tuple(Rule(r.rid[0], r.types, r.before, r.after) for r in ordered)
 
-#: Transition pieces, one per rewrite rule: the rule without its context
-#: sites, labelled by its parent rule.  Unlike the rules they can fire at
-#: "wrong" moments and map configurations out of the legal set.  The
-#: qubit-move family (rule 3) fires at all odd-type pairs, with two of
-#: its four exchanges restricted to AE / AC.
-TRANSITION_TERMS: tuple[Rule, ...] = tuple(
-    Rule(r.rid[0], r.types, r.before, r.after) for r in RULES_BY_PARENT)
+
+def transition_terms() -> tuple[Rule, ...]:
+    """The transition terms of :data:`RULES` (:func:`_by_parent`), which
+    can fire at "wrong" moments and map configurations out of the legal set."""
+    return _by_parent(RULES, True)
 
 
 # ---------------------------------------------------------------------------
@@ -322,22 +318,25 @@ TRANSITION_TERMS: tuple[Rule, ...] = tuple(
 # ---------------------------------------------------------------------------
 
 class _Move(NamedTuple):
-    """Entry ``rank`` of a table writes ``new`` over its window in
-    ``direction`` when each 0-based (site, symbol) of ``context``
-    matches."""
+    """``entry``, number ``rank`` of its table, writes ``new`` over its
+    window in ``direction`` when each 0-based (site, symbol) of
+    ``context`` matches."""
 
     rank: int
+    entry: Rule
     direction: str
     new: bytes
     context: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
-def _move_index(n: int, R: int, table: tuple) -> tuple[dict, ...]:
-    """The move index of a rule table: for each pair (i, i+1), left to
+def _move_index(n: int, R: int, rules: tuple, exchanges: bool) -> tuple:
+    """The move index of a rule table, or with ``exchanges`` of its
+    transition terms (:func:`_by_parent`): for each pair (i, i+1), left to
     right, a dict from the symbol pair there to its moves, in table order
-    with each rule's forward move (before -> after) before its backward
+    with each entry's forward move (before -> after) before its backward
     one.  A move with a context site off the chain is left out."""
+    table = _by_parent(rules, True) if exchanges else rules
     index = []
     for i, t in enumerate(location_types(n, R), 1):
         at: dict[tuple[int, int], list[_Move]] = {}
@@ -345,9 +344,9 @@ def _move_index(n: int, R: int, table: tuple) -> tuple[dict, ...]:
             ctx = tuple((i - 1 + off, sym) for off, sym in e.context)
             if t in e.types and all(0 <= j < 2 * n * R for j, _ in ctx):
                 at.setdefault(e.before, []).append(
-                    _Move(rank, "forward", bytes(e.after), ctx))
+                    _Move(rank, e, "forward", bytes(e.after), ctx))
                 at.setdefault(e.after, []).append(
-                    _Move(rank, "backward", bytes(e.before), ctx))
+                    _Move(rank, e, "backward", bytes(e.before), ctx))
         index.append({pair: tuple(moves) for pair, moves in at.items()})
     return tuple(index)
 
@@ -365,46 +364,41 @@ def _fire(sites: bytes, index, direction: str | None = None) -> list:
     return out
 
 
-def _rule_moves(c: Configuration, direction: str,
-                rules: tuple[Rule, ...]) -> list:
-    """(instance, result) for every rule matching c in ``direction``,
-    rule-major: by table order, then by position."""
-    fired = _fire(c.sites, _move_index(c.n, c.R, rules), direction)
-    return [(RuleInstance(rules[m.rank].rid, i, direction),
+def _rule_moves(c: Configuration, direction: str) -> list:
+    """(instance, result) for every rule of :data:`RULES` matching c in
+    ``direction``, rule-major: by table order, then by position."""
+    fired = _fire(c.sites, _move_index(c.n, c.R, RULES, False), direction)
+    return [(RuleInstance(m.entry.rid, i, direction),
              Configuration._trusted(c.n, c.R, s))
             for m, i, s in sorted(fired, key=lambda f: f[0].rank)]
 
 
-def forward_rules(c: Configuration,
-                  rules: tuple[Rule, ...] = RULES) -> list[RuleInstance]:
+def forward_rules(c: Configuration) -> list[RuleInstance]:
     """All rule instances whose left-hand side matches c."""
-    return [inst for inst, _ in _rule_moves(c, "forward", rules)]
+    return [inst for inst, _ in _rule_moves(c, "forward")]
 
 
-def backward_rules(c: Configuration,
-                   rules: tuple[Rule, ...] = RULES) -> list[RuleInstance]:
+def backward_rules(c: Configuration) -> list[RuleInstance]:
     """All rule instances whose right-hand side matches c."""
-    return [inst for inst, _ in _rule_moves(c, "backward", rules)]
+    return [inst for inst, _ in _rule_moves(c, "backward")]
 
 
 def apply_rule(c: Configuration, inst: RuleInstance) -> Configuration:
     """Rewrite the two-site window of a matched rule instance."""
-    for found, nxt in _rule_moves(c, inst.direction, RULES):
+    for found, nxt in _rule_moves(c, inst.direction):
         if found == inst:
             return nxt
     raise ValueError(f"rule {inst.rule} does not apply "
                      f"{inst.direction} at {inst.position}")
 
 
-def exchange_neighbours(c: Configuration,
-                        terms: tuple[Rule, ...] = TRANSITION_TERMS,
+def exchange_neighbours(c: Configuration
                         ) -> list[tuple[Rule, int, str, Configuration]]:
     """Every configuration one exchange away, as (term, position,
     direction, result) tuples by position, then term order; direction is
     "forward" for before->after and "backward" for after->before."""
-    return [(terms[m.rank], i, m.direction,
-             Configuration._trusted(c.n, c.R, s))
-            for m, i, s in _fire(c.sites, _move_index(c.n, c.R, terms))]
+    return [(m.entry, i, m.direction, Configuration._trusted(c.n, c.R, s))
+            for m, i, s in _fire(c.sites, _move_index(c.n, c.R, RULES, True))]
 
 
 # ---------------------------------------------------------------------------
@@ -431,22 +425,19 @@ class BranchingError(RuntimeError):
     """Raised if more than one forward rule ever applies to a legal state."""
 
 
-def annotated_sequence(n: int, R: int, rules: tuple[Rule, ...] = RULES):
-    """(configurations, applied-rule instances); the last annotation is
-    None.  Cached once per (n, R, rule table), whether or not ``rules``
-    is passed; a table that branches raises :class:`BranchingError` on
-    every call."""
-    return _annotated_sequence(n, R, rules)
+def annotated_sequence(n: int, R: int):
+    """(configurations, applied-rule instances) under :data:`RULES`; the
+    last annotation is None.  Cached once per (n, R, rule table); a table
+    that branches raises :class:`BranchingError` on every call."""
+    return _annotated_sequence(n, R, RULES)
 
 
 @lru_cache(maxsize=None)
 def _annotated_sequence(n: int, R: int, rules: tuple[Rule, ...]):
     c = initial_configuration(n, R)
-    seq = [c]
-    applied = []
-    seen = {c}
+    seq, applied, seen = [c], [], {c}
     while True:
-        fr = _rule_moves(c, "forward", rules)
+        fr = _rule_moves(c, "forward")
         if len(fr) > 1:
             raise BranchingError(f"{len(fr)} forward rules apply to {c}: "
                                  f"{[inst for inst, _ in fr]}")
@@ -462,10 +453,9 @@ def _annotated_sequence(n: int, R: int, rules: tuple[Rule, ...]):
     return tuple(seq), tuple(applied)
 
 
-def legal_sequence(n: int, R: int,
-                   rules: tuple[Rule, ...] = RULES) -> tuple[Configuration, ...]:
+def legal_sequence(n: int, R: int) -> tuple[Configuration, ...]:
     """C_0..C_K obtained by iterating the unique forward rule until halt."""
-    return annotated_sequence(n, R, rules)[0]
+    return annotated_sequence(n, R)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +688,7 @@ def invariant_set(c: Configuration, cap: int = 5_000_000) -> InvariantSet:
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    index = _move_index(c.n, c.R, TRANSITION_TERMS)
+    index = _move_index(c.n, c.R, RULES, True)
     rows = np.frombuffer(c.sites, dtype=np.uint8).reshape(1, -1)
     prev = cur = _keys(rows)
     layers, total, capped = [cur], 1, False
@@ -736,16 +726,17 @@ def _violation_near(sites: bytes, i: int, n: int, R: int) -> bool:
                    for j in range(max(i - 1, 1), min(i + 2, len(sites)))))
 
 
-def _horizon(c: Configuration, table: tuple,
+def _horizon(c: Configuration, exchanges: bool,
              direction: str | None) -> int | None:
     """Breadth-first search shared by both horizons: the fewest moves of
-    ``table`` (in ``direction``, or both) from the undetectable c to a
+    :data:`RULES`, or with ``exchanges`` of its transition terms (in
+    ``direction``, or both), from the undetectable c to a
     configuration with a local violation, or None if none is reachable;
     searched configurations have none (:func:`_violation_near`)."""
     verdict = classify(c)
     if verdict.tag != "undetectable":
         raise ValueError(f"expected an undetectable configuration, got {verdict.tag}")
-    index = _move_index(c.n, c.R, table)
+    index = _move_index(c.n, c.R, RULES, exchanges)
     seen = {c.sites}
     queue = deque([(c.sites, 0)])
     while queue:
@@ -776,7 +767,7 @@ def detect_horizon(c: Configuration) -> int | None:
     detectable ones through the 2-local exchange terms (see
     :func:`exchange_horizon`).
     """
-    return _horizon(c, RULES, "forward")
+    return _horizon(c, False, "forward")
 
 
 def exchange_horizon(c: Configuration) -> int | None:
@@ -790,7 +781,7 @@ def exchange_horizon(c: Configuration) -> int | None:
     penalty anywhere in it, which would defeat the penalty mechanism;
     the verification suites treat that as a hard failure.
     """
-    return _horizon(c, TRANSITION_TERMS, None)
+    return _horizon(c, True, None)
 
 
 # ---------------------------------------------------------------------------

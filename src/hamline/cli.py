@@ -5,17 +5,19 @@ configuration trace), spectrum (certified smallest eigenvalues),
 verify (one subcommand per suite, and ``all``).  Each takes only the
 options it reads.
 
-Exit codes: 0 success, 1 usage or parse error, 2 validation error,
-3 suite failure or a spectrum solve that has not converged, 141 stdout
-closed early.  Only ``spectrum`` draws random numbers, from its --seed;
-equal invocations produce identical output.
+Exit codes: 0 success, 1 usage or parse error or an unwritable output
+path, 2 validation error, 3 suite failure or a spectrum solve that has
+not converged, 141 stdout closed early.  Only ``spectrum`` draws random
+numbers, from its --seed; equal invocations give identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+from functools import partial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,13 +54,14 @@ _PARAMS = {"n": (3, None), "R": (2, None), "Lmax": (64, 1),
            "max_len": (12, 4)}
 
 #: Each verify suite: its function in :mod:`hamline.verify`, the
-#: parameters it reads, and its negative-control fault as (choice,
-#: keyword, value from :mod:`hamline.chain`).  ``all`` runs them in order.
+#: parameters it reads, and its negative-control fault as (choice, (chain,
+#: hamiltonian) -> the module, attribute and value it sets for the run).
 SUITES = {
     "census": ("census_suite", ("n", "R"), ("drop-pen-family",
-               "drop_pen_family", lambda ch: (ch.DEAD, ch.BLANK, "B"))),
-    "facts": ("check_facts", ("n", "R"), ("mutate-rule", "rules",
-              lambda ch: ch.mutated_rules("2a", (ch.DEAD, ch.GATE)))),
+               lambda ch, hm: (hm, "build_h_pen", partial(
+                   hm.build_h_pen, drop_family=(ch.DEAD, ch.BLANK, "B"))))),
+    "facts": ("check_facts", ("n", "R"), ("mutate-rule", lambda ch, hm: (
+              ch, "RULES", ch.mutated_rules("2a", (ch.DEAD, ch.GATE))))),
     "history": ("history_suite", (), None),
     "appendix": ("appendix_suite", ("Lmax",), None),
     "horizon": ("horizon_suite", ("max_len",), None),
@@ -175,20 +178,15 @@ def cmd_compile(args) -> int:
 
 def sequence_lines(n: int, R: int) -> list[str]:
     from . import chain
-    seq, applied = chain.annotated_sequence(n, R)
-    lines = []
-    for c, inst in zip(seq, applied):
-        rule = inst.rule if inst is not None else "-"
-        lines.append(f"{c.to_string()}  {rule}")
-    return lines
+    return [f"{c.to_string()}  {inst.rule if inst else '-'}"
+            for c, inst in zip(*chain.annotated_sequence(n, R))]
 
 
 def cmd_sequence(args) -> int:
     if _bad_shape(args.n, args.R):
         return EXIT_VALIDATION
     lines = sequence_lines(args.n, args.R)
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -248,7 +246,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import chain, verify
+    from . import chain, hamiltonian, verify
     if hasattr(args, "n") and _bad_shape(args.n, args.R):
         return EXIT_VALIDATION
     for param, (_, least) in _PARAMS.items():
@@ -261,10 +259,13 @@ def cmd_verify(args) -> int:
     for name in SUITES if args.suite == "all" else [args.suite]:
         func, params, fault = SUITES[name]
         kwargs = {param: getattr(args, param) for param in params}
+        fault_patch = contextlib.nullcontext()
         if getattr(args, "inject_fault", None):
-            kwargs[fault[1]] = fault[2](chain)
+            from unittest import mock
+            fault_patch = mock.patch.object(*fault[1](chain, hamiltonian))
         try:
-            rep = getattr(verify, func)(**kwargs)
+            with fault_patch:
+                rep = getattr(verify, func)(**kwargs)
         except Exception as exc:  # suites must fail loudly, not crash
             rep = verify.Report(name)
             rep.add("suite ran to completion", False, notes=repr(exc))
@@ -293,6 +294,9 @@ def main(argv=None) -> int:
         # stdout's reader is gone (``| head``): send the rest to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -29,7 +29,8 @@ Four term families are built here:
 * ``prop`` -- for every rewrite rule and every admissible location, two
   projector pieces that pick out the states the rule connects, and hop
   pieces (with a minus sign) that exchange the window contents.  Rule 1
-  hops carry the two-qubit gate installed at that location.
+  hops carry the two-qubit gate installed at that location.  Both are
+  derived from :data:`chain.RULES` when built.
 
 The propagation pieces are deliberately 2-local; their hops can fire at
 mistimed positions and map configurations to locally detectable ones, so
@@ -50,8 +51,7 @@ from math import ceil, log2
 import numpy as np
 
 from . import chain
-from .chain import (BLANK, DEAD, GATE, INSI, PUSHER, QUBIT, Rule,
-                    TRANSITION_TERMS)
+from .chain import BLANK, DEAD, GATE, INSI, PUSHER, QUBIT
 from .circuit import LayeredCircuit, gate_at_location
 
 __all__ = [
@@ -202,16 +202,23 @@ def _diag_mask(slot_sets: tuple[frozenset, ...]) -> np.ndarray:
     return mask.ravel()
 
 
+def _check_sites(terms, L: int) -> None:
+    """The kernel's guard, run before any term touches packed rows of an
+    L-site chain: a term past the chain is a ValueError."""
+    for t in terms:
+        if t.sites[-1] > L:
+            raise ValueError(f"term on sites {t.sites} lies past the chain "
+                             f"of {L} sites")
+
+
 def _gather(terms, codes: np.ndarray):
     """(term, column) of every nonzero of the diag terms on columns of
     site digits ``codes`` (L, columns): per window, each column's code
     gathers the window's :func:`_diag_mask` table, each term's columns
-    in order.  A term of either kind past the L sites is a ValueError."""
+    in order, after :func:`_check_sites`."""
+    _check_sites(terms, len(codes))
     windows: dict[tuple[int, int], list[int]] = {}
     for j, t in enumerate(terms):
-        if t.sites[-1] > len(codes):
-            raise ValueError(f"term on sites {t.sites} lies past the chain "
-                             f"of {len(codes)} sites")
         if t.kind == "diag":
             windows.setdefault((t.sites[0], len(t.sites)), []).append(j)
     for (i, w), js in windows.items():
@@ -316,8 +323,8 @@ def build_h_pen(n: int, R: int,
     """Projectors onto every forbidden (pair, location-type) family at
     every pair of that type, plus the two chain-end penalties.
 
-    ``drop_family`` omits one (x, y, type) family; this exists only for
-    fault-injection tests.
+    ``drop_family`` omits one (x, y, type) family: the census fault
+    installs this function at that value in the module's place.
     """
     L = 2 * n * R
     types = chain.location_types(n, R)
@@ -340,8 +347,8 @@ def build_h_pen(n: int, R: int,
 
 
 def projector_layout(n: int, R: int) -> list[LocalTerm]:
-    """The propagation family's projector terms, derived from the rules
-    in the order of :data:`chain.RULES_BY_PARENT`: the forward (xy)
+    """The propagation family's projector terms, derived from
+    :data:`chain.RULES` in its by-parent order: the forward (xy)
     projector is (prev, before[0]) at offset -1 when the rule has a
     ``prev`` context, else ``before`` at 0; the backward (zw) one is
     (after[1], next2) at +1 when it has a ``next2`` context, else
@@ -353,7 +360,7 @@ def projector_layout(n: int, R: int) -> list[LocalTerm]:
     chain (a single-site projector at a chain end).
     """
     rows: dict[tuple, frozenset] = {}
-    for r in chain.RULES_BY_PARENT:
+    for r in chain._by_parent(chain.RULES, False):
         ctx = dict(r.context)
         xy = (-1, (ctx[-1], r.before[0])) if -1 in ctx else (0, r.before)
         zw = (+1, (r.after[1], ctx[2])) if 2 in ctx else (0, r.after)
@@ -372,14 +379,12 @@ def projector_layout(n: int, R: int) -> list[LocalTerm]:
     return out
 
 
-def build_h_prop(circ: LayeredCircuit,
-                 transitions: tuple[Rule, ...] = TRANSITION_TERMS
-                 ) -> list[LocalTerm]:
+def build_h_prop(circ: LayeredCircuit) -> list[LocalTerm]:
     """Propagation family: the projector terms of
     :func:`projector_layout` plus hop pieces from the chain's transition
     terms; rule-1 hops carry the gate installed at their location."""
     n, R = circ.n, circ.R
-    terms = projector_layout(n, R)
+    terms, transitions = projector_layout(n, R), chain.transition_terms()
     for i, t in enumerate(chain.location_types(n, R), 1):
         for tt in transitions:
             if t not in tt.types:
@@ -392,15 +397,13 @@ def build_h_prop(circ: LayeredCircuit,
     return terms
 
 
-def build_pieces(circ: LayeredCircuit,
-                 drop_pen_family=None) -> dict[str, list[LocalTerm]]:
-    """All four families for one circuit; ``drop_pen_family`` is passed
-    to :func:`build_h_pen` (fault injection only)."""
+def build_pieces(circ: LayeredCircuit) -> dict[str, list[LocalTerm]]:
+    """All four families for one circuit."""
     n, R = circ.n, circ.R
     return {
         "in": build_h_in(n, circ.m),
         "prop": build_h_prop(circ),
-        "pen": build_h_pen(n, R, drop_family=drop_pen_family),
+        "pen": build_h_pen(n, R),
         "out": build_h_out(n, R),
     }
 

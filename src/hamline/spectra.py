@@ -343,6 +343,7 @@ def _hop_images(terms, configs: list[Configuration]) -> list[Configuration]:
     """Configurations outside ``configs`` that one hop term maps one of
     them to, in either direction, each once and sorted by ``sites``."""
     pk = chain._Packed.of(configs)
+    hm._check_sites(terms, pk.S.shape[1])
     moved = [pk.S[:0]]  # no rows when no term is a hop
     for t in (t for t in terms if t.kind == "hop"):
         for a, b in ((t.src, t.dst), (t.dst, t.src)):

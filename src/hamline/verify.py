@@ -7,7 +7,8 @@ structural claims the construction rests on:
 
 * ``check_facts``      -- uniqueness of forward/backward rules and of the
   identifying projectors on legal configurations; every mistimed
-  exchange is locally detectable.
+  exchange is locally detectable; the legal sequence equals the
+  closed-form templates.
 * ``check_history``    -- the history state's energy decomposition;
   ``history_suite`` runs it on the accepting reference circuit.
 * ``soundness_probe``  -- exact full-space ground energies of the
@@ -23,7 +24,8 @@ structural claims the construction rests on:
   and dead-blank configurations.
 
 Facts and census evaluate the built projector terms at symbol level
-(:func:`hamiltonian._symbol_hits`), expanding no content space.
+(:func:`hamiltonian._symbol_hits`), expanding no content space.  No
+suite takes a rule table or a fault; a fault replaces a module attribute.
 
 A note on signs: at the couplings from ``choose_couplings`` the
 assembled Hamiltonian has a strictly negative ground energy, even for
@@ -40,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -143,15 +146,16 @@ def cnot_circuit() -> LayeredCircuit:
 # Facts suite
 # ---------------------------------------------------------------------------
 
-def check_facts(n: int, R: int, rules=chain.RULES,
-                transitions=chain.TRANSITION_TERMS) -> Report:
+def check_facts(n: int, R: int) -> Report:
     """Uniqueness of forward/backward rules and identifying projectors,
     and detectability of every mistimed exchange, over the whole legal
-    sequence.  Projector hits are the built terms' at symbol level.
-    Legal configurations have no local violation, so an exchange is
-    detectable when :func:`chain._violation_near` finds one by it."""
+    sequence, then the sequence against the closed-form templates, which
+    alone do not read :data:`chain.RULES`.  Projector hits are the built
+    terms' at symbol level.  Legal configurations have no local
+    violation, so an exchange is detectable when
+    :func:`chain._violation_near` finds one by it."""
     rep = Report(f"facts(n={n},R={R})")
-    seq = chain.legal_sequence(n, R, rules)
+    seq = chain.legal_sequence(n, R)
     K = len(seq) - 1
     proj = hm.projector_layout(n, R)
     fired, row = hm._symbol_hits(proj, seq)
@@ -161,15 +165,10 @@ def check_facts(n: int, R: int, rules=chain.RULES,
     bad_zw = int(np.sum(np.bincount(row[~xy], minlength=K + 1) != (steps > 0)))
     bad_fwd = bad_bwd = bad_exch = 0
     for t_, c in enumerate(seq):
-        nf = len(chain.forward_rules(c, rules))
-        nb = len(chain.backward_rules(c, rules))
-        if nf != (1 if t_ < K else 0):
-            bad_fwd += 1
-        if nb != (1 if t_ > 0 else 0):
-            bad_bwd += 1
+        bad_fwd += len(chain.forward_rules(c)) != (t_ < K)
+        bad_bwd += len(chain.backward_rules(c)) != (t_ > 0)
         fwd_legal = bwd_legal = 0
-        for term, i, direction, out in chain.exchange_neighbours(
-                c, transitions):
+        for term, i, direction, out in chain.exchange_neighbours(c):
             if direction == "forward" and t_ < K and out == seq[t_ + 1]:
                 fwd_legal += 1
                 continue
@@ -178,10 +177,7 @@ def check_facts(n: int, R: int, rules=chain.RULES,
                 continue
             if not chain._violation_near(out.sites, i, n, R):
                 bad_exch += 1
-        if t_ < K and fwd_legal != 1:
-            bad_exch += 1
-        if t_ > 0 and bwd_legal != 1:
-            bad_exch += 1
+        bad_exch += (t_ < K and fwd_legal != 1) + (t_ > 0 and bwd_legal != 1)
     rep.add(f"forward rule unique on all {K + 1} legal configurations",
             bad_fwd == 0, measured=bad_fwd, bound=0)
     rep.add("backward rule unique", bad_bwd == 0, measured=bad_bwd, bound=0)
@@ -192,6 +188,12 @@ def check_facts(n: int, R: int, rules=chain.RULES,
     rep.add("every mistimed exchange is locally detectable; the timed one "
             "gives the neighbouring legal configuration",
             bad_exch == 0, measured=bad_exch, bound=0)
+    tpl = chain.template_sequence(n, R)
+    step = next((t_ for t_, (a, b) in enumerate(zip_longest(seq, tpl))
+                 if a != b), None)
+    rep.add("the legal sequence equals the closed-form templates",
+            step is None, measured=step, notes="measured: the first step "
+                                               "where they differ")
     return rep
 
 
@@ -413,7 +415,7 @@ def soundness_probe() -> Report:
 # Census suite
 # ---------------------------------------------------------------------------
 
-def census_suite(n: int = 2, R: int = 2, drop_pen_family=None) -> Report:
+def census_suite(n: int = 2, R: int = 2) -> Report:
     """Pair-table and term-count checks against their closed forms, for
     circuits with one witness qubit, and the built pen terms on legal
     and dead-blank configurations, at symbol level."""
@@ -426,7 +428,7 @@ def census_suite(n: int = 2, R: int = 2, drop_pen_family=None) -> Report:
             len(chain.forbidden_families()) == 124,
             measured=len(chain.forbidden_families()), bound=124)
     circ = LayeredCircuit(n, m, tuple(identity_round(n) for _ in range(R)))
-    pieces = hm.build_pieces(circ, drop_pen_family=drop_pen_family)
+    pieces = hm.build_pieces(circ)
     actual = {fam: len(ts) for fam, ts in pieces.items()}
     expected = hm.expected_census(n, m, R)
     rep.add("term counts match the closed-form census",
@@ -535,11 +537,7 @@ def horizon_suite(max_len: int = 12) -> Report:
     """
     rep = Report(f"horizon(max_len={max_len})")
     for n, R in _chain_shapes(max_len):
-        total = 0
-        worst_fwd = 0
-        worst_ex = 0
-        fwd_stuck = 0
-        ex_unreachable = 0
+        total = worst_fwd = worst_ex = fwd_stuck = ex_unreachable = 0
         for c in chain.undetectable_configurations(n, R):
             total += 1
             h = chain.detect_horizon(c)

@@ -344,37 +344,36 @@ def test_criterion_09_forward_steps_literal(horizon_data):
 # criterion 10: negative controls
 # ---------------------------------------------------------------------------
 
-def test_criterion_10_negative_controls():
+def test_criterion_10_negative_controls(monkeypatch):
     golden = GOLDEN.read_text().strip().splitlines()
     golden_cfgs = [line.split()[0] for line in golden]
 
-    # fault A: one mutated rewrite rule -> the traced round diverges
-    # (criterion 1) and the facts suite reports violations (criterion 3)
-    rules = chain.mutated_rules("2a", (DEAD, GATE))
-    try:
-        seq = chain.legal_sequence(3, 2, rules)
-        diverged = [c.to_string() for c in seq[:33]] != golden_cfgs
-    except chain.BranchingError:
-        diverged = True
-    facts_fail = not verify.check_facts(3, 2, rules=rules).passed
+    # fault A: one mutated rewrite rule, installed as the rule table ->
+    # the traced round diverges (criterion 1) and the facts suite reports
+    # violations (criterion 3)
+    with monkeypatch.context() as mp:
+        mp.setattr(chain, "RULES", chain.mutated_rules("2a", (DEAD, GATE)))
+        try:
+            seq = chain.legal_sequence(3, 2)
+            diverged = [c.to_string() for c in seq[:33]] != golden_cfgs
+        except chain.BranchingError:
+            diverged = True
+        facts_fail = not verify.check_facts(3, 2).passed
 
     # fault B: one dropped penalty family -> the census misses it
     # (criterion 2)
     dropped = hm.build_h_pen(3, 2, drop_family=(chain.DEAD, chain.BLANK, "B"))
     census_fail = len(dropped) != hm.expected_census(3, 1, 2)["pen"]
 
-    # fault C: one mutated hop -> a worked-example expansion changes
+    # fault C: one mutated hop, rule 3b's qi -> iq made qi -> xq (its
+    # projectors do not change) -> a worked-example expansion changes
     # (criterion 4)
-    terms = list(chain.TRANSITION_TERMS)
-    idx = terms.index(next(t for t in terms if t.rid == "3"
-                           and t.before == (chain.QUBIT, chain.INSI)
-                           and t.after == (chain.INSI, chain.QUBIT)))
-    terms[idx] = chain.Rule("3", terms[idx].types,
-                            (chain.QUBIT, chain.INSI),
-                            (chain.DEAD, chain.QUBIT))
     circ = _identity_circuit(3, 1, 2)
-    mutated_terms = [t for t in hm.build_h_prop(circ, transitions=tuple(terms))
-                     if t.rule == "3" and t.window == 5]
+    with monkeypatch.context() as mp:
+        mp.setattr(chain, "RULES",
+                   chain.mutated_rules("3b", (DEAD, chain.QUBIT)))
+        mutated_terms = [t for t in hm.build_h_prop(circ)
+                         if t.rule == "3" and t.window == 5]
     got = _expand(mutated_terms,
                   Configuration.from_string(WINDOW_CASES[0][0], 3, 2))
     golden_fail = got != WINDOW_CASES[0][1]

@@ -176,7 +176,6 @@ def test_annotated_sequence_one_cache_entry_per_shape():
     chain._annotated_sequence.cache_clear()
     chain.legal_sequence(3, 2)
     chain.annotated_sequence(3, 2)
-    chain.legal_sequence(3, 2, chain.RULES)
     assert chain._annotated_sequence.cache_info().currsize == 1
 
 
@@ -212,11 +211,12 @@ def test_every_legal_pair_is_allowed():
         assert chain.forbidden_witnesses(c) == []
 
 
-def test_mutated_rules_diverge():
-    rules = chain.mutated_rules("2a", (DEAD, GATE))
+def test_mutated_rules_diverge(monkeypatch):
+    legal = chain.legal_sequence(3, 2)
+    monkeypatch.setattr(chain, "RULES",
+                        chain.mutated_rules("2a", (DEAD, GATE)))
     try:
-        seq = chain.legal_sequence(3, 2, rules)
-        assert seq != chain.legal_sequence(3, 2)
+        assert chain.legal_sequence(3, 2) != legal
     except chain.BranchingError:
         pass  # branching is also an acceptable way to expose the fault
 
@@ -224,8 +224,9 @@ def test_mutated_rules_diverge():
 def test_transition_terms_are_rules_without_context():
     # one record: each term is its rule labelled by the parent rule,
     # with the context sites dropped
-    assert len(chain.TRANSITION_TERMS) == len(chain.RULES_BY_PARENT)
-    for term, rule in zip(chain.TRANSITION_TERMS, chain.RULES_BY_PARENT):
+    by_parent = chain._by_parent(chain.RULES, False)
+    assert len(chain.transition_terms()) == len(by_parent) == 14
+    for term, rule in zip(chain.transition_terms(), by_parent):
         assert term == chain.Rule(rule.rid[0], rule.types, rule.before,
                                   rule.after, context=())
     found = [term for c in chain.legal_sequence(3, 2)
@@ -233,13 +234,14 @@ def test_transition_terms_are_rules_without_context():
     assert found and all(isinstance(t, chain.Rule) for t in found)
 
 
-def test_branching_mutation_raises_on_every_call():
+def test_branching_mutation_raises_on_every_call(monkeypatch):
     # 2c's after-window <g lets rules 4a and 5a both fire; the cached
     # sequence must not turn the second call into a silent result
-    rules = chain.mutated_rules("2c", (chain.PUSHER, GATE))
+    monkeypatch.setattr(chain, "RULES",
+                        chain.mutated_rules("2c", (chain.PUSHER, GATE)))
     for _ in range(2):
         with pytest.raises(chain.BranchingError):
-            chain.legal_sequence(2, 2, rules)
+            chain.legal_sequence(2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +467,12 @@ def _reference_rules(c, direction):
 
 def _reference_exchanges(c):
     """Exchange neighbours of c by position, then term order,
-    before->after ahead of after->before, straight from TRANSITION_TERMS."""
+    before->after ahead of after->before, straight from the transition
+    terms."""
     out = []
     for i in range(1, c.length):
         pair = (c.sites[i - 1], c.sites[i])
-        for term in chain.TRANSITION_TERMS:
+        for term in chain.transition_terms():
             if chain.location_type(i, c.n, c.R) not in term.types:
                 continue
             for direction, a, b in (("forward", term.before, term.after),

@@ -327,6 +327,56 @@ def test_verify_fault_injection_exit_three(tmp_path):
     assert doc[0]["passed"] is False
 
 
+def test_verify_fault_is_installed_for_the_run_only(monkeypatch, capsys):
+    """A fault replaces one module attribute for its suite's run and is
+    undone afterwards, also when the suite raises."""
+    from hamline import chain, cli, hamiltonian as hm, verify
+    rules, build_h_pen = chain.RULES, hm.build_h_pen
+    facts = ["verify", "facts", "--n", "3", "--R", "2"]
+    assert cli.main(facts + ["--inject-fault", "mutate-rule"]) == 3
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if "[FAIL]" in line]
+    assert failed == ["  [FAIL] the legal sequence equals the closed-form "
+                      "templates measured=3 (measured: the first step where "
+                      "they differ)"]
+    assert chain.RULES is rules
+    assert cli.main(facts) == 0
+    assert cli.main(["verify", "census", "--inject-fault",
+                     "drop-pen-family"]) == 3
+    assert hm.build_h_pen is build_h_pen
+    assert cli.main(["verify", "census"]) == 0
+
+    seen = []
+
+    def raising(n, R):
+        seen.append(chain.RULES)
+        raise RuntimeError("suite raised")
+
+    monkeypatch.setattr(verify, "check_facts", raising)
+    assert cli.main(facts + ["--inject-fault", "mutate-rule"]) == 3
+    assert "RuntimeError('suite raised')" in capsys.readouterr().out
+    assert seen == [chain.mutated_rules("2a", (chain.DEAD, chain.GATE))]
+    assert chain.RULES is rules
+
+
+def test_unwritable_output_paths_exit_one(tmp_path, capsys):
+    """Every output option whose directory does not exist: one error line
+    and exit 1, no traceback."""
+    from hamline import cli
+    circ = write_circuit(tmp_path, ONE_ROUND_DOC)
+    missing = str(tmp_path / "missing" / "out.txt")
+    ok = str(tmp_path / "h.txt")
+    for argv in (["sequence", "--n", "2", "--R", "1", "--out", missing],
+                 ["compile", "--circuit", circ, "--out", missing],
+                 ["compile", "--circuit", circ, "--out", ok, "--coo", missing],
+                 ["spectrum", "--circuit", circ, "--out", missing],
+                 ["verify", "appendix", "--Lmax", "2", "--json", missing]):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert missing in err
+
+
 def test_unknown_method_usage_error(tmp_path):
     # --set names what spectrum solves; there is no --method of any value
     circ = write_circuit(tmp_path, ACCEPT_DOC)
@@ -422,7 +472,7 @@ def test_verify_suite_table_takes_only_what_each_suite_reads(monkeypatch,
             [f"suite={name}"] + [f"{p}={SUITE_OPTIONS[p]}" for p in params]
             + ([f"inject_fault={fault[0]}"] if fault else []))
         if func:
-            ran = [(func, sorted([*params, *([fault[1]] if fault else [])]))]
+            ran = [(func, sorted(params))]
         else:
             ran = [(f, sorted(ps)) for f, ps, _ in cli.SUITES.values()]
         assert calls == ran, name

@@ -210,6 +210,46 @@ def test_kernel_refuses_a_term_past_the_chain():
         hm._symbol_hits(hm.build_h_pen(3, 2), legal)
 
 
+def test_apply_restricted_refuses_a_term_past_the_chain():
+    # the hop images are looked up before the kernel runs; the same guard
+    # must run first there too (it was an IndexError)
+    spec = hm.build_hamiltonian(identity_circuit(3, 1, 2))
+    state = basis_state(chain.legal_sequence(2, 2)[0])
+    with pytest.raises(ValueError, match=r"term on sites \(\d+(, \d+)?\) "
+                                         r"lies past the chain of 8 sites"):
+        spectra.apply_restricted(spec, state)
+
+
+def test_every_route_follows_the_rule_table(monkeypatch):
+    """With 3d's after-window made ``.q``, every derived view follows the
+    installed table, and the original table's views come back with it."""
+    start = chain.initial_configuration(2, 2)
+    circ = identity_circuit(3, 1, 2)
+    before = (chain.legal_sequence(3, 2), hm.projector_layout(3, 2))
+    assert len(chain.invariant_set(start)) == 3200
+    mutant = chain.mutated_rules("3d", (BLANK, chain.QUBIT))
+    with monkeypatch.context() as mp:
+        mp.setattr(chain, "RULES", mutant)
+        assert len(chain.invariant_set(start)) == 465
+        hops = {(t.src, t.dst) for t in hm.build_h_prop(circ)
+                if t.kind == "hop" and t.rule == "3"}
+        assert ((chain.QUBIT, BLANK), (BLANK, chain.QUBIT)) in hops
+        assert ((chain.QUBIT, BLANK), (DEAD, chain.QUBIT)) not in hops
+        # a sequence and a layout derived from the mutant, not copies; 3d
+        # never fires on a legal configuration and its zw projector reads
+        # after[1] only, so both come out as before
+        chain._annotated_sequence.cache_clear()
+        assert chain.legal_sequence(3, 2) == before[0]
+        assert chain._annotated_sequence.cache_info().misses == 1
+        tables, by_parent = [], chain._by_parent
+        mp.setattr(chain, "_by_parent", lambda rules, exchanges: (
+            tables.append(rules) or by_parent(rules, exchanges)))
+        assert hm.projector_layout(3, 2) == before[1]
+        assert tables == [mutant]
+    assert len(chain.invariant_set(start)) == 3200
+    assert (chain.legal_sequence(3, 2), hm.projector_layout(3, 2)) == before
+
+
 # ---------------------------------------------------------------------------
 # propagation terms: worked single-window examples (rule-3 window at the
 # last pair of the first block, n=3)

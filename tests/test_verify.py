@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hamline import chain, hamiltonian as hm, spectra, verify
-from hamline.chain import Configuration, DEAD, GATE, INSI
+from hamline.chain import Configuration, DEAD, GATE
 from hamline.circuit import Gate2Q, LayeredCircuit, identity_round
 
 
@@ -20,19 +21,38 @@ def test_check_facts_grid():
         assert rep.passed, rep.to_text()
 
 
-def test_check_facts_catches_mutated_rules():
-    rules = chain.mutated_rules("2a", (DEAD, GATE))
-    rep = verify.check_facts(3, 2, rules=rules)
-    assert not rep.passed
+def test_check_facts_catches_mutated_rules(monkeypatch):
+    # with every route on the mutant table the five consistency checks
+    # pass; only the closed-form templates, which read no table, see it
+    monkeypatch.setattr(chain, "RULES",
+                        chain.mutated_rules("2a", (DEAD, GATE)))
+    checks = verify.check_facts(3, 2).checks
+    assert [c.passed for c in checks] == [True] * 5 + [False]
+    assert checks[-1].measured == 3
 
 
-def test_check_facts_catches_mutated_transitions():
-    terms = list(chain.TRANSITION_TERMS)
-    victim = terms.index(next(t for t in terms
-                              if t.rid == "2" and "A" in t.types))
-    terms[victim] = chain.Rule("2", frozenset("A"), (GATE, INSI), (DEAD, GATE))
-    rep = verify.check_facts(3, 2, transitions=tuple(terms))
-    assert not rep.passed
+def test_facts_catch_every_single_after_mutant_but_rule_3d(monkeypatch):
+    """Mutation census: each of the 490 single mutants of a rule's
+    ``after`` window is installed as the rule table, and the facts suite
+    runs at (2,2), (3,2) and (2,3); a branching table counts as caught.
+    Rule 3d never fires on a legal configuration, so only its mutants
+    may survive."""
+    rules, survivors = chain.RULES, []
+    for rule in rules:
+        for after in itertools.product(range(6), repeat=2):
+            if after == rule.after:
+                continue
+            monkeypatch.setattr(chain, "RULES",
+                                chain.mutated_rules(rule.rid, after))
+            try:
+                caught = not all(verify.check_facts(n, R).passed
+                                 for n, R in ((2, 2), (3, 2), (2, 3)))
+            except chain.BranchingError:
+                caught = True
+            if not caught:
+                survivors.append((rule.rid, after))
+    assert {rid for rid, _ in survivors} <= {"3d"}
+    assert len(survivors) <= 22, survivors
 
 
 def test_check_facts_reads_the_built_projector_terms(monkeypatch):
@@ -41,7 +61,8 @@ def test_check_facts_reads_the_built_projector_terms(monkeypatch):
     # projector checks must see it
     monkeypatch.setitem(hm.SYMBOL_SLOTS, chain.PUSHER, (0,))
     checks = verify.check_facts(3, 2).checks
-    assert [c.passed for c in checks] == [True, True, False, False, True]
+    assert [c.passed for c in checks] == [True, True, False, False, True,
+                                          True]
     assert [c.measured for c in checks[2:4]] == [22, 22]
 
 
@@ -77,10 +98,11 @@ def test_check_history_haar_within_precision_floor():
     assert 0.0 < floor < 1e-6
 
 
-def test_census_suite_and_negative_control():
+def test_census_suite_and_negative_control(monkeypatch):
     assert verify.census_suite(3, 2).passed
-    rep = verify.census_suite(3, 2,
-                              drop_pen_family=(chain.DEAD, chain.BLANK, "B"))
+    monkeypatch.setattr(hm, "build_h_pen", partial(
+        hm.build_h_pen, drop_family=(chain.DEAD, chain.BLANK, "B")))
+    rep = verify.census_suite(3, 2)
     assert not rep.passed
 
 
