@@ -224,8 +224,14 @@ def allowed_pair_count() -> int:
 
 def forbidden_families() -> tuple[tuple[int, int, str], ...]:
     """All forbidden (x, y, location-type) families, in a fixed order."""
-    return tuple((x, y, t) for x in range(6) for y in range(6) for t in _ALL
-                 if t not in ALLOWED_PAIRS.get((x, y), ""))
+    out = []
+    for x in range(6):
+        for y in range(6):
+            allowed = ALLOWED_PAIRS.get((x, y), "")
+            for t in _ALL:
+                if t not in allowed:
+                    out.append((x, y, t))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +303,27 @@ def mutated_rules(rid: str, after: tuple[int, int]) -> tuple[Rule, ...]:
 
 
 @lru_cache(maxsize=None)
-def _by_parent(rules: tuple[Rule, ...], exchanges: bool) -> tuple[Rule, ...]:
-    """A table stably sorted by (parent rule, most location types first),
-    or with ``exchanges`` its rules without context, labelled by parent
-    rule.  This order fixes the byte order of term exports."""
-    ordered = sorted(rules, key=lambda r: (r.rid[0], -len(r.types)))
-    if not exchanges:
-        return tuple(ordered)
-    return tuple(Rule(r.rid[0], r.types, r.before, r.after) for r in ordered)
+def _by_parent(rules: tuple[Rule, ...]) -> tuple[Rule, ...]:
+    """A rule table stably sorted by (parent rule, most location types
+    first).  The transition terms and the projector layout of the
+    propagation family are derived in this order; assembly keeps ties
+    between pieces on the same sites in it, so it fixes the byte order
+    of term exports."""
+    return tuple(sorted(rules, key=lambda r: (r.rid[0], -len(r.types))))
+
+
+@lru_cache(maxsize=None)
+def _transition_terms(rules: tuple[Rule, ...]) -> tuple[Rule, ...]:
+    return tuple(Rule(r.rid[0], r.types, r.before, r.after)
+                 for r in _by_parent(rules))
 
 
 def transition_terms() -> tuple[Rule, ...]:
-    """The transition terms of :data:`RULES` (:func:`_by_parent`), which
-    can fire at "wrong" moments and map configurations out of the legal set."""
-    return _by_parent(RULES, True)
+    """Transition pieces, one per rule of :data:`RULES`: the rule without
+    its context sites, labelled by its parent rule, in by-parent order
+    (:func:`_by_parent`).  Unlike the rules they can fire at "wrong"
+    moments and map configurations out of the legal set."""
+    return _transition_terms(RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +343,11 @@ class _Move(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _move_index(n: int, R: int, rules: tuple, exchanges: bool) -> tuple:
-    """The move index of a rule table, or with ``exchanges`` of its
-    transition terms (:func:`_by_parent`): for each pair (i, i+1), left to
+def _move_index(n: int, R: int, table: tuple) -> tuple[dict, ...]:
+    """The move index of a rule table: for each pair (i, i+1), left to
     right, a dict from the symbol pair there to its moves, in table order
     with each entry's forward move (before -> after) before its backward
     one.  A move with a context site off the chain is left out."""
-    table = _by_parent(rules, True) if exchanges else rules
     index = []
     for i, t in enumerate(location_types(n, R), 1):
         at: dict[tuple[int, int], list[_Move]] = {}
@@ -364,10 +375,11 @@ def _fire(sites: bytes, index, direction: str | None = None) -> list:
     return out
 
 
-def _rule_moves(c: Configuration, direction: str) -> list:
-    """(instance, result) for every rule of :data:`RULES` matching c in
-    ``direction``, rule-major: by table order, then by position."""
-    fired = _fire(c.sites, _move_index(c.n, c.R, RULES, False), direction)
+def _rule_moves(c: Configuration, direction: str,
+                rules: tuple[Rule, ...]) -> list:
+    """(instance, result) for every rule matching c in ``direction``,
+    rule-major: by table order, then by position."""
+    fired = _fire(c.sites, _move_index(c.n, c.R, rules), direction)
     return [(RuleInstance(m.entry.rid, i, direction),
              Configuration._trusted(c.n, c.R, s))
             for m, i, s in sorted(fired, key=lambda f: f[0].rank)]
@@ -375,17 +387,17 @@ def _rule_moves(c: Configuration, direction: str) -> list:
 
 def forward_rules(c: Configuration) -> list[RuleInstance]:
     """All rule instances whose left-hand side matches c."""
-    return [inst for inst, _ in _rule_moves(c, "forward")]
+    return [inst for inst, _ in _rule_moves(c, "forward", RULES)]
 
 
 def backward_rules(c: Configuration) -> list[RuleInstance]:
     """All rule instances whose right-hand side matches c."""
-    return [inst for inst, _ in _rule_moves(c, "backward")]
+    return [inst for inst, _ in _rule_moves(c, "backward", RULES)]
 
 
 def apply_rule(c: Configuration, inst: RuleInstance) -> Configuration:
     """Rewrite the two-site window of a matched rule instance."""
-    for found, nxt in _rule_moves(c, inst.direction):
+    for found, nxt in _rule_moves(c, inst.direction, RULES):
         if found == inst:
             return nxt
     raise ValueError(f"rule {inst.rule} does not apply "
@@ -397,8 +409,9 @@ def exchange_neighbours(c: Configuration
     """Every configuration one exchange away, as (term, position,
     direction, result) tuples by position, then term order; direction is
     "forward" for before->after and "backward" for after->before."""
+    index = _move_index(c.n, c.R, transition_terms())
     return [(m.entry, i, m.direction, Configuration._trusted(c.n, c.R, s))
-            for m, i, s in _fire(c.sites, _move_index(c.n, c.R, RULES, True))]
+            for m, i, s in _fire(c.sites, index)]
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +448,11 @@ def annotated_sequence(n: int, R: int):
 @lru_cache(maxsize=None)
 def _annotated_sequence(n: int, R: int, rules: tuple[Rule, ...]):
     c = initial_configuration(n, R)
-    seq, applied, seen = [c], [], {c}
+    seq = [c]
+    applied = []
+    seen = {c}
     while True:
-        fr = _rule_moves(c, "forward")
+        fr = _rule_moves(c, "forward", rules)
         if len(fr) > 1:
             raise BranchingError(f"{len(fr)} forward rules apply to {c}: "
                                  f"{[inst for inst, _ in fr]}")
@@ -688,7 +703,7 @@ def invariant_set(c: Configuration, cap: int = 5_000_000) -> InvariantSet:
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    index = _move_index(c.n, c.R, RULES, True)
+    index = _move_index(c.n, c.R, transition_terms())
     rows = np.frombuffer(c.sites, dtype=np.uint8).reshape(1, -1)
     prev = cur = _keys(rows)
     layers, total, capped = [cur], 1, False
@@ -726,17 +741,16 @@ def _violation_near(sites: bytes, i: int, n: int, R: int) -> bool:
                    for j in range(max(i - 1, 1), min(i + 2, len(sites)))))
 
 
-def _horizon(c: Configuration, exchanges: bool,
+def _horizon(c: Configuration, table: tuple,
              direction: str | None) -> int | None:
     """Breadth-first search shared by both horizons: the fewest moves of
-    :data:`RULES`, or with ``exchanges`` of its transition terms (in
-    ``direction``, or both), from the undetectable c to a
+    ``table`` (in ``direction``, or both) from the undetectable c to a
     configuration with a local violation, or None if none is reachable;
     searched configurations have none (:func:`_violation_near`)."""
     verdict = classify(c)
     if verdict.tag != "undetectable":
         raise ValueError(f"expected an undetectable configuration, got {verdict.tag}")
-    index = _move_index(c.n, c.R, RULES, exchanges)
+    index = _move_index(c.n, c.R, table)
     seen = {c.sites}
     queue = deque([(c.sites, 0)])
     while queue:
@@ -767,7 +781,7 @@ def detect_horizon(c: Configuration) -> int | None:
     detectable ones through the 2-local exchange terms (see
     :func:`exchange_horizon`).
     """
-    return _horizon(c, False, "forward")
+    return _horizon(c, RULES, "forward")
 
 
 def exchange_horizon(c: Configuration) -> int | None:
@@ -781,7 +795,7 @@ def exchange_horizon(c: Configuration) -> int | None:
     penalty anywhere in it, which would defeat the penalty mechanism;
     the verification suites treat that as a hard failure.
     """
-    return _horizon(c, True, None)
+    return _horizon(c, transition_terms(), None)
 
 
 # ---------------------------------------------------------------------------

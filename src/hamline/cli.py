@@ -178,15 +178,20 @@ def cmd_compile(args) -> int:
 
 def sequence_lines(n: int, R: int) -> list[str]:
     from . import chain
-    return [f"{c.to_string()}  {inst.rule if inst else '-'}"
-            for c, inst in zip(*chain.annotated_sequence(n, R))]
+    seq, applied = chain.annotated_sequence(n, R)
+    lines = []
+    for c, inst in zip(seq, applied):
+        rule = inst.rule if inst is not None else "-"
+        lines.append(f"{c.to_string()}  {rule}")
+    return lines
 
 
 def cmd_sequence(args) -> int:
     if _bad_shape(args.n, args.R):
         return EXIT_VALIDATION
     lines = sequence_lines(args.n, args.R)
-    print("\n".join(lines))
+    for line in lines:
+        print(line)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")

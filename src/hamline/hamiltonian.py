@@ -360,7 +360,7 @@ def projector_layout(n: int, R: int) -> list[LocalTerm]:
     chain (a single-site projector at a chain end).
     """
     rows: dict[tuple, frozenset] = {}
-    for r in chain._by_parent(chain.RULES, False):
+    for r in chain._by_parent(chain.RULES):
         ctx = dict(r.context)
         xy = (-1, (ctx[-1], r.before[0])) if -1 in ctx else (0, r.before)
         zw = (+1, (r.after[1], ctx[2])) if 2 in ctx else (0, r.after)

@@ -165,8 +165,12 @@ def check_facts(n: int, R: int) -> Report:
     bad_zw = int(np.sum(np.bincount(row[~xy], minlength=K + 1) != (steps > 0)))
     bad_fwd = bad_bwd = bad_exch = 0
     for t_, c in enumerate(seq):
-        bad_fwd += len(chain.forward_rules(c)) != (t_ < K)
-        bad_bwd += len(chain.backward_rules(c)) != (t_ > 0)
+        nf = len(chain.forward_rules(c))
+        nb = len(chain.backward_rules(c))
+        if nf != (1 if t_ < K else 0):
+            bad_fwd += 1
+        if nb != (1 if t_ > 0 else 0):
+            bad_bwd += 1
         fwd_legal = bwd_legal = 0
         for term, i, direction, out in chain.exchange_neighbours(c):
             if direction == "forward" and t_ < K and out == seq[t_ + 1]:
@@ -177,7 +181,10 @@ def check_facts(n: int, R: int) -> Report:
                 continue
             if not chain._violation_near(out.sites, i, n, R):
                 bad_exch += 1
-        bad_exch += (t_ < K and fwd_legal != 1) + (t_ > 0 and bwd_legal != 1)
+        if t_ < K and fwd_legal != 1:
+            bad_exch += 1
+        if t_ > 0 and bwd_legal != 1:
+            bad_exch += 1
     rep.add(f"forward rule unique on all {K + 1} legal configurations",
             bad_fwd == 0, measured=bad_fwd, bound=0)
     rep.add("backward rule unique", bad_bwd == 0, measured=bad_bwd, bound=0)
@@ -537,7 +544,11 @@ def horizon_suite(max_len: int = 12) -> Report:
     """
     rep = Report(f"horizon(max_len={max_len})")
     for n, R in _chain_shapes(max_len):
-        total = worst_fwd = worst_ex = fwd_stuck = ex_unreachable = 0
+        total = 0
+        worst_fwd = 0
+        worst_ex = 0
+        fwd_stuck = 0
+        ex_unreachable = 0
         for c in chain.undetectable_configurations(n, R):
             total += 1
             h = chain.detect_horizon(c)

@@ -224,7 +224,7 @@ def test_mutated_rules_diverge(monkeypatch):
 def test_transition_terms_are_rules_without_context():
     # one record: each term is its rule labelled by the parent rule,
     # with the context sites dropped
-    by_parent = chain._by_parent(chain.RULES, False)
+    by_parent = chain._by_parent(chain.RULES)
     assert len(chain.transition_terms()) == len(by_parent) == 14
     for term, rule in zip(chain.transition_terms(), by_parent):
         assert term == chain.Rule(rule.rid[0], rule.types, rule.before,

@@ -242,8 +242,8 @@ def test_every_route_follows_the_rule_table(monkeypatch):
         assert chain.legal_sequence(3, 2) == before[0]
         assert chain._annotated_sequence.cache_info().misses == 1
         tables, by_parent = [], chain._by_parent
-        mp.setattr(chain, "_by_parent", lambda rules, exchanges: (
-            tables.append(rules) or by_parent(rules, exchanges)))
+        mp.setattr(chain, "_by_parent", lambda rules: (
+            tables.append(rules) or by_parent(rules)))
         assert hm.projector_layout(3, 2) == before[1]
         assert tables == [mutant]
     assert len(chain.invariant_set(start)) == 3200

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -33,26 +34,37 @@ def test_check_facts_catches_mutated_rules(monkeypatch):
 
 def test_facts_catch_every_single_after_mutant_but_rule_3d(monkeypatch):
     """Mutation census: each of the 490 single mutants of a rule's
-    ``after`` window is installed as the rule table, and the facts suite
-    runs at (2,2), (3,2) and (2,3); a branching table counts as caught.
-    Rule 3d never fires on a legal configuration, so only its mutants
-    may survive."""
-    rules, survivors = chain.RULES, []
+    ``after`` window is installed in turn as the rule table, and the
+    facts suite runs at (2,2), (3,2) and (2,3) until a shape fails; a
+    branching table counts as caught.  Rule 3d never fires on a legal
+    configuration, so only its mutants survive, 22 of its 35.  The
+    exchange check and the template check each catch some mutant alone."""
+    rules, survivors, alone = chain.RULES, [], Counter()
     for rule in rules:
         for after in itertools.product(range(6), repeat=2):
             if after == rule.after:
                 continue
+            # mutated_rules reads chain.RULES: restore it first, so that
+            # each mutant differs from the table in this one rule only
+            monkeypatch.setattr(chain, "RULES", rules)
             monkeypatch.setattr(chain, "RULES",
                                 chain.mutated_rules(rule.rid, after))
+            assert [new != old for new, old in zip(chain.RULES, rules)].count(
+                True) == 1
             try:
-                caught = not all(verify.check_facts(n, R).passed
-                                 for n, R in ((2, 2), (3, 2), (2, 3)))
+                failed = next(filter(None, (
+                    [k for k, c in enumerate(verify.check_facts(n, R).checks)
+                     if not c.passed]
+                    for n, R in ((2, 2), (3, 2), (2, 3)))), None)
             except chain.BranchingError:
-                caught = True
-            if not caught:
+                failed = ["branching"]
+            if failed is None:
                 survivors.append((rule.rid, after))
-    assert {rid for rid, _ in survivors} <= {"3d"}
-    assert len(survivors) <= 22, survivors
+            elif len(failed) == 1:
+                alone[failed[0]] += 1
+    assert {rid for rid, _ in survivors} == {"3d"}
+    assert len(survivors) == 22, survivors
+    assert alone[4] > 0 and alone[5] > 0, alone
 
 
 def test_check_facts_reads_the_built_projector_terms(monkeypatch):
