@@ -25,17 +25,17 @@ The module provides
 Which move fires where comes from one move index per (n, R, table)
 (:func:`_move_index`): the rule scans and application, the legal
 sequence, the exchange neighbours and both horizons read it, and the
-allowed-pair test reads the matching per-window pair sets.  Sets of
-configurations share one packed form with :mod:`hamline.spectra`
-(:class:`_Packed`); invariant sets are frontier closures over packed
-rows.
+allowed-pair test reads per-window pair sets; all are held while the
+tables stay installed (:func:`_per_table`).  Sets of configurations
+share one packed form with :mod:`hamline.spectra` (:class:`_Packed`);
+invariant sets are frontier closures over packed rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -210,7 +210,28 @@ def pair_allowed(x: int, y: int, loc: str) -> bool:
     return loc in ALLOWED_PAIRS.get((x, y), "")
 
 
-@lru_cache(maxsize=None)
+#: :func:`_per_table` values by (name, arguments), of the tables in
+#: ``_memo_for``: the installed (RULES, ALLOWED_PAIRS) when last called.
+_memo: dict = {}
+_memo_for: list = [None, None]
+
+
+def _per_table(f):
+    """Memoize ``f`` until :data:`RULES` or :data:`ALLOWED_PAIRS` is
+    replaced (checked by identity); an exception is not memoized."""
+    @wraps(f)
+    def memo(*args):
+        if not (_memo_for[0] is RULES and _memo_for[1] is ALLOWED_PAIRS):
+            _memo.clear()
+            _memo_for[:] = RULES, ALLOWED_PAIRS
+        key = (f.__name__, *args)
+        if key not in _memo:
+            _memo[key] = f(*args)
+        return _memo[key]
+    return memo
+
+
+@_per_table
 def _allowed_at(n: int, R: int) -> tuple[frozenset, ...]:
     """The symbol pairs allowed at each pair (i, i+1), in window order."""
     return tuple(frozenset(p for p, types in ALLOWED_PAIRS.items()
@@ -302,28 +323,24 @@ def mutated_rules(rid: str, after: tuple[int, int]) -> tuple[Rule, ...]:
                  for r in RULES)
 
 
-@lru_cache(maxsize=None)
-def _by_parent(rules: tuple[Rule, ...]) -> tuple[Rule, ...]:
-    """A rule table stably sorted by (parent rule, most location types
+@_per_table
+def _by_parent() -> tuple[Rule, ...]:
+    """:data:`RULES` stably sorted by (parent rule, most location types
     first).  The transition terms and the projector layout of the
     propagation family are derived in this order; assembly keeps ties
     between pieces on the same sites in it, so it fixes the byte order
     of term exports."""
-    return tuple(sorted(rules, key=lambda r: (r.rid[0], -len(r.types))))
+    return tuple(sorted(RULES, key=lambda r: (r.rid[0], -len(r.types))))
 
 
-@lru_cache(maxsize=None)
-def _transition_terms(rules: tuple[Rule, ...]) -> tuple[Rule, ...]:
-    return tuple(Rule(r.rid[0], r.types, r.before, r.after)
-                 for r in _by_parent(rules))
-
-
+@_per_table
 def transition_terms() -> tuple[Rule, ...]:
     """Transition pieces, one per rule of :data:`RULES`: the rule without
     its context sites, labelled by its parent rule, in by-parent order
     (:func:`_by_parent`).  Unlike the rules they can fire at "wrong"
     moments and map configurations out of the legal set."""
-    return _transition_terms(RULES)
+    return tuple(Rule(r.rid[0], r.types, r.before, r.after)
+                 for r in _by_parent())
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +359,13 @@ class _Move(NamedTuple):
     context: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=None)
-def _move_index(n: int, R: int, table: tuple) -> tuple[dict, ...]:
-    """The move index of a rule table: for each pair (i, i+1), left to
-    right, a dict from the symbol pair there to its moves, in table order
-    with each entry's forward move (before -> after) before its backward
-    one.  A move with a context site off the chain is left out."""
+@_per_table
+def _move_index(n: int, R: int, kind: str) -> tuple[dict, ...]:
+    """The move index of the "rules" or "exchanges" (transition terms):
+    for each pair (i, i+1), left to right, a dict from the symbol pair
+    there to its moves, in table order, each entry's forward move (before
+    -> after) first; a move with a context site off the chain is left out."""
+    table = RULES if kind == "rules" else transition_terms()
     index = []
     for i, t in enumerate(location_types(n, R), 1):
         at: dict[tuple[int, int], list[_Move]] = {}
@@ -375,11 +393,10 @@ def _fire(sites: bytes, index, direction: str | None = None) -> list:
     return out
 
 
-def _rule_moves(c: Configuration, direction: str,
-                rules: tuple[Rule, ...]) -> list:
+def _rule_moves(c: Configuration, direction: str) -> list:
     """(instance, result) for every rule matching c in ``direction``,
     rule-major: by table order, then by position."""
-    fired = _fire(c.sites, _move_index(c.n, c.R, rules), direction)
+    fired = _fire(c.sites, _move_index(c.n, c.R, "rules"), direction)
     return [(RuleInstance(m.entry.rid, i, direction),
              Configuration._trusted(c.n, c.R, s))
             for m, i, s in sorted(fired, key=lambda f: f[0].rank)]
@@ -387,17 +404,17 @@ def _rule_moves(c: Configuration, direction: str,
 
 def forward_rules(c: Configuration) -> list[RuleInstance]:
     """All rule instances whose left-hand side matches c."""
-    return [inst for inst, _ in _rule_moves(c, "forward", RULES)]
+    return [inst for inst, _ in _rule_moves(c, "forward")]
 
 
 def backward_rules(c: Configuration) -> list[RuleInstance]:
     """All rule instances whose right-hand side matches c."""
-    return [inst for inst, _ in _rule_moves(c, "backward", RULES)]
+    return [inst for inst, _ in _rule_moves(c, "backward")]
 
 
 def apply_rule(c: Configuration, inst: RuleInstance) -> Configuration:
     """Rewrite the two-site window of a matched rule instance."""
-    for found, nxt in _rule_moves(c, inst.direction, RULES):
+    for found, nxt in _rule_moves(c, inst.direction):
         if found == inst:
             return nxt
     raise ValueError(f"rule {inst.rule} does not apply "
@@ -409,7 +426,7 @@ def exchange_neighbours(c: Configuration
     """Every configuration one exchange away, as (term, position,
     direction, result) tuples by position, then term order; direction is
     "forward" for before->after and "backward" for after->before."""
-    index = _move_index(c.n, c.R, transition_terms())
+    index = _move_index(c.n, c.R, "exchanges")
     return [(m.entry, i, m.direction, Configuration._trusted(c.n, c.R, s))
             for m, i, s in _fire(c.sites, index)]
 
@@ -438,21 +455,17 @@ class BranchingError(RuntimeError):
     """Raised if more than one forward rule ever applies to a legal state."""
 
 
+@_per_table
 def annotated_sequence(n: int, R: int):
     """(configurations, applied-rule instances) under :data:`RULES`; the
-    last annotation is None.  Cached once per (n, R, rule table); a table
+    last annotation is None.  Held while the table is installed; a table
     that branches raises :class:`BranchingError` on every call."""
-    return _annotated_sequence(n, R, RULES)
-
-
-@lru_cache(maxsize=None)
-def _annotated_sequence(n: int, R: int, rules: tuple[Rule, ...]):
     c = initial_configuration(n, R)
     seq = [c]
     applied = []
     seen = {c}
     while True:
-        fr = _rule_moves(c, "forward", rules)
+        fr = _rule_moves(c, "forward")
         if len(fr) > 1:
             raise BranchingError(f"{len(fr)} forward rules apply to {c}: "
                                  f"{[inst for inst, _ in fr]}")
@@ -631,8 +644,7 @@ class _Packed:
 
     @classmethod
     def of(cls, configs) -> "_Packed":
-        return cls(np.frombuffer(b"".join(c.sites for c in configs),
-                                 dtype=np.uint8).reshape(len(configs), -1))
+        return cls(_rows_of(configs))
 
     def hop(self, i: int, a: tuple[int, int], b: tuple[int, int]):
         """The rows carrying pair ``a`` at sites (i, i+1); for each, the
@@ -660,6 +672,12 @@ def _move_rows(S: np.ndarray, j: int, a: tuple, b: tuple):
     moved = S[src]
     moved[:, j:j + 2] = b
     return src, moved
+
+
+def _rows_of(configs) -> np.ndarray:
+    """Configurations of one chain as packed rows, in their order."""
+    return np.frombuffer(b"".join(c.sites for c in configs),
+                         dtype=np.uint8).reshape(len(configs), -1)
 
 
 def _keys(S: np.ndarray) -> np.ndarray:
@@ -703,8 +721,8 @@ def invariant_set(c: Configuration, cap: int = 5_000_000) -> InvariantSet:
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    index = _move_index(c.n, c.R, transition_terms())
-    rows = np.frombuffer(c.sites, dtype=np.uint8).reshape(1, -1)
+    index = _move_index(c.n, c.R, "exchanges")
+    rows = _rows_of([c])
     prev = cur = _keys(rows)
     layers, total, capped = [cur], 1, False
     while len(rows) and not capped:
@@ -741,16 +759,16 @@ def _violation_near(sites: bytes, i: int, n: int, R: int) -> bool:
                    for j in range(max(i - 1, 1), min(i + 2, len(sites)))))
 
 
-def _horizon(c: Configuration, table: tuple,
+def _horizon(c: Configuration, kind: str,
              direction: str | None) -> int | None:
     """Breadth-first search shared by both horizons: the fewest moves of
-    ``table`` (in ``direction``, or both) from the undetectable c to a
+    ``kind`` (in ``direction``, or both) from the undetectable c to a
     configuration with a local violation, or None if none is reachable;
     searched configurations have none (:func:`_violation_near`)."""
     verdict = classify(c)
     if verdict.tag != "undetectable":
         raise ValueError(f"expected an undetectable configuration, got {verdict.tag}")
-    index = _move_index(c.n, c.R, table)
+    index = _move_index(c.n, c.R, kind)
     seen = {c.sites}
     queue = deque([(c.sites, 0)])
     while queue:
@@ -781,7 +799,7 @@ def detect_horizon(c: Configuration) -> int | None:
     detectable ones through the 2-local exchange terms (see
     :func:`exchange_horizon`).
     """
-    return _horizon(c, RULES, "forward")
+    return _horizon(c, "rules", "forward")
 
 
 def exchange_horizon(c: Configuration) -> int | None:
@@ -795,7 +813,7 @@ def exchange_horizon(c: Configuration) -> int | None:
     penalty anywhere in it, which would defeat the penalty mechanism;
     the verification suites treat that as a hard failure.
     """
-    return _horizon(c, transition_terms(), None)
+    return _horizon(c, "exchanges", None)
 
 
 # ---------------------------------------------------------------------------

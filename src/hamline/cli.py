@@ -260,26 +260,25 @@ def cmd_verify(args) -> int:
                   f">= {least}", file=sys.stderr)
             return EXIT_VALIDATION
 
-    reports = []
-    for name in SUITES if args.suite == "all" else [args.suite]:
-        func, params, fault = SUITES[name]
-        kwargs = {param: getattr(args, param) for param in params}
-        fault_patch = contextlib.nullcontext()
-        if getattr(args, "inject_fault", None):
-            from unittest import mock
-            fault_patch = mock.patch.object(*fault[1](chain, hamiltonian))
-        try:
-            with fault_patch:
-                rep = getattr(verify, func)(**kwargs)
-        except Exception as exc:  # suites must fail loudly, not crash
-            rep = verify.Report(name)
-            rep.add("suite ran to completion", False, notes=repr(exc))
-        reports.append(rep)
-    for rep in reports:
-        print(rep.to_text())
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write("[" + ",\n".join(r.to_json() for r in reports) + "]\n")
+    with open(args.json or os.devnull, "w") as fh:  # before any suite runs
+        reports = []
+        for name in SUITES if args.suite == "all" else [args.suite]:
+            func, params, fault = SUITES[name]
+            kwargs = {param: getattr(args, param) for param in params}
+            fault_patch = contextlib.nullcontext()
+            if getattr(args, "inject_fault", None):
+                from unittest import mock
+                fault_patch = mock.patch.object(*fault[1](chain, hamiltonian))
+            try:
+                with fault_patch:
+                    rep = getattr(verify, func)(**kwargs)
+            except Exception as exc:  # suites must fail loudly, not crash
+                rep = verify.Report(name)
+                rep.add("suite ran to completion", False, notes=repr(exc))
+            reports.append(rep)
+        for rep in reports:
+            print(rep.to_text())
+        fh.write("[" + ",\n".join(r.to_json() for r in reports) + "]\n")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_SUITE
 
 

@@ -290,10 +290,8 @@ def _symbol_hits(terms, configs) -> tuple[np.ndarray, np.ndarray]:
         if t.kind != "diag" or _reads_content(t.diag_slots):
             raise ValueError(f"the {t.family} term on sites {t.sites} has "
                              "no symbol-level value")
-    S = np.frombuffer(b"".join(c.sites for c in configs),
-                      dtype=np.uint8).reshape(len(configs), -1)
     term, row = zip((np.zeros(0, np.intp),) * 2,
-                    *_gather(terms, SLOT[S, 0].T))
+                    *_gather(terms, SLOT[chain._rows_of(configs), 0].T))
     return np.concatenate(term), np.concatenate(row)
 
 
@@ -360,7 +358,7 @@ def projector_layout(n: int, R: int) -> list[LocalTerm]:
     chain (a single-site projector at a chain end).
     """
     rows: dict[tuple, frozenset] = {}
-    for r in chain._by_parent(chain.RULES):
+    for r in chain._by_parent():
         ctx = dict(r.context)
         xy = (-1, (ctx[-1], r.before[0])) if -1 in ctx else (0, r.before)
         zw = (+1, (r.after[1], ctx[2])) if 2 in ctx else (0, r.after)

@@ -422,7 +422,7 @@ def soundness_probe() -> Report:
 # Census suite
 # ---------------------------------------------------------------------------
 
-def census_suite(n: int = 2, R: int = 2) -> Report:
+def census_suite(n: int, R: int) -> Report:
     """Pair-table and term-count checks against their closed forms, for
     circuits with one witness qubit, and the built pen terms on legal
     and dead-blank configurations, at symbol level."""
@@ -459,7 +459,7 @@ def census_suite(n: int = 2, R: int = 2) -> Report:
 # Walk-matrix suite
 # ---------------------------------------------------------------------------
 
-def appendix_suite(Lmax: int = 64) -> Report:
+def appendix_suite(Lmax: int) -> Report:
     """Closed-form walk spectra and eigenvectors against dense solvers."""
     rep = Report(f"appendix(Lmax={Lmax})")
     cases = ((0.5, 0.5), (1.0, 1.0), (1.0, 0.5))
@@ -531,7 +531,7 @@ def _chain_shapes(max_len: int):
             yield n, R
 
 
-def horizon_suite(max_len: int = 12) -> Report:
+def horizon_suite(max_len: int) -> Report:
     """Detectability horizons of every locally undetectable configuration
     on chains of at most max_len sites.
 

@@ -79,6 +79,27 @@ def test_pair_allowed_examples():
     assert not chain.pair_allowed(DEAD, GATE, "B")
 
 
+def test_every_route_follows_the_pair_table(monkeypatch):
+    """After one classify, a pair table without (q, g) moves every route
+    that reads the table together, and the original comes back with it."""
+    c = cfg("xqg.|....", 2, 2)
+    assert chain.classify(c).tag == "legal"
+    assert not chain._violation_near(c.sites, 2, 2, 2)
+    monkeypatch.setattr(chain, "ALLOWED_PAIRS", {
+        pair: types for pair, types in chain.ALLOWED_PAIRS.items()
+        if pair != (QUBIT, GATE)})
+    witness = ("pair", 2, "B", (QUBIT, GATE))
+    assert chain.classify(c) == chain.ConfigClass("detectable",
+                                                  witness=witness)
+    assert chain.forbidden_witnesses(c) == [witness]
+    assert chain._violation_near(c.sites, 2, 2, 2)
+    assert len(chain.forbidden_families()) == 125
+    assert (QUBIT, GATE, "B") in chain.forbidden_families()
+    monkeypatch.undo()
+    assert chain.classify(c).tag == "legal"
+    assert not chain._violation_near(c.sites, 2, 2, 2)
+
+
 # ---------------------------------------------------------------------------
 # rules
 # ---------------------------------------------------------------------------
@@ -173,10 +194,12 @@ def test_apply_rule_involution_and_holder_count(idx):
 # ---------------------------------------------------------------------------
 
 def test_annotated_sequence_one_cache_entry_per_shape():
-    chain._annotated_sequence.cache_clear()
+    chain._memo.clear()
     chain.legal_sequence(3, 2)
     chain.annotated_sequence(3, 2)
-    assert chain._annotated_sequence.cache_info().currsize == 1
+    shapes = [key[1:] for key in chain._memo
+              if key[0] == "annotated_sequence"]
+    assert shapes == [(3, 2)]
 
 
 def test_sequence_lengths():
@@ -224,7 +247,7 @@ def test_mutated_rules_diverge(monkeypatch):
 def test_transition_terms_are_rules_without_context():
     # one record: each term is its rule labelled by the parent rule,
     # with the context sites dropped
-    by_parent = chain._by_parent(chain.RULES)
+    by_parent = chain._by_parent()
     assert len(chain.transition_terms()) == len(by_parent) == 14
     for term, rule in zip(chain.transition_terms(), by_parent):
         assert term == chain.Rule(rule.rid[0], rule.types, rule.before,

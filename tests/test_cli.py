@@ -377,6 +377,30 @@ def test_unwritable_output_paths_exit_one(tmp_path, capsys):
         assert missing in err
 
 
+def test_unwritable_output_paths_fail_before_the_work(tmp_path, monkeypatch,
+                                                      capsys):
+    """``verify --json`` opens its path before any suite runs, and
+    ``compile --out`` before the export; a parse error leaves no file."""
+    from hamline import cli, hamiltonian as hm, verify
+    calls = []
+    for func, _, _ in cli.SUITES.values():
+        monkeypatch.setattr(verify, func, lambda *a, func=func, **kw:
+                            calls.append(func))
+    monkeypatch.setattr(hm, "export_terms", lambda spec: calls.append(spec))
+    missing = str(tmp_path / "missing" / "x.json")
+    assert cli.main(["verify", "all", "--json", missing]) == 1
+    circ = write_circuit(tmp_path, ONE_ROUND_DOC)
+    assert cli.main(["compile", "--circuit", circ, "--out", missing]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.count(missing) == 2
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    out = tmp_path / "h.txt"
+    assert cli.main(["compile", "--circuit", str(bad), "--out",
+                     str(out)]) == 1
+    assert not out.exists()
+
+
 def test_unknown_method_usage_error(tmp_path):
     # --set names what spectrum solves; there is no --method of any value
     circ = write_circuit(tmp_path, ACCEPT_DOC)

@@ -238,14 +238,15 @@ def test_every_route_follows_the_rule_table(monkeypatch):
         # a sequence and a layout derived from the mutant, not copies; 3d
         # never fires on a legal configuration and its zw projector reads
         # after[1] only, so both come out as before
-        chain._annotated_sequence.cache_clear()
+        assert ("annotated_sequence", 3, 2) not in chain._memo
         assert chain.legal_sequence(3, 2) == before[0]
-        assert chain._annotated_sequence.cache_info().misses == 1
+        assert chain._memo_for[0] is mutant
         tables, by_parent = [], chain._by_parent
-        mp.setattr(chain, "_by_parent", lambda rules: (
-            tables.append(rules) or by_parent(rules)))
+        mp.setattr(chain, "_by_parent", lambda: (
+            tables.append(chain.RULES) or by_parent()))
         assert hm.projector_layout(3, 2) == before[1]
-        assert tables == [mutant]
+        assert len(tables) == 1 and tables[0] is mutant
+        assert {id(r) for r in by_parent()} == {id(r) for r in mutant}
     assert len(chain.invariant_set(start)) == 3200
     assert (chain.legal_sequence(3, 2), hm.projector_layout(3, 2)) == before
 
