@@ -675,7 +675,15 @@ def _move_rows(S: np.ndarray, j: int, a: tuple, b: tuple):
 
 
 def _rows_of(configs) -> np.ndarray:
-    """Configurations of one chain as packed rows, in their order."""
+    """Configurations of one chain as packed rows, in their order: a
+    (0, 0) array for none, and a ValueError for configurations of two
+    chains."""
+    chains = {(c.n, c.R) for c in configs}
+    if len(chains) > 1:
+        raise ValueError("configurations of two chains: (n, R) = "
+                         + " and ".join(map(str, sorted(chains)[:2])))
+    if not chains:
+        return np.zeros((0, 0), dtype=np.uint8)
     return np.frombuffer(b"".join(c.sites for c in configs),
                          dtype=np.uint8).reshape(len(configs), -1)
 

@@ -9,7 +9,7 @@ single-site basis states are ordered
 qubit-holding symbols occupy two slots each; symbol-level projectors sum
 over the content slots, and transition ("hop") terms move the content
 between sites, pairing slots in left-to-right order.  :data:`SLOT` maps
-each (symbol, content bit) to its slot.
+each (symbol, content bit) to its slot; every route reads it when run.
 
 One term kernel, :func:`_term_entries`, applies terms to packed
 configurations and their content spaces: :mod:`hamline.spectra` runs it
@@ -51,11 +51,11 @@ from math import ceil, log2
 import numpy as np
 
 from . import chain
-from .chain import BLANK, DEAD, GATE, INSI, PUSHER, QUBIT
+from .chain import GATE, QUBIT
 from .circuit import LayeredCircuit, gate_at_location
 
 __all__ = [
-    "BASIS_LABELS", "SYMBOL_SLOTS", "SLOT", "LocalTerm", "Couplings",
+    "BASIS_LABELS", "SLOT", "LocalTerm", "Couplings",
     "HamiltonianSpec", "build_h_in", "build_h_out", "build_h_pen",
     "build_h_prop", "build_pieces", "choose_couplings", "assemble",
     "build_hamiltonian", "expected_census", "census", "export_terms",
@@ -66,14 +66,9 @@ __all__ = [
 BASIS_LABELS = ("insi", "pusher", "blank", "dead",
                 "qubit0", "qubit1", "gate0", "gate1")
 
-#: Content slots occupied by each symbol.
-SYMBOL_SLOTS: dict[int, tuple[int, ...]] = {
-    INSI: (0,), PUSHER: (1,), BLANK: (2,), DEAD: (3,),
-    QUBIT: (4, 5), GATE: (6, 7),
-}
-
-GATE0, GATE1 = 6, 7
-QUBIT0, QUBIT1 = 4, 5
+#: Site state of each (symbol, content bit), one row per symbol code; a
+#: symbol without content reads its one slot for either bit.
+SLOT = np.array([[0, 0], [1, 1], [2, 2], [3, 3], [4, 5], [6, 7]])
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +154,6 @@ def _hop_term(family, sites, src, dst, gate=None, rule=None, window=None):
 # The term kernel
 # ---------------------------------------------------------------------------
 
-#: Site state of each (symbol, content bit); a symbol without content
-#: reads its one slot for either bit.
-SLOT = np.array([[slots[min(b, len(slots) - 1)] for b in (0, 1)]
-                 for _, slots in sorted(SYMBOL_SLOTS.items())])
-
-
 def _site_codes(pk: chain._Packed) -> np.ndarray:
     """Each site's digit of :func:`_site_index` for every basis vector of
     the packed rows, as an (L, dim) array: the :data:`SLOT` of the site's
@@ -182,13 +171,22 @@ def _site_index(pk: chain._Packed) -> np.ndarray:
     return index
 
 
-@lru_cache(maxsize=None)
+#: :func:`_window` values by width, for the SLOT rows in ``_windows_for``.
+_windows: dict = {}
+_windows_for: list = []
+
+
 def _window(w: int) -> tuple[chain._Packed, np.ndarray]:
     """Every symbol assignment of a w-site window, packed, with its
-    :func:`_site_index`."""
-    pk = chain._Packed(np.array(list(product(range(len(SLOT)), repeat=w)),
-                                dtype=np.uint8))
-    return pk, _site_index(pk)
+    :func:`_site_index` under the :data:`SLOT` rows installed now."""
+    if _windows_for != SLOT.tolist():
+        _windows.clear()
+        _windows_for[:] = SLOT.tolist()
+    if w not in _windows:
+        pk = chain._Packed(np.array(
+            list(product(range(len(SLOT)), repeat=w)), dtype=np.uint8))
+        _windows[w] = pk, _site_index(pk)
+    return _windows[w]
 
 
 @lru_cache(maxsize=None)
@@ -274,11 +272,10 @@ def _term_entries(terms, pk: chain._Packed):
         yield "hop", np.full(len(rows), j), rows, cols, vals
 
 
-@lru_cache(maxsize=None)
 def _reads_content(slot_sets: tuple[frozenset, ...]) -> bool:
-    """Whether a slot set holds one slot of a holder but not the other."""
-    return any(len(s & {a, b}) == 1 for s in slot_sets
-               for a, b in ((QUBIT0, QUBIT1), (GATE0, GATE1)))
+    """Whether a slot set holds part of a :data:`SLOT` row but not all."""
+    rows = [set(row) for row in SLOT.tolist()]
+    return any(0 < len(s & row) < len(row) for s in slot_sets for row in rows)
 
 
 def _symbol_hits(terms, configs) -> tuple[np.ndarray, np.ndarray]:
@@ -286,8 +283,10 @@ def _symbol_hits(terms, configs) -> tuple[np.ndarray, np.ndarray]:
     ``configs``, :func:`_gather` on one code per configuration with each
     holder at content bit 0.  That is exact for diag terms that do not
     :func:`_reads_content`; any other term is a ValueError."""
+    reads = {slot_sets: _reads_content(slot_sets) for slot_sets in
+             {t.diag_slots for t in terms if t.kind == "diag"}}
     for t in terms:
-        if t.kind != "diag" or _reads_content(t.diag_slots):
+        if t.kind != "diag" or reads[t.diag_slots]:
             raise ValueError(f"the {t.family} term on sites {t.sites} has "
                              "no symbol-level value")
     term, row = zip((np.zeros(0, np.intp),) * 2,
@@ -304,43 +303,33 @@ def build_h_in(n: int, m: int) -> list[LocalTerm]:
     at odd sites 3..2(n-m)-1 of the first block."""
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    terms = [_diag_term("in", (1,), [{GATE1}])]
+    terms = [_diag_term("in", (1,), [{SLOT[GATE, 1].item()}])]
     for i in range(2, n - m + 1):
-        terms.append(_diag_term("in", (2 * i - 1,), [{QUBIT1}]))
+        terms.append(_diag_term("in", (2 * i - 1,), [{SLOT[QUBIT, 1].item()}]))
     return terms
 
 
 def build_h_out(n: int, R: int) -> list[LocalTerm]:
     """Output penalty: gate content |0> at the last site."""
-    return [_diag_term("out", (2 * n * R,), [{GATE0}])]
+    return [_diag_term("out", (2 * n * R,), [{SLOT[GATE, 0].item()}])]
 
 
-def build_h_pen(n: int, R: int,
-                drop_family: tuple[int, int, str] | None = None
-                ) -> list[LocalTerm]:
+def build_h_pen(n: int, R: int) -> list[LocalTerm]:
     """Projectors onto every forbidden (pair, location-type) family at
-    every pair of that type, plus the two chain-end penalties.
-
-    ``drop_family`` omits one (x, y, type) family: the census fault
-    installs this function at that value in the module's place.
-    """
-    L = 2 * n * R
+    every pair of that type, plus the two chain-end penalties."""
+    L, slot = 2 * n * R, SLOT.tolist()
     types = chain.location_types(n, R)
     terms = []
     for (x, y, t) in chain.forbidden_families():
-        if drop_family == (x, y, t):
-            continue
         for i, ti in enumerate(types, 1):
             if ti == t:
-                terms.append(_diag_term(
-                    "pen", (i, i + 1),
-                    [SYMBOL_SLOTS[x], SYMBOL_SLOTS[y]]))
+                terms.append(_diag_term("pen", (i, i + 1), [slot[x], slot[y]]))
     # the chain ends: every symbol outside the allowed end symbols
     for site, allowed in ((1, chain.LEFT_END_ALLOWED),
                           (L, chain.RIGHT_END_ALLOWED)):
         terms.append(_diag_term("pen", (site,), [
-            {s for sym, slots in SYMBOL_SLOTS.items() if sym not in allowed
-             for s in slots}]))
+            {s for sym, row in enumerate(slot) if sym not in allowed
+             for s in row}]))
     return terms
 
 
@@ -365,14 +354,14 @@ def projector_layout(n: int, R: int) -> list[LocalTerm]:
         for piece, (off, pair) in (("xy", xy), ("zw", zw)):
             key = (r.rid[0], piece, off, pair)
             rows[key] = rows.get(key, frozenset()) | r.types
-    L, out = 2 * n * R, []
+    L, out, slot = 2 * n * R, [], SLOT.tolist()
     for i, t in enumerate(chain.location_types(n, R), 1):
         for (rule, piece, off, pair), types in rows.items():
             if t in types:
                 sites, syms = zip(*((j, s) for j, s in enumerate(
                     pair, i + off) if 1 <= j <= L))
                 out.append(_diag_term("prop", sites,
-                                      [SYMBOL_SLOTS[s] for s in syms],
+                                      [slot[s] for s in syms],
                                       rule=rule, piece=piece, window=i))
     return out
 

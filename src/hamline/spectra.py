@@ -104,8 +104,9 @@ class RestrictedState:
         parts = [_exact_real(np.asarray(v)) for v in self.amplitudes.values()]
         dtype = complex if any(np.iscomplexobj(v) for v in parts) else float
         out = np.zeros(full_dimension(self.n, self.R), dtype=dtype)
-        out[hm._site_index(chain._Packed.of(self.amplitudes))] = \
-            np.concatenate(parts)
+        if parts:
+            out[hm._site_index(chain._Packed.of(self.amplitudes))] = \
+                np.concatenate(parts)
         return out
 
 
@@ -176,6 +177,8 @@ def energy_parts(terms, state: RestrictedState) -> np.ndarray:
     (r, c) on the state's support, doubled for hop entries (T stands for
     T and T^dagger), in term order.  Hop images outside the support
     contribute nothing."""
+    if not state.amplitudes:
+        return np.zeros(0)
     x = np.concatenate([np.asarray(v, dtype=complex)
                         for v in state.amplitudes.values()])
     parts, which = [np.zeros(0)], [np.zeros(0, dtype=np.intp)]
@@ -342,6 +345,8 @@ def export_coo(spec: HamiltonianSpec) -> Iterator[str]:
 def _hop_images(terms, configs: list[Configuration]) -> list[Configuration]:
     """Configurations outside ``configs`` that one hop term maps one of
     them to, in either direction, each once and sorted by ``sites``."""
+    if not configs:
+        return []
     pk = chain._Packed.of(configs)
     hm._check_sites(terms, pk.S.shape[1])
     moved = [pk.S[:0]]  # no rows when no term is a hop
@@ -840,7 +845,8 @@ def walk_eigvector_analytic(f: float, g: float, L: int, m: int) -> np.ndarray:
 
     The (1, 1) case is the sine family of the path graph; a cosine
     ansatz with the same arguments does not satisfy the boundary rows
-    (checked in the verification suite).
+    (checked in the verification suite).  The (1/2, 1) vector is the
+    (1, 1/2) one reversed.
     """
     j = np.arange(L + 1)
     key = (float(f), float(g))
@@ -850,6 +856,8 @@ def walk_eigvector_analytic(f: float, g: float, L: int, m: int) -> np.ndarray:
         return np.sin((m + 1) * np.pi / (L + 2) * (j + 1))
     if key == (1.0, 0.5):
         return np.sin((2 * m + 1) * np.pi / (2 * L + 3) * (j + 1))
+    if key == (0.5, 1.0):
+        return walk_eigvector_analytic(1.0, 0.5, L, m)[::-1]
     raise ValueError(f"unsupported boundary pair {key}")
 
 

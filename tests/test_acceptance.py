@@ -30,7 +30,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from hamline import chain, hamiltonian as hm, spectra, verify
+from hamline import chain, cli, hamiltonian as hm, spectra, verify
 from hamline.chain import Configuration, DEAD, GATE
 from hamline.cli import sequence_lines
 from hamline.verify import accepting_circuit, cnot_circuit
@@ -362,7 +362,7 @@ def test_criterion_10_negative_controls(monkeypatch):
 
     # fault B: one dropped penalty family -> the census misses it
     # (criterion 2)
-    dropped = hm.build_h_pen(3, 2, drop_family=(chain.DEAD, chain.BLANK, "B"))
+    dropped = cli._without_pen_family(chain, hm)(3, 2)
     census_fail = len(dropped) != hm.expected_census(3, 1, 2)["pen"]
 
     # fault C: one mutated hop, rule 3b's qi -> iq made qi -> xq (its

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hamline import chain, hamiltonian as hm, spectra, verify
+from hamline import chain, cli, hamiltonian as hm, spectra, verify
 from hamline.chain import BLANK, DEAD, Configuration
 from hamline.circuit import Gate2Q, LayeredCircuit, identity_round
 from hamline.verify import accepting_circuit, cnot_circuit
@@ -74,7 +74,7 @@ def test_pen_zero_on_legal_and_positive_on_detectable():
 
 def test_pen_drop_family_hook():
     full = hm.build_h_pen(2, 2)
-    dropped = hm.build_h_pen(2, 2, drop_family=(DEAD, BLANK, "B"))
+    dropped = cli._without_pen_family(chain, hm)(2, 2)
     assert len(dropped) == len(full) - 2  # two B pairs on the (2,2) chain
 
 
@@ -101,10 +101,10 @@ def test_all_blocks_hermitian_and_projectors_idempotent():
 
 
 def transport(t) -> np.ndarray:
-    """The 64x64 transfer T of a hop term, from SYMBOL_SLOTS alone: each
-    source slot pair's content bits move left to right onto the
+    """The 64x64 transfer T of a hop term, from the SLOT rows alone:
+    each source slot pair's content bits move left to right onto the
     destination symbols' holders, through the gate on rule 1."""
-    slots = hm.SYMBOL_SLOTS
+    slots = [tuple(dict.fromkeys(row)) for row in hm.SLOT.tolist()]
     (x, y), (p, q) = t.src, t.dst
     u = t.gate_matrix()
     T = np.zeros((64, 64), dtype=complex)

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -381,6 +382,40 @@ def test_restrict_rejects_repeated_configuration():
         spectra.restrict(hm.build_h_pen(2, 2), legal + [legal[3]])
 
 
+@pytest.mark.parametrize("other, chains", [
+    ((4, 1), "(2, 2) and (4, 1)"),   # the 8 sites of (2, 2)
+    ((2, 1), "(2, 1) and (2, 2)"),
+])
+def test_restrict_refuses_configurations_of_two_chains(other, chains):
+    terms = hm.build_h_pen(2, 2)
+    with pytest.raises(ValueError, match=re.escape(
+            "two chains: (n, R) = " + chains)):
+        spectra.restrict(terms, spectra.legal_basis(2, 2)
+                         + [chain.initial_configuration(*other)])
+
+
+#: Each route on no configurations, and its empty result.
+EMPTY_RESULTS = {
+    "hop_images": (lambda terms, state: spectra._hop_images(terms, []),
+                   []),
+    "restrict": (lambda terms, state: spectra.restrict(terms, [])[1], []),
+    "apply_restricted": (lambda terms, state: spectra.apply_restricted(
+        terms, state).amplitudes, {}),
+    "energy_parts": (lambda terms, state: spectra.energy_parts(
+        terms, state).tolist(), []),
+    "expectation": (spectra.expectation, 0.0),
+    "to_full": (lambda terms, state: state.to_full().tolist(),
+                [0.0] * 8 ** 4),
+}
+
+
+@pytest.mark.parametrize("route", sorted(EMPTY_RESULTS))
+def test_empty_configuration_sets_give_empty_results(route):
+    spec = hm.build_hamiltonian(identity_circuit(2, 1, 1))
+    call, empty = EMPTY_RESULTS[route]
+    assert call(spec.terms, spectra.RestrictedState(2, 1, {})) == empty
+
+
 #: sha256 of (indptr, indices as int64; data) of the rejecting (2,2)
 #: circuit restricted to two exchange-closed sets, from ``restrict``
 #: when it still sorted an unordered set by sites
@@ -451,6 +486,36 @@ def test_restrict_equals_full_operator_on_all_configurations():
         full = spectra.full_sparse_matrix(terms, 2, 1)
         diff = abs(full[idx][:, idx] - mat)
         assert diff.max() <= 1e-12 * abs(full).max()
+
+
+@pytest.mark.parametrize("how", ["replaced", "edited"])
+def test_the_slot_table_is_read_where_it_is_used(monkeypatch, how):
+    """SLOT is read when a route runs: after one full_sparse_matrix call,
+    a table with the qubit's slots swapped, installed or written in
+    place, gives pen and prop terms on its rows, and the whole-chain
+    matrix is the restriction over all 6^4 configurations, permuted."""
+    circ = identity_circuit(2, 1, 1)
+    monkeypatch.setattr(hm, "SLOT", hm.SLOT.copy())
+    spectra.full_sparse_matrix(
+        hm.build_hamiltonian(circ, hm.UNIT_COUPLINGS), 2, 1)
+    swapped = hm.SLOT.copy()
+    swapped[chain.QUBIT] = swapped[chain.QUBIT, ::-1]
+    if how == "replaced":
+        monkeypatch.setattr(hm, "SLOT", swapped)
+    else:
+        hm.SLOT[:] = swapped
+    spec = hm.build_hamiltonian(circ, hm.UNIT_COUPLINGS)
+    rows = {frozenset(row) for row in swapped.tolist()}
+    pair_or_prop = [t for t in spec.terms if t.kind == "diag" and (
+        t.family == "prop" or t.family == "pen" and len(t.sites) == 2)]
+    assert pair_or_prop
+    assert all(set(t.diag_slots) <= rows for t in pair_or_prop)
+    configs = [Configuration(2, 1, bytes(s))
+               for s in itertools.product(range(6), repeat=4)]
+    mat, basis = spectra.restrict(spec, configs)
+    idx = embedding(basis)
+    full = spectra.full_sparse_matrix(spec, 2, 1)
+    assert abs(full[idx][:, idx] - mat).max() == 0.0
 
 
 def test_restrict_dtype_follows_gates():
@@ -996,6 +1061,18 @@ def test_walk_lowest_eigs_special_cases():
         low11 = spectra.walk_eigs_analytic(1.0, 1.0, L)[0]
         assert abs(low11 - (1 - np.cos(np.pi / (L + 2)))) < 1e-15
         assert low11 > 0 and low > 0
+
+
+@pytest.mark.parametrize("f,g", [(0.5, 0.5), (1.0, 1.0), (1.0, 0.5),
+                                 (0.5, 1.0)])
+def test_walk_eigvectors_satisfy_the_eigen_equation(f, g):
+    for L in range(1, 65):
+        w = spectra.walk_matrix(f, g, L).dense()
+        vals = spectra.walk_eigs_analytic(f, g, L)
+        v = np.column_stack([spectra.walk_eigvector_analytic(f, g, L, m)
+                             for m in range(L + 1)])
+        residual = np.linalg.norm(w @ v - v * vals, axis=0)
+        assert np.all(residual <= 1e-10 * np.linalg.norm(v, axis=0)), L
 
 
 def test_symmetric_boundary_swap_same_spectrum():

@@ -6,13 +6,12 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hamline import chain, hamiltonian as hm, spectra, verify
+from hamline import chain, cli, hamiltonian as hm, spectra, verify
 from hamline.chain import Configuration, DEAD, GATE
 from hamline.circuit import Gate2Q, LayeredCircuit, identity_round
 
@@ -82,14 +81,16 @@ def test_facts_catch_every_single_after_mutant_but_rule_3d(monkeypatch,
 
 
 def test_check_facts_reads_the_built_projector_terms(monkeypatch):
-    # give the pusher the insertion symbol's slot: the built prop
-    # projectors no longer fire where the layout's symbols say, and both
-    # projector checks must see it
-    monkeypatch.setitem(hm.SYMBOL_SLOTS, chain.PUSHER, (0,))
+    # give the pusher the insertion symbol's slot in the SLOT row: the
+    # built prop projectors no longer fire where the layout's symbols say,
+    # and both projector checks must see it
+    slot = hm.SLOT.copy()
+    slot[chain.PUSHER] = hm.SLOT[chain.INSI]
+    monkeypatch.setattr(hm, "SLOT", slot)
     checks = verify.check_facts(3, 2).checks
     assert [c.passed for c in checks] == [True, True, False, False, True,
                                           True]
-    assert [c.measured for c in checks[2:4]] == [22, 22]
+    assert [c.measured for c in checks[2:4]] == [25, 25]
 
 
 def test_check_history_cnot_plus_witness():
@@ -126,8 +127,8 @@ def test_check_history_haar_within_precision_floor():
 
 def test_census_suite_and_negative_control(monkeypatch):
     assert verify.census_suite(3, 2).passed
-    monkeypatch.setattr(hm, "build_h_pen", partial(
-        hm.build_h_pen, drop_family=(chain.DEAD, chain.BLANK, "B")))
+    monkeypatch.setattr(hm, "build_h_pen",
+                        cli._without_pen_family(chain, hm))
     rep = verify.census_suite(3, 2)
     assert not rep.passed
 
