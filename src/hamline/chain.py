@@ -1,9 +1,12 @@
 """Configuration automaton on a chain of 8-state sites.
 
 A chain of ``2*n*R`` sites (R blocks of 2n) carries one of six symbol
-classes per site.  Two of the classes (QUBIT, GATE) hold a qubit's worth
-of internal content; the machinery in this module works purely at the
-symbol level and leaves amplitudes to :mod:`hamline.spectra`.
+classes per site.  The site table :data:`SLOT` maps each (symbol,
+content bit) to one of the 8 site states; the symbols whose row has two
+slots (QUBIT, GATE) hold a qubit's worth of content, which sets each
+configuration's content dimension and holder ranks (:class:`_Packed`).
+The automaton itself works at the symbol level and leaves amplitudes
+to :mod:`hamline.spectra`.
 
 The module provides
 
@@ -42,7 +45,7 @@ import numpy as np
 
 __all__ = [
     "INSI", "PUSHER", "BLANK", "DEAD", "QUBIT", "GATE",
-    "SYMBOL_CHARS", "QUBIT_HOLDING",
+    "SYMBOL_CHARS", "SLOT",
     "Configuration", "RuleInstance", "Rule", "RULES", "transition_terms",
     "ConfigClass", "InvariantSet",
     "location_type", "pair_allowed", "forbidden_families",
@@ -64,8 +67,10 @@ INSI, PUSHER, BLANK, DEAD, QUBIT, GATE = range(6)
 SYMBOL_CHARS = "i<.xqg"
 _CHAR_TO_SYMBOL = {c: s for s, c in enumerate(SYMBOL_CHARS)}
 
-#: Symbols that carry one qubit of internal content.
-QUBIT_HOLDING = frozenset({QUBIT, GATE})
+#: Site state of each (symbol, content bit), one row per symbol code.  A
+#: symbol holds a content bit when its row has two slots; a symbol
+#: without content reads its one slot for either bit.
+SLOT = np.array([[0, 0], [1, 1], [2, 2], [3, 3], [4, 5], [6, 7]])
 
 #: Symbols permitted at the two chain ends (everything else is penalized).
 LEFT_END_ALLOWED = frozenset({DEAD, GATE})
@@ -104,7 +109,8 @@ class Configuration:
         return 2 * self.n * self.R
 
     def holder_count(self) -> int:
-        return sum(1 for s in self.sites if s in QUBIT_HOLDING)
+        return sum(self.sites.count(s) for s, (a, b)
+                   in enumerate(SLOT.tolist()) if a != b)
 
     @classmethod
     def _trusted(cls, n: int, R: int, sites: bytes) -> "Configuration":
@@ -630,14 +636,15 @@ class _Packed:
     """Configurations of one chain as an (N, L) ``uint8`` array ``S`` of
     symbol codes, rows found by binary search on their L-byte keys.
     Each row's content space (2^holders, ``cdim``) follows the previous
-    row's (``offsets``); ``ranks`` holds each site's holder rank."""
+    row's (``offsets``); ``ranks`` holds each site's holder rank.  A
+    holder is a site whose symbol's :data:`SLOT` row has two slots."""
 
     def __init__(self, S: np.ndarray):
         self.S = S
         keys = _keys(S)
         self.order = np.argsort(keys)
         self.sorted_keys = keys[self.order]
-        holds = np.isin(S, tuple(QUBIT_HOLDING))
+        holds = (SLOT[:, 0] != SLOT[:, 1])[S]
         self.cdim = 1 << holds.sum(axis=1, dtype=np.int64)
         self.offsets = np.concatenate(([0], np.cumsum(self.cdim)))
         self.ranks = np.maximum(np.cumsum(holds, axis=1) - 1, 0)
@@ -711,7 +718,7 @@ class InvariantSet:
     """Exchange closure of a configuration, sorted by ``sites``."""
 
     configs: tuple
-    capped: bool = False
+    capped: bool
 
     def __len__(self):
         return len(self.configs)

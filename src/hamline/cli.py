@@ -59,7 +59,7 @@ def _without_pen_family(ch, hm):
     build = hm.build_h_pen
 
     def build_h_pen(n, R):
-        family = tuple(map(frozenset, hm.SLOT[[ch.DEAD, ch.BLANK]].tolist()))
+        family = tuple(map(frozenset, ch.SLOT[[ch.DEAD, ch.BLANK]].tolist()))
         return [t for t in build(n, R) if t.diag_slots != family
                 or ch.location_type(t.sites[0], n, R) != "B"]
     return build_h_pen

@@ -5,11 +5,12 @@ single-site basis states are ordered
 
     [insi, pusher, blank, dead, qubit0, qubit1, gate0, gate1]
 
-(indices 0..7, frozen; all matrix exports use this ordering).  The two
-qubit-holding symbols occupy two slots each; symbol-level projectors sum
-over the content slots, and transition ("hop") terms move the content
-between sites, pairing slots in left-to-right order.  :data:`SLOT` maps
-each (symbol, content bit) to its slot; every route reads it when run.
+(indices 0..7, frozen; all matrix exports use this ordering).  The site
+table :data:`chain.SLOT` maps each (symbol, content bit) to its slot,
+and every route here reads it when run: the two symbols with two slots
+hold a content bit, symbol-level projectors sum over a symbol's slots,
+and transition ("hop") terms move the content between sites, pairing
+slots in left-to-right order.
 
 One term kernel, :func:`_term_entries`, applies terms to packed
 configurations and their content spaces: :mod:`hamline.spectra` runs it
@@ -55,7 +56,7 @@ from .chain import GATE, QUBIT
 from .circuit import LayeredCircuit, gate_at_location
 
 __all__ = [
-    "BASIS_LABELS", "SLOT", "LocalTerm", "Couplings",
+    "BASIS_LABELS", "LocalTerm", "Couplings",
     "HamiltonianSpec", "build_h_in", "build_h_out", "build_h_pen",
     "build_h_prop", "build_pieces", "choose_couplings", "assemble",
     "build_hamiltonian", "expected_census", "census", "export_terms",
@@ -65,10 +66,6 @@ __all__ = [
 #: Frozen single-site basis ordering.
 BASIS_LABELS = ("insi", "pusher", "blank", "dead",
                 "qubit0", "qubit1", "gate0", "gate1")
-
-#: Site state of each (symbol, content bit), one row per symbol code; a
-#: symbol without content reads its one slot for either bit.
-SLOT = np.array([[0, 0], [1, 1], [2, 2], [3, 3], [4, 5], [6, 7]])
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +140,7 @@ def _diag_term(family, sites, slot_sets, rule=None, piece=None, window=None):
                      rule=rule, piece=piece, window=window)
 
 
-def _hop_term(family, sites, src, dst, gate=None, rule=None, window=None):
+def _hop_term(family, sites, src, dst, gate, rule, window):
     flat = None if gate is None else tuple(np.asarray(gate, complex).ravel())
     return LocalTerm(family=family, sites=tuple(sites), kind="hop",
                      src=tuple(src), dst=tuple(dst), gate=flat,
@@ -156,10 +153,10 @@ def _hop_term(family, sites, src, dst, gate=None, rule=None, window=None):
 
 def _site_codes(pk: chain._Packed) -> np.ndarray:
     """Each site's digit of :func:`_site_index` for every basis vector of
-    the packed rows, as an (L, dim) array: the :data:`SLOT` of the site's
-    symbol and its holder's content bit."""
+    the packed rows, as an (L, dim) array: the :data:`chain.SLOT` entry
+    of the site's symbol and its holder's content bit."""
     cfg, _, content = pk.expand(np.arange(len(pk.S)))
-    return SLOT[pk.S[cfg].T, (content >> pk.ranks[cfg].T) & 1]
+    return chain.SLOT[pk.S[cfg].T, (content >> pk.ranks[cfg].T) & 1]
 
 
 def _site_index(pk: chain._Packed) -> np.ndarray:
@@ -178,13 +175,13 @@ _windows_for: list = []
 
 def _window(w: int) -> tuple[chain._Packed, np.ndarray]:
     """Every symbol assignment of a w-site window, packed, with its
-    :func:`_site_index` under the :data:`SLOT` rows installed now."""
-    if _windows_for != SLOT.tolist():
+    :func:`_site_index` under the :data:`chain.SLOT` rows installed now."""
+    if _windows_for != chain.SLOT.tolist():
         _windows.clear()
-        _windows_for[:] = SLOT.tolist()
+        _windows_for[:] = chain.SLOT.tolist()
     if w not in _windows:
         pk = chain._Packed(np.array(
-            list(product(range(len(SLOT)), repeat=w)), dtype=np.uint8))
+            list(product(range(len(chain.SLOT)), repeat=w)), dtype=np.uint8))
         _windows[w] = pk, _site_index(pk)
     return _windows[w]
 
@@ -273,8 +270,8 @@ def _term_entries(terms, pk: chain._Packed):
 
 
 def _reads_content(slot_sets: tuple[frozenset, ...]) -> bool:
-    """Whether a slot set holds part of a :data:`SLOT` row but not all."""
-    rows = [set(row) for row in SLOT.tolist()]
+    """Whether a slot set holds part of a :data:`chain.SLOT` row, not all."""
+    rows = [set(row) for row in chain.SLOT.tolist()]
     return any(0 < len(s & row) < len(row) for s in slot_sets for row in rows)
 
 
@@ -289,8 +286,10 @@ def _symbol_hits(terms, configs) -> tuple[np.ndarray, np.ndarray]:
         if t.kind != "diag" or reads[t.diag_slots]:
             raise ValueError(f"the {t.family} term on sites {t.sites} has "
                              "no symbol-level value")
+    if not configs:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
     term, row = zip((np.zeros(0, np.intp),) * 2,
-                    *_gather(terms, SLOT[chain._rows_of(configs), 0].T))
+                    *_gather(terms, chain.SLOT[chain._rows_of(configs), 0].T))
     return np.concatenate(term), np.concatenate(row)
 
 
@@ -303,21 +302,22 @@ def build_h_in(n: int, m: int) -> list[LocalTerm]:
     at odd sites 3..2(n-m)-1 of the first block."""
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    terms = [_diag_term("in", (1,), [{SLOT[GATE, 1].item()}])]
+    slot = chain.SLOT.tolist()
+    terms = [_diag_term("in", (1,), [{slot[GATE][1]}])]
     for i in range(2, n - m + 1):
-        terms.append(_diag_term("in", (2 * i - 1,), [{SLOT[QUBIT, 1].item()}]))
+        terms.append(_diag_term("in", (2 * i - 1,), [{slot[QUBIT][1]}]))
     return terms
 
 
 def build_h_out(n: int, R: int) -> list[LocalTerm]:
     """Output penalty: gate content |0> at the last site."""
-    return [_diag_term("out", (2 * n * R,), [{SLOT[GATE, 0].item()}])]
+    return [_diag_term("out", (2 * n * R,), [{chain.SLOT[GATE, 0].item()}])]
 
 
 def build_h_pen(n: int, R: int) -> list[LocalTerm]:
     """Projectors onto every forbidden (pair, location-type) family at
     every pair of that type, plus the two chain-end penalties."""
-    L, slot = 2 * n * R, SLOT.tolist()
+    L, slot = 2 * n * R, chain.SLOT.tolist()
     types = chain.location_types(n, R)
     terms = []
     for (x, y, t) in chain.forbidden_families():
@@ -354,7 +354,7 @@ def projector_layout(n: int, R: int) -> list[LocalTerm]:
         for piece, (off, pair) in (("xy", xy), ("zw", zw)):
             key = (r.rid[0], piece, off, pair)
             rows[key] = rows.get(key, frozenset()) | r.types
-    L, out, slot = 2 * n * R, [], SLOT.tolist()
+    L, out, slot = 2 * n * R, [], chain.SLOT.tolist()
     for i, t in enumerate(chain.location_types(n, R), 1):
         for (rule, piece, off, pair), types in rows.items():
             if t in types:

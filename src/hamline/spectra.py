@@ -101,12 +101,10 @@ class RestrictedState:
         imaginary part (:func:`_exact_real`), complex128 otherwise."""
         if 2 * self.n * self.R > FULL_SPACE_SITE_LIMIT:
             raise ValueError("full vector would exceed the supported size")
-        parts = [_exact_real(np.asarray(v)) for v in self.amplitudes.values()]
-        dtype = complex if any(np.iscomplexobj(v) for v in parts) else float
-        out = np.zeros(full_dimension(self.n, self.R), dtype=dtype)
-        if parts:
-            out[hm._site_index(chain._Packed.of(self.amplitudes))] = \
-                np.concatenate(parts)
+        pk = chain._Packed.of(self.amplitudes)
+        x = _exact_real(_content(self, pk.cdim))
+        out = np.zeros(full_dimension(self.n, self.R), dtype=x.dtype)
+        out[hm._site_index(pk)] = x
         return out
 
 
@@ -150,12 +148,26 @@ def apply_restricted(terms, state: RestrictedState) -> RestrictedState:
     terms = _term_list(terms)
     support = list(state.amplitudes)
     mat, basis = restrict(terms, support + _hop_images(terms, support))
+    v = _content(state, [cd for _, _, cd in basis])
     x = np.zeros(mat.shape[0], dtype=complex)
-    for (c, off, cd), v in zip(basis, state.amplitudes.values()):
-        x[off:off + cd] = v
+    x[:len(v)] = v
     y = mat @ x
     return RestrictedState(state.n, state.R, {
         c: y[off:off + cd] for c, off, cd in basis})
+
+
+def _content(state: RestrictedState, cdim) -> np.ndarray:
+    """The state's amplitudes as one complex vector, in order; an
+    amplitude that is not a vector of its configuration's content
+    dimension (``cdim``, in the same order) is a ValueError."""
+    parts = [np.zeros(0, dtype=complex)]
+    for (c, v), cd in zip(state.amplitudes.items(), cdim):
+        a = np.asarray(v, dtype=complex)
+        if a.shape != (cd,):
+            raise ValueError(f"the amplitude of {c} has {a.size} entries, "
+                             f"its content dimension {cd}")
+        parts.append(a)
+    return np.concatenate(parts)
 
 
 def _term_list(terms) -> list[LocalTerm]:
@@ -179,11 +191,11 @@ def energy_parts(terms, state: RestrictedState) -> np.ndarray:
     contribute nothing."""
     if not state.amplitudes:
         return np.zeros(0)
-    x = np.concatenate([np.asarray(v, dtype=complex)
-                        for v in state.amplitudes.values()])
+    pk = chain._Packed.of(state.amplitudes)
+    x = _content(state, pk.cdim)
     parts, which = [np.zeros(0)], [np.zeros(0, dtype=np.intp)]
     for kind, term, rows, cols, vals in hm._term_entries(
-            _term_list(terms), chain._Packed.of(state.amplitudes)):
+            _term_list(terms), pk):
         p = (x[rows].conj() * (vals * x[cols])).real
         parts.append(p if kind == "diag" else 2.0 * p)
         which.append(term)

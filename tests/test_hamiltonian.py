@@ -104,7 +104,7 @@ def transport(t) -> np.ndarray:
     """The 64x64 transfer T of a hop term, from the SLOT rows alone:
     each source slot pair's content bits move left to right onto the
     destination symbols' holders, through the gate on rule 1."""
-    slots = [tuple(dict.fromkeys(row)) for row in hm.SLOT.tolist()]
+    slots = [tuple(dict.fromkeys(row)) for row in chain.SLOT.tolist()]
     (x, y), (p, q) = t.src, t.dst
     u = t.gate_matrix()
     T = np.zeros((64, 64), dtype=complex)

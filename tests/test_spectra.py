@@ -406,6 +406,9 @@ EMPTY_RESULTS = {
     "expectation": (spectra.expectation, 0.0),
     "to_full": (lambda terms, state: state.to_full().tolist(),
                 [0.0] * 8 ** 4),
+    "symbol_hits": (lambda terms, state: [a.tolist() for a in
+                    hm._symbol_hits([t for t in terms
+                                     if t.family == "pen"], [])], [[], []]),
 }
 
 
@@ -414,6 +417,27 @@ def test_empty_configuration_sets_give_empty_results(route):
     spec = hm.build_hamiltonian(identity_circuit(2, 1, 1))
     call, empty = EMPTY_RESULTS[route]
     assert call(spec.terms, spectra.RestrictedState(2, 1, {})) == empty
+
+
+#: Each route that takes a restricted state, on the accepting circuit.
+STATE_ROUTES = {
+    "apply_restricted": spectra.apply_restricted,
+    "energy_parts": spectra.energy_parts,
+    "expectation": spectra.expectation,
+    "to_full": lambda spec, state: state.to_full(),
+}
+
+
+@pytest.mark.parametrize("size", [2, 8])
+@pytest.mark.parametrize("route", sorted(STATE_ROUTES))
+def test_content_vectors_of_the_wrong_length_are_refused(route, size):
+    # the initial (2,2) configuration holds two qubits: 4 content entries
+    c = chain.initial_configuration(2, 2)
+    state = spectra.RestrictedState(2, 2, {c: np.ones(size)})
+    with pytest.raises(ValueError, match=re.escape(
+            f"the amplitude of {c} has {size} entries, its content "
+            "dimension 4")):
+        STATE_ROUTES[route](hm.build_hamiltonian(accepting_circuit()), state)
 
 
 #: sha256 of (indptr, indices as int64; data) of the rejecting (2,2)
@@ -495,15 +519,15 @@ def test_the_slot_table_is_read_where_it_is_used(monkeypatch, how):
     place, gives pen and prop terms on its rows, and the whole-chain
     matrix is the restriction over all 6^4 configurations, permuted."""
     circ = identity_circuit(2, 1, 1)
-    monkeypatch.setattr(hm, "SLOT", hm.SLOT.copy())
+    monkeypatch.setattr(chain, "SLOT", chain.SLOT.copy())
     spectra.full_sparse_matrix(
         hm.build_hamiltonian(circ, hm.UNIT_COUPLINGS), 2, 1)
-    swapped = hm.SLOT.copy()
+    swapped = chain.SLOT.copy()
     swapped[chain.QUBIT] = swapped[chain.QUBIT, ::-1]
     if how == "replaced":
-        monkeypatch.setattr(hm, "SLOT", swapped)
+        monkeypatch.setattr(chain, "SLOT", swapped)
     else:
-        hm.SLOT[:] = swapped
+        chain.SLOT[:] = swapped
     spec = hm.build_hamiltonian(circ, hm.UNIT_COUPLINGS)
     rows = {frozenset(row) for row in swapped.tolist()}
     pair_or_prop = [t for t in spec.terms if t.kind == "diag" and (
@@ -514,6 +538,27 @@ def test_the_slot_table_is_read_where_it_is_used(monkeypatch, how):
                for s in itertools.product(range(6), repeat=4)]
     mat, basis = spectra.restrict(spec, configs)
     idx = embedding(basis)
+    full = spectra.full_sparse_matrix(spec, 2, 1)
+    assert abs(full[idx][:, idx] - mat).max() == 0.0
+
+
+def test_the_content_layout_follows_the_slot_table(monkeypatch):
+    """With the pusher's and the qubit's SLOT rows swapped, the pusher
+    holds the content bit and the qubit does not: the full-space index
+    of the 6^4 configurations of (2,1) takes each of the 8^4 values once,
+    and their restriction is the whole-chain matrix, permuted."""
+    swapped = chain.SLOT.copy()
+    swapped[[chain.PUSHER, chain.QUBIT]] = chain.SLOT[[chain.QUBIT,
+                                                       chain.PUSHER]]
+    monkeypatch.setattr(chain, "SLOT", swapped)
+    assert Configuration.from_string("x<q.", 2, 1).holder_count() == 1
+    assert Configuration.from_string("xqq.", 2, 1).holder_count() == 0
+    configs = [Configuration(2, 1, bytes(s))
+               for s in itertools.product(range(6), repeat=4)]
+    idx = hm._site_index(chain._Packed.of(configs))
+    assert sorted(idx.tolist()) == list(range(8 ** 4))
+    spec = hm.build_hamiltonian(identity_circuit(2, 1, 1), hm.UNIT_COUPLINGS)
+    mat, _ = spectra.restrict(spec, configs)
     full = spectra.full_sparse_matrix(spec, 2, 1)
     assert abs(full[idx][:, idx] - mat).max() == 0.0
 

@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -84,13 +85,48 @@ def test_check_facts_reads_the_built_projector_terms(monkeypatch):
     # give the pusher the insertion symbol's slot in the SLOT row: the
     # built prop projectors no longer fire where the layout's symbols say,
     # and both projector checks must see it
-    slot = hm.SLOT.copy()
-    slot[chain.PUSHER] = hm.SLOT[chain.INSI]
-    monkeypatch.setattr(hm, "SLOT", slot)
+    slot = chain.SLOT.copy()
+    slot[chain.PUSHER] = chain.SLOT[chain.INSI]
+    monkeypatch.setattr(chain, "SLOT", slot)
     checks = verify.check_facts(3, 2).checks
     assert [c.passed for c in checks] == [True, True, False, False, True,
                                           True]
     assert [c.measured for c in checks[2:4]] == [25, 25]
+
+
+#: The swaps of two SLOT rows that stop ``history_suite``: each gives a
+#: symbol of one slot the content bit of a qubit or gate symbol, so the
+#: history state's content vectors no longer fit their configurations.
+HISTORY_REFUSED = {"iq", "ig", "<q", "<g", ".q", ".g", "xq", "xg"}
+
+
+def swap_outcome(suite, *args):
+    """What a suite reports: "pass", its failed claims, or the
+    ValueError it raises on a content vector of the wrong length."""
+    try:
+        failed = [c.claim for c in suite(*args).checks if not c.passed]
+    except ValueError as e:
+        assert "content dimension" in str(e), e
+        return "ValueError"
+    return failed or "pass"
+
+
+def test_slot_row_swaps_census():
+    # facts at (2,2) and (3,2), census at (2,2) and history under each
+    # swap of two SLOT rows; the seven swaps outside HISTORY_REFUSED,
+    # among the four one-slot rows and q<->g, relabel slots only: the
+    # same operator, which no suite can see
+    for a, b in itertools.combinations(range(6), 2):
+        swap = chain.SYMBOL_CHARS[a] + chain.SYMBOL_CHARS[b]
+        slot = chain.SLOT.copy()
+        slot[[a, b]] = chain.SLOT[[b, a]]
+        with mock.patch.object(chain, "SLOT", slot):
+            outcomes = [swap_outcome(verify.check_facts, 2, 2),
+                        swap_outcome(verify.check_facts, 3, 2),
+                        swap_outcome(verify.census_suite, 2, 2),
+                        swap_outcome(verify.history_suite)]
+        assert outcomes == ["pass"] * 3 + [
+            "ValueError" if swap in HISTORY_REFUSED else "pass"], swap
 
 
 def test_check_history_cnot_plus_witness():
